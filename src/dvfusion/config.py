@@ -22,7 +22,6 @@ class PipelineConfig:
     target_image_paths: tuple = ()
     source_features_path: str = ""     # precomputed point features, epoch 1
     target_features_path: str = ""     # precomputed point features, epoch 2
-    observations_path: str = ""        # external displacement observations
     output_dir: str = "out"
 
     # --- tiling -------------------------------------------------------------
@@ -33,7 +32,6 @@ class PipelineConfig:
     lambda_factors: tuple = (0.1, 0.5, 2.0)   # x mean feature variance
     min_patch: int = 10
     k_adj: int = 10                    # adjacency graph neighbours
-    feature_k: int = 16                # covariance-feature neighbourhood
 
     # --- coarse matching ----------------------------------------------------
     feature_provider: str = "builtin"  # "builtin" | "import"
@@ -56,16 +54,13 @@ class PipelineConfig:
     icp_max_iter: int = 30
     icp_conv_tol: float = 1e-6
     icp_gate_factor: float = 5.0       # ICP pair gate, x scan resolution
-    p2p_threshold_factor: float = 1.0  # point-pair gate, x scan resolution
 
     # --- evaluation ---------------------------------------------------------
-    eval_radius: float = 15.0          # metres, mean-in-radius comparison
     coverage_voxel_factor: float = 4.0  # coverage voxel, x scan resolution
 
     # --- execution ----------------------------------------------------------
     n_workers: int = 1
     checkpoint_dir: str = ""           # resume coarse matches from here
-    seed: int = 0
 
     def validate(self) -> None:
         if self.max_points < 1000:
@@ -91,8 +86,7 @@ class PipelineConfig:
         if self.icp_max_iter < 1:
             raise ConfigError("icp_max_iter must be >= 1")
         for name in ("voxel_factor", "lift_radius_px", "max_displacement",
-                     "icp_gate_factor", "p2p_threshold_factor", "eval_radius",
-                     "coverage_voxel_factor"):
+                     "icp_gate_factor", "coverage_voxel_factor"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.n_workers < 1:

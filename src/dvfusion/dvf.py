@@ -58,12 +58,6 @@ class DisplacementVectorField:
             self.point_ids[order], self.positions[order], self.vectors[order],
             self.levels[order], self.patch_ids[order], self.modalities[order])
 
-    def as_dict(self) -> dict:
-        """point_id -> (vector, level, patch_id, modality); handy for oracles."""
-        return {int(pid): (self.vectors[i].copy(), int(self.levels[i]),
-                           int(self.patch_ids[i]), str(self.modalities[i]))
-                for i, pid in enumerate(self.point_ids)}
-
 
 def concat_fields(fields) -> DisplacementVectorField:
     """Concatenate disjoint per-tile fields into one, ordered by point id."""

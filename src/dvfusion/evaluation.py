@@ -32,7 +32,6 @@ from .geometry import (
 )
 
 DEFAULT_COMPARE_RADIUS = 15.0
-COMPONENT_NAMES = ("dx", "dy", "dz", "ds")
 
 
 @dataclass

@@ -229,22 +229,13 @@ class PatchFeature:
         return f"PatchFeature(level={self.level}, patch_id={self.patch_id})"
 
 
-def aggregate_patch_feature(patch, feats: PointFeatureSet,
-                            weights=None) -> PatchFeature:
-    """Mean of the member descriptors, re-normalized; optionally weighted by a
-    per-point weight table aligned with `feats`."""
+def aggregate_patch_feature(patch, feats: PointFeatureSet) -> PatchFeature:
+    """Mean of the member descriptors, re-normalized."""
     members = np.isin(feats.point_indices, patch.point_indices)
     if not members.any():
         raise EmptyPatchFeature(
             f"no featured point inside patch {patch.patch_id} (level {patch.level})")
-    d = feats.descriptors[members]
-    if weights is not None:
-        w = np.asarray(weights, dtype=np.float64).reshape(-1)[members]
-        if w.sum() <= 0:
-            raise InvalidParams("aggregation weights must have positive mass")
-        vec = (d * w[:, None]).sum(axis=0) / w.sum()
-    else:
-        vec = d.mean(axis=0)
+    vec = feats.descriptors[members].mean(axis=0)
     norm = np.linalg.norm(vec)
     if norm <= 1e-12:
         raise EmptyPatchFeature(

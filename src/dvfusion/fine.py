@@ -9,7 +9,6 @@ into a single field, finer levels taking precedence.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,13 +16,7 @@ import numpy as np
 from .coarse import PatchMatch
 from .dvf import DisplacementVectorField
 from .errors import DegenerateInput, DegenerateSupport
-from .geometry import (
-    NNIndex,
-    RigidTransform,
-    alignment_rmse,
-    icp_point_to_point,
-    kabsch,
-)
+from .geometry import RigidTransform, alignment_rmse, icp_point_to_point, kabsch
 
 ICP_MAX_ITER = 30
 ICP_CONV_TOL = 1e-6
@@ -48,23 +41,6 @@ class PatchDisplacement:
 
     def __len__(self) -> int:
         return len(self.point_ids)
-
-
-@dataclass
-class P2PCorrespondences:
-    """Point-exact pairs surviving the distance gate."""
-
-    source_ids: np.ndarray
-    target_ids: np.ndarray
-    distances: np.ndarray
-
-    def __post_init__(self):
-        self.source_ids = np.asarray(self.source_ids, dtype=np.int64).reshape(-1)
-        self.target_ids = np.asarray(self.target_ids, dtype=np.int64).reshape(-1)
-        self.distances = np.asarray(self.distances, dtype=np.float64).reshape(-1)
-
-    def __len__(self) -> int:
-        return len(self.source_ids)
 
 
 def estimate_patch_transform(match: PatchMatch,
@@ -108,19 +84,6 @@ def patch_dvf(patch, transform: RigidTransform, points,
                              patch.point_indices.copy(), vectors)
 
 
-def extract_p2p(src_patch, tgt_patch, transform: RigidTransform,
-                src_points, tgt_points, threshold: float) -> P2PCorrespondences:
-    """Nearest-neighbour pairs between the transformed source patch and the
-    target patch, keeping only pairs within `threshold`."""
-    src_ids = src_patch.point_indices
-    tgt_ids = tgt_patch.point_indices
-    moved = transform.apply(np.asarray(src_points, dtype=np.float64)[src_ids])
-    local, dist = NNIndex(np.asarray(tgt_points, dtype=np.float64)[tgt_ids]) \
-        .query_nearest(moved)
-    keep = dist <= threshold
-    return P2PCorrespondences(src_ids[keep], tgt_ids[local[keep]], dist[keep])
-
-
 def assemble_level_field(displacements, positions) -> DisplacementVectorField:
     """Stack per-patch displacements of one level into a single field.
 
@@ -162,12 +125,3 @@ def integrate_levels(level1: DisplacementVectorField,
         np.concatenate([f.levels for f in fields])[keep],
         np.concatenate([f.patch_ids for f in fields])[keep],
         np.concatenate([f.modalities for f in fields])[keep])
-
-
-def dump_p2p(path, p2p: P2PCorrespondences) -> None:
-    """CSV: src_index, tgt_index, distance."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["src_index", "tgt_index", "distance"])
-        for s, t, d in zip(p2p.source_ids, p2p.target_ids, p2p.distances):
-            w.writerow([int(s), int(t), f"{d:.6f}"])

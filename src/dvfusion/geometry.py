@@ -79,11 +79,6 @@ class RigidTransform:
         return cls(m[:3, :3], m[:3, 3])
 
 
-def apply_transform(t: RigidTransform, pts) -> np.ndarray:
-    """Apply `t` to every point; output shape equals input shape."""
-    return t.apply(pts)
-
-
 @dataclass
 class PointCorrespondenceSet:
     """Paired source/target points with their indices into the parent clouds."""
@@ -190,15 +185,6 @@ class NNIndex:
         ICP association; deterministic but without the tie-break guarantee."""
         d, i = self._tree.query(as_points(pts), k=1)
         return np.asarray(i, dtype=np.int64), np.asarray(d, dtype=np.float64)
-
-
-def nn_query(index: NNIndex, q, k: int = 1):
-    """Functional wrapper around NNIndex.query."""
-    return index.query(q, k)
-
-
-def build_nn_index(points) -> NNIndex:
-    return NNIndex(points)
 
 
 @dataclass

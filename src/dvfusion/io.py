@@ -1,5 +1,5 @@
 """File formats: ASCII PLY / XYZ point clouds, PGM/PPM rasters, camera tables,
-observation / pixel-match / point-feature CSVs, and DVF export.
+observation and point-feature CSVs, and DVF CSV export and import.
 
 Every loader either returns a fully validated structure or raises a located
 error (`ParseError` with a line number, `SchemaError` naming the field); there
@@ -19,14 +19,13 @@ from .errors import ParseError, SchemaError, UnsupportedFormat
 from .geometry import RigidTransform, as_points
 
 COORD_FMT = "%.6f"          # 1e-6 m round-trip precision for coordinates
-PIXEL_FMT = "%.4f"
 
 CAMERA_FIELDS = ("image_id", "width", "height", "fx", "fy", "cx", "cy",
                  "r11", "r12", "r13", "r21", "r22", "r23", "r31", "r32", "r33",
                  "t1", "t2", "t3")
 OBS_FIELDS = ("id", "x", "y", "z", "dx", "dy", "dz")
-PIXMATCH_FIELDS = ("src_image", "tgt_image", "u1", "v1", "u2", "v2", "confidence")
-DVF_FIELDS = ("x", "y", "z", "dx", "dy", "dz", "level", "patch_id", "modality")
+DVF_FIELDS = ("point_id", "x", "y", "z", "dx", "dy", "dz", "level", "patch_id",
+              "modality")
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +39,6 @@ class PointCloud:
     points: np.ndarray
     color: np.ndarray | None = None
     epoch_label: str = ""
-    frame: str = "local"
 
     def __post_init__(self):
         self.points = as_points(self.points)
@@ -165,7 +163,7 @@ class PointFeatureSet:
 # Point clouds
 
 
-def load_point_cloud(path, epoch_label: str = "", frame: str = "local") -> PointCloud:
+def load_point_cloud(path, epoch_label: str = "") -> PointCloud:
     path = Path(path)
     suffix = path.suffix.lower()
     if suffix == ".ply":
@@ -174,7 +172,7 @@ def load_point_cloud(path, epoch_label: str = "", frame: str = "local") -> Point
         pts, color = _load_xyz(path)
     else:
         raise UnsupportedFormat(f"unknown point-cloud extension {suffix!r} ({path})")
-    return PointCloud(pts, color, epoch_label=epoch_label or path.stem, frame=frame)
+    return PointCloud(pts, color, epoch_label=epoch_label or path.stem)
 
 
 def write_point_cloud(path, cloud: PointCloud) -> None:
@@ -445,39 +443,6 @@ def load_external_observations(path) -> list[ExternalObservation]:
     return obs
 
 
-def write_external_observations(path, obs) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(OBS_FIELDS)
-        for o in obs:
-            w.writerow([o.id, *[COORD_FMT % v for v in o.position],
-                        *[COORD_FMT % v for v in o.displacement]])
-
-
-def load_pixel_matches(path) -> list[PixelMatchSet]:
-    """Group rows by (src_image, tgt_image) preserving first-seen order."""
-    groups: dict[tuple, list] = {}
-    for lineno, row in _dict_reader(path, PIXMATCH_FIELDS):
-        g = lambda k: _row_float(row, k, path, lineno)  # noqa: E731
-        conf = g("confidence")
-        if not 0.0 <= conf <= 1.0:
-            raise SchemaError("confidence", f"{path}:{lineno}: {conf} outside [0, 1]")
-        key = (row["src_image"], row["tgt_image"])
-        groups.setdefault(key, []).append([g("u1"), g("v1"), g("u2"), g("v2"), conf])
-    return [PixelMatchSet(pair, np.asarray(rows)) for pair, rows in groups.items()]
-
-
-def write_pixel_matches(path, match_sets) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(PIXMATCH_FIELDS)
-        for ms in match_sets:
-            for u1, v1, u2, v2, conf in ms.matches:
-                w.writerow([ms.image_pair[0], ms.image_pair[1],
-                            PIXEL_FMT % u1, PIXEL_FMT % v1, PIXEL_FMT % u2, PIXEL_FMT % v2,
-                            "%.4f" % conf])
-
-
 def load_point_features(path) -> PointFeatureSet:
     """CSV `point_index,f1..fD`; descriptors are re-normalized on load."""
     path = Path(path)
@@ -524,27 +489,29 @@ def write_point_features(path, feats: PointFeatureSet) -> None:
 
 
 def write_dvf(path, dvf: DisplacementVectorField) -> None:
-    """One row per estimated source point: x,y,z,dx,dy,dz,level,patch_id,modality."""
+    """One row per estimated source point, columns as in `DVF_FIELDS`."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(DVF_FIELDS)
         for i in range(len(dvf)):
-            w.writerow([*(COORD_FMT % v for v in dvf.positions[i]),
+            w.writerow([int(dvf.point_ids[i]),
+                        *(COORD_FMT % v for v in dvf.positions[i]),
                         *(COORD_FMT % v for v in dvf.vectors[i]),
                         int(dvf.levels[i]), int(dvf.patch_ids[i]), str(dvf.modalities[i])])
 
 
 def load_dvf(path) -> DisplacementVectorField:
-    pos, vec, lev, pid, mod = [], [], [], [], []
+    ids, pos, vec, lev, pid, mod = [], [], [], [], [], []
     for lineno, row in _dict_reader(path, DVF_FIELDS):
         g = lambda k: _row_float(row, k, path, lineno)  # noqa: E731
+        ids.append(int(g("point_id")))
         pos.append([g("x"), g("y"), g("z")])
         vec.append([g("dx"), g("dy"), g("dz")])
         lev.append(int(g("level")))
         pid.append(int(g("patch_id")))
         mod.append(row["modality"])
     n = len(pos)
-    return DisplacementVectorField(np.arange(n), np.asarray(pos).reshape(n, 3),
+    return DisplacementVectorField(ids, np.asarray(pos).reshape(n, 3),
                                    np.asarray(vec).reshape(n, 3), lev, pid,
                                    np.asarray(mod, dtype="U2"))
 
@@ -556,13 +523,3 @@ def write_report(path, report: dict) -> None:
         w.writerow(["key", "value"])
         for key, val in report.items():
             w.writerow([key, repr(val) if isinstance(val, float) else val])
-
-
-# ---------------------------------------------------------------------------
-
-
-def apply_georeference(cloud: PointCloud, t: RigidTransform) -> PointCloud:
-    """Move a cloud into the georeferenced frame; colors carried over."""
-    return PointCloud(t.apply(cloud.points),
-                      None if cloud.color is None else cloud.color.copy(),
-                      epoch_label=cloud.epoch_label, frame=cloud.frame + ":georef")

@@ -15,7 +15,7 @@ no RNG, fixed vertex orderings, ties broken toward lower index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -32,6 +32,7 @@ _EPS_DECREASE = 1e-12          # strict-improvement threshold for accepting move
 _KMEANS_ITERS = 12
 _ICM_SWEEPS = 4
 _POLISH_LIMIT = 5000           # vertex-level polish only below this size
+_MAX_OUTER = 10                # split/merge/polish rounds per solve
 
 
 # ---------------------------------------------------------------------------
@@ -46,12 +47,6 @@ class AdjacencyGraph:
     edges: np.ndarray            # (E, 2) int64, i < j
     weights: np.ndarray          # (E,) float64
     mean_edge_length: float
-
-    def degree(self) -> np.ndarray:
-        deg = np.zeros(self.n_vertices, dtype=np.int64)
-        np.add.at(deg, self.edges[:, 0], 1)
-        np.add.at(deg, self.edges[:, 1], 1)
-        return deg
 
 
 def build_adjacency_graph(points, k_adj: int = DEFAULT_K_ADJ) -> AdjacencyGraph:
@@ -117,16 +112,11 @@ def _region_stats(f, labels, nreg, sizes=None):
     which keeps the energy of a contracted graph identical to the original.
     """
     if sizes is None:
-        counts = np.bincount(labels, minlength=nreg).astype(np.float64)
-        sums = np.zeros((nreg, f.shape[1]))
-        np.add.at(sums, labels, f)
-        sq = np.bincount(labels, weights=(f * f).sum(axis=1), minlength=nreg)
-    else:
-        counts = np.bincount(labels, weights=sizes, minlength=nreg)
-        sums = np.zeros((nreg, f.shape[1]))
-        np.add.at(sums, labels, sizes[:, None] * f)
-        sq = np.bincount(labels, weights=sizes * (f * f).sum(axis=1),
-                         minlength=nreg)
+        sizes = np.ones(len(f))
+    counts = np.bincount(labels, weights=sizes, minlength=nreg)
+    sums = np.zeros((nreg, f.shape[1]))
+    np.add.at(sums, labels, sizes[:, None] * f)
+    sq = np.bincount(labels, weights=sizes * (f * f).sum(axis=1), minlength=nreg)
     with np.errstate(invalid="ignore", divide="ignore"):
         data = sq - (sums * sums).sum(axis=1) / counts
     data[counts == 0] = 0.0
@@ -142,7 +132,7 @@ def _components(n, sub_edges):
     return comp
 
 
-def _split_pass(f, edges, weights, labels, lam, sizes=None):
+def _split_pass(f, edges, weights, labels, lam, sizes):
     """Attempt a regularized 2-means split of every region simultaneously.
 
     Returns (labels, changed). Each region's split is accepted independently,
@@ -163,9 +153,7 @@ def _split_pass(f, edges, weights, labels, lam, sizes=None):
 
     # Per-region principal direction from batched covariance eigenvectors.
     cov = np.zeros((nreg, dim, dim))
-    outer = centered[:, :, None] * centered[:, None, :]
-    if sizes is not None:
-        outer = sizes[:, None, None] * outer
+    outer = sizes[:, None, None] * (centered[:, :, None] * centered[:, None, :])
     np.add.at(cov, labels, outer)
     _, vecs = np.linalg.eigh(cov)
     pc1 = vecs[:, :, -1]
@@ -187,11 +175,8 @@ def _split_pass(f, edges, weights, labels, lam, sizes=None):
     side = np.zeros(n, dtype=np.int64)
 
     def assign(with_cut):
-        d0 = ((f - c0[labels]) ** 2).sum(axis=1)
-        d1 = ((f - c1[labels]) ** 2).sum(axis=1)
-        if sizes is not None:
-            d0 = sizes * d0
-            d1 = sizes * d1
+        d0 = sizes * ((f - c0[labels]) ** 2).sum(axis=1)
+        d1 = sizes * ((f - c1[labels]) ** 2).sum(axis=1)
         if with_cut and len(edges):
             internal = labels[edges[:, 0]] == labels[edges[:, 1]]
             ie = edges[internal]
@@ -210,14 +195,9 @@ def _split_pass(f, edges, weights, labels, lam, sizes=None):
 
     def update_centers():
         key = labels * 2 + side
-        if sizes is None:
-            cnt = np.bincount(key, minlength=nreg * 2).astype(np.float64)
-            sm = np.zeros((nreg * 2, dim))
-            np.add.at(sm, key, f)
-        else:
-            cnt = np.bincount(key, weights=sizes, minlength=nreg * 2)
-            sm = np.zeros((nreg * 2, dim))
-            np.add.at(sm, key, sizes[:, None] * f)
+        cnt = np.bincount(key, weights=sizes, minlength=nreg * 2)
+        sm = np.zeros((nreg * 2, dim))
+        np.add.at(sm, key, sizes[:, None] * f)
         ok = cnt > 0
         sm[ok] /= cnt[ok, None]
         c0_new = np.where(ok[0::2, None], sm[0::2], c0)
@@ -271,7 +251,7 @@ def _split_pass(f, edges, weights, labels, lam, sizes=None):
     return _canonical_labels(out), True
 
 
-def _merge_pass(f, edges, weights, labels, lam, sizes=None):
+def _merge_pass(f, edges, weights, labels, lam, sizes):
     """Merge adjacent region pairs whenever it strictly lowers the energy.
 
     Rounds of conflict-free greedy merges (best gain first); regions touched
@@ -321,7 +301,7 @@ def _merge_pass(f, edges, weights, labels, lam, sizes=None):
         changed_any = True
 
 
-def _boundary_polish(f, edges, weights, labels, lam, sizes=None):
+def _boundary_polish(f, edges, weights, labels, lam, sizes):
     """Sequential single-vertex relabeling along region boundaries.
 
     Only runs on small problems; each move is accepted on strict decrease of
@@ -353,7 +333,7 @@ def _boundary_polish(f, edges, weights, labels, lam, sizes=None):
             if len(cand) == 1:
                 continue
             fv = f[v]
-            sv = 1.0 if sizes is None else float(sizes[v])
+            sv = float(sizes[v])
             best_lab, best_delta = r, 0.0
             # removal cost from r: change in r's scatter when v leaves
             mu_r = sums[r] / counts[r]
@@ -392,8 +372,7 @@ def _boundary_polish(f, edges, weights, labels, lam, sizes=None):
     return labels, changed_any
 
 
-def cut_pursuit(features, edges, weights, lam: float, max_outer: int = 10,
-                sizes=None, init_labels=None) -> np.ndarray:
+def cut_pursuit(features, edges, weights, lam: float, sizes=None) -> np.ndarray:
     """Greedy l0 minimal partition on an arbitrary weighted graph.
 
     Returns per-vertex region labels, 0..K-1, regions connected. The result
@@ -401,9 +380,8 @@ def cut_pursuit(features, edges, weights, lam: float, max_outer: int = 10,
     the all-singletons labeling.
 
     `sizes` gives each vertex a multiplicity in the data term, so a solve on
-    a region-contracted graph reproduces the energy of the full one.
-    `init_labels` warm-starts from an existing labeling (regions must be
-    connected) instead of the one-region-per-component start.
+    a region-contracted graph reproduces the energy of the full one; it
+    defaults to 1 for every vertex.
     """
     f = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if f.shape[0] != int(np.asarray(features).shape[0]):
@@ -411,15 +389,12 @@ def cut_pursuit(features, edges, weights, lam: float, max_outer: int = 10,
     n = f.shape[0]
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     weights = np.asarray(weights, dtype=np.float64).reshape(-1)
-    if sizes is not None:
-        sizes = np.asarray(sizes, dtype=np.float64).reshape(-1)
+    sizes = (np.ones(n) if sizes is None
+             else np.asarray(sizes, dtype=np.float64).reshape(-1))
     if lam < 0:
         raise InvalidParams(f"regularization strength must be >= 0, got {lam}")
-    if init_labels is None:
-        labels = _canonical_labels(_components(n, edges))
-    else:
-        labels = _canonical_labels(np.asarray(init_labels, dtype=np.int64))
-    for _ in range(max_outer):
+    labels = _canonical_labels(_components(n, edges))
+    for _ in range(_MAX_OUTER):
         ch_split = False
         while True:
             labels, ch = _split_pass(f, edges, weights, labels, lam, sizes)
@@ -607,14 +582,3 @@ def hierarchical_partition(points, feats=None, color=None, lambdas=None,
         level_labels.append(full)
     return HierarchicalPartition(levels, level_labels, tuple(lambdas))
 
-
-def dump_patch_labels(path, partition: HierarchicalPartition) -> None:
-    """CSV: point_index, level, patch_id for every assigned point."""
-    import csv
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["point_index", "level", "patch_id"])
-        for level in (1, 2, 3):
-            lab = partition.labels(level)
-            for i in np.flatnonzero(lab >= 0):
-                w.writerow([int(i), level, int(lab[i])])

@@ -8,9 +8,10 @@ so per-tile fields never collide.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
@@ -107,14 +108,51 @@ def _remap_to_global(f: DisplacementVectorField,
 # ---------------------------------------------------------------------------
 # Coarse-match checkpointing
 
+# Config fields that cannot change the coarse matches: the stages after the
+# checkpoint, execution settings, and file locations (whose contents are
+# hashed instead). Every other field is part of the checkpoint key.
+_RESUMABLE_FIELDS = frozenset({
+    "delta1", "delta2", "icp_max_iter", "icp_conv_tol", "icp_gate_factor",
+    "coverage_voxel_factor", "n_workers", "checkpoint_dir", "output_dir",
+    "source_path", "target_path", "cameras_path", "source_image_paths",
+    "target_image_paths", "source_features_path", "target_features_path",
+})
+
+
+def _coarse_key(cfg: PipelineConfig, resolution: float, sub_src, sub_tgt,
+                cameras, src_rasters: dict, tgt_rasters: dict, imported) -> str:
+    """SHA-256 of everything the coarse matches of one tile depend on: both
+    tiles' points, the coarse-stage settings, the cameras and images when
+    the image channel is on, and imported descriptors."""
+    keyed = {k: v for k, v in asdict(cfg).items() if k not in _RESUMABLE_FIELDS}
+    h = hashlib.sha256(repr((sorted(keyed.items()), resolution)).encode())
+    arrays = [sub_src, sub_tgt]
+    if cfg.use_images:
+        for cam in sorted(cameras, key=lambda c: c.image_id):
+            h.update(repr((cam.image_id, cam.width, cam.height, cam.fx, cam.fy,
+                           cam.cx, cam.cy)).encode())
+            arrays.append(cam.pose.as_matrix())
+        for rasters in (src_rasters, tgt_rasters):
+            h.update(repr(sorted(rasters)).encode())
+            arrays += [rasters[image_id].data for image_id in sorted(rasters)]
+    if cfg.feature_provider == "import":
+        arrays += [a for feats in imported for a in (feats.point_indices,
+                                                     feats.descriptors)]
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
 
 def _checkpoint_path(directory, pair_id: int) -> Path:
     return Path(directory) / f"coarse_tile{pair_id:04d}.npz"
 
 
-def save_coarse_checkpoint(path, match_sets: list) -> None:
-    """Persist the per-level coarse matches of one tile (tile-local indices)."""
-    arrays = {}
+def save_coarse_checkpoint(path, match_sets: list, key: str) -> None:
+    """Persist the per-level coarse matches of one tile (tile-local indices)
+    under `key`, the hash of the inputs they were computed from."""
+    arrays = {"key": np.array(key)}
     for ms in match_sets:
         l = ms.level
         arrays[f"l{l}_src"] = np.array(ms.source_ids(), dtype=np.int64)
@@ -134,10 +172,12 @@ def save_coarse_checkpoint(path, match_sets: list) -> None:
     np.savez(path, **arrays)
 
 
-def load_coarse_checkpoint(path, src_points, tgt_points) -> list:
-    """Rebuild per-level MatchSets from a checkpoint written for the same
-    tile of the same inputs."""
+def load_coarse_checkpoint(path, src_points, tgt_points, key: str):
+    """Rebuild per-level MatchSets from a checkpoint, or return None when it
+    was written under another key (other inputs or settings)."""
     data = np.load(path)
+    if "key" not in data.files or str(data["key"]) != key:
+        return None
     out = []
     for l in LEVELS:
         matches = []
@@ -230,10 +270,14 @@ def _process_tile(pair, source_points, target_points, cfg: PipelineConfig,
         raise _fail("partition", pid, exc) from exc
     t0 = _tick(timings, "partition", t0)
 
-    checkpoint = (_checkpoint_path(cfg.checkpoint_dir, pid)
-                  if cfg.checkpoint_dir else None)
-    if checkpoint is not None and checkpoint.exists():
-        merged_sets = load_coarse_checkpoint(checkpoint, sub_src, sub_tgt)
+    checkpoint, key, merged_sets = None, "", None
+    if cfg.checkpoint_dir:
+        checkpoint = _checkpoint_path(cfg.checkpoint_dir, pid)
+        key = _coarse_key(cfg, resolution, sub_src, sub_tgt, cameras,
+                          src_rasters, tgt_rasters, imported_features)
+        if checkpoint.exists():
+            merged_sets = load_coarse_checkpoint(checkpoint, sub_src, sub_tgt, key)
+    if merged_sets is not None:
         t0 = _tick(timings, "coarse", t0)
     else:
         imp_src, imp_tgt = imported_features or (None, None)
@@ -264,7 +308,7 @@ def _process_tile(pair, source_points, target_points, cfg: PipelineConfig,
         except DvfError as exc:
             raise _fail("coarse", pid, exc) from exc
         if checkpoint is not None:
-            save_coarse_checkpoint(checkpoint, merged_sets)
+            save_coarse_checkpoint(checkpoint, merged_sets, key)
         t0 = _tick(timings, "coarse", t0)
 
     crit = RefinementCriteria(cfg.delta1, cfg.delta2)
@@ -324,8 +368,13 @@ def run_pipeline(source_points, target_points, cfg: PipelineConfig,
     the import provider.
     """
     cfg.validate()
-    source_points = as_points(source_points)
-    target_points = as_points(target_points)
+    clouds = {"source": source_points, "target": target_points}
+    for epoch, pts in clouds.items():
+        try:
+            clouds[epoch] = as_points(pts)
+        except ValueError as exc:
+            raise PipelineError(f"stage 'input', {epoch} points: {exc}") from exc
+    source_points, target_points = clouds["source"], clouds["target"]
     cameras = list(cameras or [])
     if cfg.use_images and not cameras:
         raise ConfigError("image channel enabled but no cameras supplied")

@@ -175,15 +175,6 @@ def test_aggregate_matches_direct_mean_oracle():
     assert np.abs(out.vector - expect).max() < 1e-9
 
 
-def test_weighted_aggregate():
-    a = unit([1.0, 0.0])
-    b = unit([0.0, 1.0])
-    feats = PointFeatureSet([0, 1], np.vstack([a, b]))
-    out = aggregate_patch_feature(make_patch([0, 1]), feats, weights=[3.0, 1.0])
-    expect = unit(3.0 * a + 1.0 * b)
-    assert np.allclose(out.vector, expect, atol=1e-12)
-
-
 def test_empty_patch_feature_raises():
     feats = PointFeatureSet([0, 1], np.eye(2))
     with pytest.raises(EmptyPatchFeature):

@@ -1,5 +1,5 @@
-"""Rigid motion estimation per match, per-patch displacement fields, exact
-point pairs, and level integration."""
+"""Rigid motion estimation per match, per-patch displacement fields, and
+level integration."""
 
 import numpy as np
 import pytest
@@ -12,9 +12,7 @@ from dvfusion.dvf import MODALITY_2D, MODALITY_3D, DisplacementVectorField
 from dvfusion.errors import DegenerateSupport
 from dvfusion.fine import (
     assemble_level_field,
-    dump_p2p,
     estimate_patch_transform,
-    extract_p2p,
     integrate_levels,
     patch_dvf,
 )
@@ -135,71 +133,6 @@ def test_vectors_recomputable_from_transform():
     d = patch_dvf(patch_of(np.arange(15, 35)), t, pts, MODALITY_3D)
     pa = pts[d.point_ids]
     assert np.abs(d.vectors - (t.apply(pa) - pa)).max() < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Exact point pairs
-
-
-def test_transformed_clone_pairs_bijectively_at_zero():
-    rng = np.random.default_rng(7)
-    src = rng.uniform(0, 8, (60, 3))
-    t = random_rigid(rng)
-    tgt = t.apply(src)
-    p2p = extract_p2p(patch_of(np.arange(60)), patch_of(np.arange(60)),
-                      t, src, tgt, threshold=0.5)
-    assert len(p2p) == 60
-    assert np.array_equal(p2p.source_ids, p2p.target_ids)
-    assert p2p.distances.max() < 1e-9
-
-
-def test_pairs_beyond_threshold_dropped():
-    src = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
-    tgt = np.array([[0.0, 0.0, 0.0], [5.0, 1.1, 0.0]])
-    p2p = extract_p2p(patch_of([0, 1]), patch_of([0, 1]),
-                      RigidTransform.identity(), src, tgt, threshold=1.0)
-    assert p2p.source_ids.tolist() == [0]
-
-
-def test_p2p_restricted_to_target_patch():
-    src = np.array([[0.0, 0.0, 0.0]])
-    tgt = np.array([[3.0, 0.0, 0.0], [0.1, 0.0, 0.0]])
-    # the globally nearest target point (index 1) is outside the patch
-    p2p = extract_p2p(patch_of([0]), patch_of([0], pid=1),
-                      RigidTransform.identity(), src, tgt, threshold=10.0)
-    assert p2p.target_ids.tolist() == [0]
-    assert abs(p2p.distances[0] - 3.0) < 1e-12
-
-
-@given(st.integers(0, 10 ** 6))
-@settings(max_examples=20, deadline=None)
-def test_p2p_equals_linear_scan_oracle(seed):
-    rng = np.random.default_rng(seed)
-    src = rng.uniform(0, 6, (25, 3))
-    tgt = src + rng.normal(0, 0.2, src.shape)
-    thresh = 0.35
-    p2p = extract_p2p(patch_of(np.arange(25)), patch_of(np.arange(25)),
-                      RigidTransform.identity(), src, tgt, threshold=thresh)
-    got = set(zip(p2p.source_ids.tolist(), p2p.target_ids.tolist()))
-    expect = set()
-    for i in range(25):
-        d = np.linalg.norm(tgt - src[i], axis=1)
-        j = int(np.argmin(d))
-        if d[j] <= thresh:
-            expect.add((i, j))
-    assert got == expect
-    assert np.all(p2p.distances <= thresh)
-
-
-def test_p2p_csv_dump(tmp_path):
-    src = np.zeros((3, 3))
-    p2p = extract_p2p(patch_of([0, 1, 2]), patch_of([0, 1, 2]),
-                      RigidTransform.identity(), src, src, threshold=1.0)
-    path = tmp_path / "pairs.csv"
-    dump_p2p(path, p2p)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "src_index,tgt_index,distance"
-    assert len(lines) == 4
 
 
 # ---------------------------------------------------------------------------

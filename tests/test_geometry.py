@@ -14,12 +14,10 @@ from dvfusion.geometry import (
     PointCorrespondenceSet,
     RigidTransform,
     alignment_rmse,
-    apply_transform,
     icp_point_to_point,
     kabsch,
     local_covariance_features,
     mean_scan_resolution,
-    nn_query,
 )
 
 
@@ -68,10 +66,10 @@ def test_compose_and_inverse_round_trip():
 
 def test_apply_transform_identity_and_axis_cases():
     pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 2.0, -1.0]])
-    assert np.array_equal(apply_transform(RigidTransform.identity(), pts), pts)
-    shifted = apply_transform(RigidTransform(np.eye(3), [1.0, 0.0, 0.0]), [[0.0, 0.0, 0.0]])
+    assert np.array_equal(RigidTransform.identity().apply(pts), pts)
+    shifted = RigidTransform(np.eye(3), [1.0, 0.0, 0.0]).apply([[0.0, 0.0, 0.0]])
     assert np.allclose(shifted, [[1.0, 0.0, 0.0]])
-    flipped = apply_transform(RigidTransform(rot_z(180.0), np.zeros(3)), [[1.0, 0.0, 0.0]])
+    flipped = RigidTransform(rot_z(180.0), np.zeros(3)).apply([[1.0, 0.0, 0.0]])
     assert np.allclose(flipped, [[-1.0, 0.0, 0.0]], atol=1e-12)
 
 
@@ -312,7 +310,7 @@ def test_nn_empty_and_bad_k():
     with pytest.raises(ValueError):
         idx.query([0.0, 0.0, 0.0], k=4)
     with pytest.raises(ValueError):
-        nn_query(idx, [0.0, 0.0, 0.0], k=0)
+        idx.query([0.0, 0.0, 0.0], k=0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,21 +9,17 @@ from dvfusion.errors import ParseError, SchemaError, UnsupportedFormat
 from dvfusion.geometry import RigidTransform
 from dvfusion.io import (
     CameraModel,
-    PixelMatchSet,
     PointCloud,
     PointFeatureSet,
     Raster,
-    apply_georeference,
     load_cameras,
     load_dvf,
     load_external_observations,
-    load_pixel_matches,
     load_point_cloud,
     load_point_features,
     load_raster,
     write_cameras,
     write_dvf,
-    write_pixel_matches,
     write_point_cloud,
     write_point_features,
     write_raster,
@@ -221,7 +217,7 @@ def test_camera_bad_rotation_matrix(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Observations, pixel matches, features
+# Observations, features
 
 
 def test_single_observation(tmp_path):
@@ -238,31 +234,6 @@ def test_observation_rejects_nonfinite(tmp_path):
     p.write_text("id,x,y,z,dx,dy,dz\nT1,0,0,0,nan,0,0\n")
     with pytest.raises(SchemaError):
         load_external_observations(p)
-
-
-def test_empty_pixel_match_csv(tmp_path):
-    p = tmp_path / "m.csv"
-    p.write_text("src_image,tgt_image,u1,v1,u2,v2,confidence\n")
-    assert load_pixel_matches(p) == []
-
-
-def test_pixel_match_grouping_and_round_trip(tmp_path):
-    sets = [PixelMatchSet(("a", "b"), [[1.0, 2.0, 3.0, 4.0, 0.9],
-                                       [5.0, 6.0, 7.0, 8.0, 0.7]]),
-            PixelMatchSet(("a", "c"), [[0.5, 0.5, 1.5, 1.5, 1.0]])]
-    p = tmp_path / "m.csv"
-    write_pixel_matches(p, sets)
-    back = load_pixel_matches(p)
-    assert [ms.image_pair for ms in back] == [("a", "b"), ("a", "c")]
-    assert len(back[0]) == 2
-    assert np.allclose(back[0].matches, sets[0].matches)
-
-
-def test_pixel_match_confidence_range(tmp_path):
-    p = tmp_path / "m.csv"
-    p.write_text("src_image,tgt_image,u1,v1,u2,v2,confidence\na,b,0,0,0,0,1.5\n")
-    with pytest.raises(SchemaError):
-        load_pixel_matches(p)
 
 
 def test_point_features_round_trip(tmp_path):
@@ -297,7 +268,7 @@ def test_point_features_zero_row_rejected(tmp_path):
 def make_dvf(n=20, seed=3):
     rng = np.random.default_rng(seed)
     return DisplacementVectorField(
-        np.arange(n), rng.uniform(-50, 50, (n, 3)), rng.normal(0, 1, (n, 3)),
+        np.arange(n) * 7 + 3, rng.uniform(-50, 50, (n, 3)), rng.normal(0, 1, (n, 3)),
         rng.integers(1, 4, n), rng.integers(0, 9, n),
         np.where(rng.random(n) < 0.5, "3D", "2D"))
 
@@ -310,6 +281,7 @@ def test_dvf_round_trip_bitwise(tmp_path):
     back = load_dvf(p1)
     write_dvf(p2, back)
     assert p1.read_bytes() == p2.read_bytes()
+    assert np.array_equal(back.point_ids, dvf.point_ids)
     assert np.array_equal(back.levels, dvf.levels)
     assert np.array_equal(back.modalities, dvf.modalities)
 
@@ -319,25 +291,3 @@ def test_dvf_rejects_duplicate_ids():
         DisplacementVectorField([0, 0], np.zeros((2, 3)), np.zeros((2, 3)),
                                 [1, 1], [0, 1], ["3D", "3D"])
 
-
-# ---------------------------------------------------------------------------
-# Georeferencing
-
-
-def test_georeference_identity_and_translation():
-    cloud = PointCloud([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
-    same = apply_georeference(cloud, RigidTransform.identity())
-    assert np.array_equal(same.points, cloud.points)
-    moved = apply_georeference(cloud, RigidTransform(np.eye(3), [100.0, 0.0, 0.0]))
-    assert np.allclose(moved.points[:, 0], cloud.points[:, 0] + 100.0)
-    assert moved.frame.endswith(":georef")
-
-
-def test_georeference_inverse_round_trip():
-    from scipy.spatial.transform import Rotation
-    rng = np.random.default_rng(17)
-    cloud = PointCloud(rng.uniform(-10, 10, (50, 3)))
-    t = RigidTransform(Rotation.random(random_state=np.random.RandomState(4)).as_matrix(),
-                       rng.uniform(-100, 100, 3))
-    back = apply_georeference(apply_georeference(cloud, t), t.inverse())
-    assert np.abs(back.points - cloud.points).max() < 1e-9

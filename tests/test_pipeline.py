@@ -1,0 +1,105 @@
+"""End-to-end runs: the output contract of `run_pipeline`, thread-count
+invariance, checkpoint resume, located input errors, and a CLI smoke test."""
+
+import csv
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import dvfusion.pipeline
+from dvfusion.cli import main
+from dvfusion.config import PipelineConfig
+from dvfusion.errors import PipelineError
+from dvfusion.pipeline import run_pipeline
+from dvfusion.synth import SynthParams, synth_generate_scene
+
+
+def tiny_scene(n_points=400, seed=1):
+    return synth_generate_scene(
+        SynthParams(n_points=n_points, extent=30.0, texture=False), seed=seed)
+
+
+def assert_same_field(a, b):
+    for col in ("point_ids", "positions", "vectors", "levels", "patch_ids",
+                "modalities"):
+        assert np.array_equal(getattr(a, col), getattr(b, col)), col
+
+
+def test_output_contract_on_tiny_scene():
+    scene = tiny_scene()
+    src = scene.source.points
+    result = run_pipeline(src, scene.target.points, PipelineConfig())
+    ids = result.field.point_ids
+    assert len(ids) > 0
+    assert np.all(np.diff(ids) > 0)                 # sorted and unique
+    assert ids.min() >= 0 and ids.max() < len(src)
+    assert np.array_equal(result.field.positions, src[ids])
+    assert np.all(np.isfinite(result.field.vectors))
+    assert 0.0 < result.coverage <= 1.0
+
+
+def test_two_workers_give_the_same_field_as_one():
+    scene = tiny_scene(n_points=1050, seed=2)
+    cfg = PipelineConfig(max_points=1000, overlap_margin=2.0, n_workers=1)
+    one = run_pipeline(scene.source.points, scene.target.points, cfg)
+    two = run_pipeline(scene.source.points, scene.target.points,
+                       replace(cfg, n_workers=2))
+    assert len(one.tile_pairs) == 2
+    assert_same_field(one.field, two.field)
+
+
+def test_checkpoint_is_recomputed_when_inputs_change(tmp_path, monkeypatch):
+    scene = tiny_scene()
+    src, tgt = scene.source.points, scene.target.points
+    cfg = PipelineConfig(checkpoint_dir=str(tmp_path / "ckpt"))
+    run_pipeline(src, tgt, cfg)
+
+    # Changed coarse setting: the stale matches must not be reused.
+    gated = replace(cfg, max_displacement=0.5)
+    resumed = run_pipeline(src, tgt, gated)
+    fresh = run_pipeline(src, tgt, replace(gated, checkpoint_dir=""))
+    assert_same_field(resumed.field, fresh.field)
+
+    # Changed target cloud under the settings the checkpoint now holds.
+    reordered = tgt[::-1]
+    resumed = run_pipeline(src, reordered, gated)
+    fresh = run_pipeline(src, reordered, replace(gated, checkpoint_dir=""))
+    assert_same_field(resumed.field, fresh.field)
+
+    # A refine setting is not part of the key: the checkpoint is reused.
+    def no_coarse(*args, **kwargs):
+        raise AssertionError("coarse matches recomputed despite a checkpoint")
+
+    monkeypatch.setattr(dvfusion.pipeline, "match_patches_3d", no_coarse)
+    run_pipeline(src, reordered, replace(gated, delta1=2.0))
+
+
+def test_bad_input_shape_is_a_located_error():
+    with pytest.raises(PipelineError, match="stage 'input', source points"):
+        run_pipeline(np.zeros((5, 2)), np.zeros((5, 3)), PipelineConfig())
+
+
+def read_column(path, name):
+    with open(path, newline="") as fh:
+        return [row[name] for row in csv.DictReader(fh)]
+
+
+def test_cli_synth_run_export_eval(tmp_path):
+    scene_dir, run_dir, plots = tmp_path / "scene", tmp_path / "run", tmp_path / "plots"
+    assert main(["synth", "--out", str(scene_dir), "--points", "400",
+                 "--extent", "30", "--no-texture", "--seed", "1"]) == 0
+    assert main(["run", "--source", str(scene_dir / "source.xyz"),
+                 "--target", str(scene_dir / "target.xyz"),
+                 "--output-dir", str(run_dir)]) == 0
+    dvf_csv = run_dir / "dvf.csv"
+    assert main(["export-plots", "--dvf", str(dvf_csv), "--out", str(plots)]) == 0
+    # the exported ids are the source point ids of the field, not row numbers
+    assert read_column(plots / "magnitude.csv", "point_id") == \
+        read_column(dvf_csv, "point_id")
+
+    obs = tmp_path / "obs.csv"
+    obs.write_text("id,x,y,z,dx,dy,dz\nT1,10,10,0,0.5,0,0\nT2,20,15,0,0,0,0\n")
+    assert main(["eval", "--dvf", str(dvf_csv), "--observations", str(obs),
+                 "--source", str(scene_dir / "source.xyz"),
+                 "--out", str(tmp_path / "eval.csv")]) == 0
