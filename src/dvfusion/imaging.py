@@ -2,9 +2,12 @@
 
 The matcher is deliberately simple: normalized cross-correlation of fixed
 grid templates over a bounded search window, with quadratic sub-pixel peak
-refinement. It stands behind the same interface as imported precomputed
-matches, so a stronger external matcher can be dropped in without touching
-the pipeline.
+refinement. It is computed the fast way (Lewis 1995, *Fast Normalized
+Cross-Correlation*): the window means and variances of the searched image
+come from integral images, and the template-window products from real FFTs,
+batched over one grid row of keypoints at a time. It stands behind the same
+interface as imported precomputed matches, so a stronger external matcher
+can be dropped in without touching the pipeline.
 """
 
 from __future__ import annotations
@@ -62,12 +65,35 @@ def select_top_k_images(points, cams, k: int = 1) -> list:
     return [image_id for cnt, image_id in counts[:k] if cnt > 0]
 
 
-def _quadratic_peak_offset(c_minus, c0, c_plus) -> float:
+def _box_sums(img: np.ndarray, d: int) -> np.ndarray:
+    """Sum of `img` over every d x d window, from its integral image; entry
+    [y, x] covers rows y..y+d-1 and columns x..x+d-1. Exact while the sums
+    are integers below 2**53, as they are for 8-bit gray levels."""
+    ii = np.pad(img.cumsum(axis=0).cumsum(axis=1), ((1, 0), (1, 0)))
+    return ii[d:, d:] - ii[:-d, d:] - ii[d:, :-d] + ii[:-d, :-d]
+
+
+def _fft_len(n: int) -> int:
+    """Smallest length >= n with no prime factor above 7: pocketfft handles
+    those directly, and a prime length such as 79 is several times slower."""
+    while True:
+        m = n
+        for p in (2, 3, 5, 7):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def _peak_offsets(c_minus, c0, c_plus, ok) -> np.ndarray:
+    """Vertex of the parabola through three scores, clipped to +-0.5 px;
+    0 where `ok` is false or the parabola is flat."""
     denom = c_minus - 2.0 * c0 + c_plus
-    if abs(denom) < 1e-12:
-        return 0.0
-    off = 0.5 * (c_minus - c_plus) / denom
-    return float(np.clip(off, -0.5, 0.5))
+    ok = ok & (np.abs(denom) >= 1e-12)
+    with np.errstate(invalid="ignore"):     # masked neighbours are -inf
+        off = 0.5 * (c_minus - c_plus) / np.where(ok, denom, 1.0)
+    return np.where(ok, np.clip(off, -0.5, 0.5), 0.0)
 
 
 def match_pixels(img_a: Raster, img_b: Raster,
@@ -79,9 +105,23 @@ def match_pixels(img_a: Raster, img_b: Raster,
     """Grid-keypoint NCC matching from `img_a` into `img_b`.
 
     Keypoints sit on a regular grid (spacing `stride`). Each (2r+1)^2 template
-    is correlated over displacements up to +-search_window/2; the best score
-    becomes the confidence (negatives clamp to 0, scores below `min_conf` are
-    dropped). Textureless templates never match.
+    is correlated over displacements up to +-search_window/2, clipped so the
+    matched window stays inside `img_b`; a keypoint whose clipped range is
+    empty is skipped. The best score becomes the confidence (negatives clamp
+    to 0, scores below `min_conf` are dropped); a window of `img_b` without
+    variance scores -1, and textureless templates never match. Unless the
+    peak is a perfect 1.0, a parabola through its neighbours on each axis
+    gives a sub-pixel offset of at most half a pixel.
+
+    Window sums and sums of squares of `img_b` come once from its integral
+    image. The numerators of one grid row of keypoints come from one batched
+    real FFT over each keypoint's search region, which all have the same
+    size: out-of-range displacements are masked, and the argmax, confidence
+    and sub-pixel step run over the whole row at once. The extra memory is
+    O(keypoints per row x search region), the region being at most
+    (search_window + 2r + 1)^2 and never more than `img_b`. The FFT rounds
+    differently from a direct sum (about 1e-15 in the score), so where two
+    displacements score equal to that precision either may win.
     """
     a = img_a.gray()
     b = img_b.gray()
@@ -91,49 +131,70 @@ def match_pixels(img_a: Raster, img_b: Raster,
         raise ImageTooSmall(
             f"template radius {r} too large for images {a.shape} / {b.shape}")
 
-    tpl_px = (2 * r + 1) ** 2
-    win_b = np.lib.stride_tricks.sliding_window_view(b, (2 * r + 1, 2 * r + 1))
-    # win_b[y, x] is the template of b centered at (x + r, y + r)
+    d = 2 * r + 1
+    hb, wb = b.shape
+    sums = _box_sums(b, d)
+    var = _box_sums(b * b, d) - sums * sums / (d * d)
+    sd_b = np.sqrt(np.maximum(var, 0.0))    # sd_b[y - r, x - r]: window at (x, y)
+    tpl_a = np.lib.stride_tricks.sliding_window_view(a, (d, d))
+
+    # Every keypoint of a grid row searches the same rows of img_b. Along x
+    # each gets a block of nx window centres, the most any clipped range
+    # holds, starting at its range or shifted left to stay inside img_b.
+    us = np.arange(r, a.shape[1] - r, stride)
+    x_lo = np.maximum(us - half, r)
+    x_hi = np.minimum(us + half, wb - 1 - r)
+    nx = min(2 * half + 1, wb - 2 * r)
+    x0 = np.minimum(x_lo, wb - r - nx)
+    cx = x0[:, None] + np.arange(nx)
+    in_range = (cx >= x_lo[:, None]) & (cx <= x_hi[:, None])
 
     rows = []
-    hb, wb = b.shape
     for v in range(r, a.shape[0] - r, stride):
-        for u in range(r, a.shape[1] - r, stride):
-            tpl = a[v - r:v + r + 1, u - r:u + r + 1]
-            t = tpl - tpl.mean()
-            t_norm = np.sqrt((t * t).sum())
-            if t_norm < 1e-9:
-                continue        # no texture under this keypoint
+        y_lo = max(v - half, r)
+        y_hi = min(v + half, hb - 1 - r)
+        if y_hi < y_lo:
+            continue
+        tpl = tpl_a[v - r, us - r]
+        t = tpl - tpl.mean(axis=(1, 2), keepdims=True)
+        t_norm = np.sqrt((t * t).sum(axis=(1, 2)))
+        k = np.flatnonzero((x_hi >= x_lo) & (t_norm >= 1e-9))
+        if len(k) == 0:
+            continue
 
-            y_lo = max(v - half, r)
-            y_hi = min(v + half, hb - 1 - r)
-            x_lo = max(u - half, r)
-            x_hi = min(u + half, wb - 1 - r)
-            if y_hi < y_lo or x_hi < x_lo:
-                continue
-            cand = win_b[y_lo - r:y_hi - r + 1, x_lo - r:x_hi - r + 1]
-            sums = np.einsum("ijkl->ij", cand)
-            sqs = np.einsum("ijkl,ijkl->ij", cand, cand)
-            num = np.einsum("ijkl,kl->ij", cand, t)
-            var = sqs - sums * sums / tpl_px
-            denom = t_norm * np.sqrt(np.maximum(var, 0.0))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ncc = np.where(denom > 1e-9, num / denom, -1.0)
+        ny = y_hi - y_lo + 1
+        shape = (ny + 2 * r, nx + 2 * r)
+        region = np.lib.stride_tricks.sliding_window_view(
+            b[y_lo - r:y_hi + r + 1], shape)[0, x0[k] - r]
+        # zero padding beyond the region wraps nothing into [:ny, :nx]
+        fft_shape = (_fft_len(shape[0]), _fft_len(shape[1]))
+        num = np.fft.irfft2(np.fft.rfft2(region, s=fft_shape)
+                            * np.fft.rfft2(t[k], s=fft_shape).conj(),
+                            s=fft_shape)[:, :ny, :nx]
+        sd = sd_b[y_lo - r:y_hi - r + 1][:, cx[k] - r].transpose(1, 0, 2)
+        denom = t_norm[k, None, None] * sd
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ncc = np.where(denom > 1e-9, num / denom, -1.0)
+        ncc = np.where(in_range[k, None, :], ncc, -np.inf)
 
-            iy, ix = np.unravel_index(int(ncc.argmax()), ncc.shape)
-            score = float(ncc[iy, ix])
-            conf = min(max(score, 0.0), 1.0)
-            if conf < min_conf:
-                continue
-            mv = float(y_lo + iy)
-            mu = float(x_lo + ix)
-            # a perfect integer peak cannot be improved by interpolation
-            if subpixel and score < 1.0 - 1e-9:
-                if 0 < ix < ncc.shape[1] - 1:
-                    mu += _quadratic_peak_offset(ncc[iy, ix - 1], score, ncc[iy, ix + 1])
-                if 0 < iy < ncc.shape[0] - 1:
-                    mv += _quadratic_peak_offset(ncc[iy - 1, ix], score, ncc[iy + 1, ix])
-            rows.append([float(u), float(v), mu, mv, conf])
+        iy, ix = np.divmod(ncc.reshape(len(k), -1).argmax(axis=1), nx)
+        j = np.arange(len(k))
+        score = ncc[j, iy, ix]
+        conf = np.clip(score, 0.0, 1.0)
+        mv = (y_lo + iy).astype(np.float64)
+        mu = (x0[k] + ix).astype(np.float64)
+        # a perfect integer peak cannot be improved by interpolation
+        if subpixel:
+            fine = score < 1.0 - 1e-9
+            xm, xp = np.maximum(ix - 1, 0), np.minimum(ix + 1, nx - 1)
+            ym, yp = np.maximum(iy - 1, 0), np.minimum(iy + 1, ny - 1)
+            mu += _peak_offsets(ncc[j, iy, xm], score, ncc[j, iy, xp],
+                                fine & (mu > x_lo[k]) & (mu < x_hi[k]))
+            mv += _peak_offsets(ncc[j, ym, ix], score, ncc[j, yp, ix],
+                                fine & (iy > 0) & (iy < ny - 1))
+        keep = conf >= min_conf
+        rows.append(np.column_stack([us[k], np.full(len(k), v), mu, mv,
+                                     conf])[keep])
 
-    matches = np.asarray(rows, dtype=np.float64).reshape(-1, 5)
+    matches = np.concatenate(rows) if rows else np.zeros((0, 5))
     return PixelMatchSet((img_a.image_id, img_b.image_id), matches)

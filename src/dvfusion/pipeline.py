@@ -3,12 +3,14 @@ refinement -> fine matching -> level integration.
 
 Tiles are processed independently (optionally by a thread pool) and merged
 deterministically by (tile id, point id); source tiles partition the cloud,
-so per-tile fields never collide.
+so per-tile fields never collide. The only thing tiles share is the
+whole-image pixel matches, computed once per image pair and run.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field
@@ -216,9 +218,34 @@ def _tile_features(sub_pts, global_ids, cfg: PipelineConfig,
                                   resolution=resolution)
 
 
+@dataclass
+class _PixelMatchMemo:
+    """Whole-image matches per image id, shared by the tiles of one run so
+    that each image pair is matched at most once; None marks a pair too
+    small to match. The lock keeps two workers from matching one pair."""
+
+    sets: dict = dc_field(default_factory=dict)
+    lock: threading.Lock = dc_field(default_factory=threading.Lock)
+
+    def get(self, image_id, src_rasters: dict, tgt_rasters: dict,
+            cfg: PipelineConfig):
+        with self.lock:
+            if image_id not in self.sets:
+                try:
+                    self.sets[image_id] = match_pixels(
+                        src_rasters[image_id], tgt_rasters[image_id],
+                        stride=cfg.ncc_stride,
+                        template_radius=cfg.ncc_template_radius,
+                        search_window=cfg.ncc_search_window,
+                        min_conf=cfg.min_conf)
+                except ImageTooSmall:
+                    self.sets[image_id] = None
+            return self.sets[image_id]
+
+
 def _coarse_2d_table(tile_src_pts, tile_tgt_pts, cameras,
                      src_rasters: dict, tgt_rasters: dict,
-                     cfg: PipelineConfig) -> CorrTable:
+                     cfg: PipelineConfig, memo: _PixelMatchMemo) -> CorrTable:
     """Lifted image correspondences for one tile, already gated by the
     plausible-displacement radius. Empty when no camera sees the tile."""
     try:
@@ -231,13 +258,8 @@ def _coarse_2d_table(tile_src_pts, tile_tgt_pts, cameras,
     for image_id in image_ids:
         if image_id not in src_rasters or image_id not in tgt_rasters:
             continue
-        try:
-            pm = match_pixels(src_rasters[image_id], tgt_rasters[image_id],
-                              stride=cfg.ncc_stride,
-                              template_radius=cfg.ncc_template_radius,
-                              search_window=cfg.ncc_search_window,
-                              min_conf=cfg.min_conf)
-        except ImageTooSmall:
+        pm = memo.get(image_id, src_rasters, tgt_rasters, cfg)
+        if pm is None:
             continue
         pix_sets.append(pm)
         cam = cams_by_id[image_id]
@@ -252,6 +274,7 @@ def _coarse_2d_table(tile_src_pts, tile_tgt_pts, cameras,
 
 def _process_tile(pair, source_points, target_points, cfg: PipelineConfig,
                   resolution: float, cameras, src_rasters, tgt_rasters,
+                  pixel_memo: _PixelMatchMemo,
                   imported_features=None) -> TileOutcome:
     timings: dict = {}
     pid = pair.pair_id
@@ -288,7 +311,7 @@ def _process_tile(pair, source_points, target_points, cfg: PipelineConfig,
                                        cfg, resolution, imp_tgt)
             table = (
                 _coarse_2d_table(sub_src, sub_tgt, cameras, src_rasters,
-                                 tgt_rasters, cfg)
+                                 tgt_rasters, cfg, pixel_memo)
                 if cfg.use_images else CorrTable.empty())
             merged_sets = []
             for level in LEVELS:
@@ -398,10 +421,12 @@ def run_pipeline(source_points, target_points, cfg: PipelineConfig,
         raise PipelineError(f"stage 'tiling': {exc}") from exc
     t0 = _tick(timings, "tiling", t0)
 
+    pixel_memo = _PixelMatchMemo()
+
     def work(pair):
         return _process_tile(pair, source_points, target_points, cfg,
                              resolution, cameras, src_rasters, tgt_rasters,
-                             imported_features)
+                             pixel_memo, imported_features)
 
     if cfg.n_workers > 1 and len(pairs) > 1:
         with ThreadPoolExecutor(max_workers=cfg.n_workers) as pool:

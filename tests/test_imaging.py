@@ -181,3 +181,164 @@ def test_match_rows_are_valid_pixel_matches():
     m = result.matches
     assert m.shape[1] == 5
     assert np.all(m[:, 4] >= 0.0) and np.all(m[:, 4] <= 1.0)
+
+
+# ---------------------------------------------------------------------------
+# NCC matching against the per-keypoint loop
+
+
+def _quadratic_peak_offset(c_minus, c0, c_plus) -> float:
+    denom = c_minus - 2.0 * c0 + c_plus
+    if abs(denom) < 1e-12:
+        return 0.0
+    off = 0.5 * (c_minus - c_plus) / denom
+    return float(np.clip(off, -0.5, 0.5))
+
+
+def reference_surfaces(img_a, img_b, stride, template_radius, search_window):
+    """Direct per-keypoint NCC: {(u, v): (y_lo, x_lo, surface)} for every
+    textured keypoint whose clipped search range is not empty; surface[i, j]
+    scores the window of img_b centred at (x_lo + j, y_lo + i)."""
+    a, b = img_a.gray(), img_b.gray()
+    r, half = template_radius, search_window // 2
+    tpl_px = (2 * r + 1) ** 2
+    win_b = np.lib.stride_tricks.sliding_window_view(b, (2 * r + 1, 2 * r + 1))
+    hb, wb = b.shape
+    out = {}
+    for v in range(r, a.shape[0] - r, stride):
+        for u in range(r, a.shape[1] - r, stride):
+            t = a[v - r:v + r + 1, u - r:u + r + 1]
+            t = t - t.mean()
+            t_norm = np.sqrt((t * t).sum())
+            if t_norm < 1e-9:
+                continue
+            y_lo, y_hi = max(v - half, r), min(v + half, hb - 1 - r)
+            x_lo, x_hi = max(u - half, r), min(u + half, wb - 1 - r)
+            if y_hi < y_lo or x_hi < x_lo:
+                continue
+            cand = win_b[y_lo - r:y_hi - r + 1, x_lo - r:x_hi - r + 1]
+            sums = np.einsum("ijkl->ij", cand)
+            sqs = np.einsum("ijkl,ijkl->ij", cand, cand)
+            num = np.einsum("ijkl,kl->ij", cand, t)
+            denom = t_norm * np.sqrt(np.maximum(sqs - sums * sums / tpl_px, 0.0))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out[(u, v)] = (y_lo, x_lo, np.where(denom > 1e-9, num / denom, -1.0))
+    return out
+
+
+def reference_matches(surfaces, min_conf, subpixel):
+    rows = []
+    for (u, v), (y_lo, x_lo, ncc) in surfaces.items():
+        iy, ix = np.unravel_index(int(ncc.argmax()), ncc.shape)
+        score = float(ncc[iy, ix])
+        conf = min(max(score, 0.0), 1.0)
+        if conf < min_conf:
+            continue
+        mv, mu = float(y_lo + iy), float(x_lo + ix)
+        if subpixel and score < 1.0 - 1e-9:
+            if 0 < ix < ncc.shape[1] - 1:
+                mu += _quadratic_peak_offset(ncc[iy, ix - 1], score, ncc[iy, ix + 1])
+            if 0 < iy < ncc.shape[0] - 1:
+                mv += _quadratic_peak_offset(ncc[iy - 1, ix], score, ncc[iy + 1, ix])
+        rows.append([float(u), float(v), mu, mv, conf])
+    return np.asarray(rows, dtype=np.float64).reshape(-1, 5)
+
+
+def assert_matches_reference(img_a, img_b, stride=8, template_radius=7,
+                             search_window=64, min_conf=0.5, subpixel=True):
+    kw = dict(stride=stride, template_radius=template_radius,
+              search_window=search_window, min_conf=min_conf)
+    got = match_pixels(img_a, img_b, subpixel=subpixel, **kw).matches
+    peaks = match_pixels(img_a, img_b, subpixel=False, **kw).matches
+    surfaces = reference_surfaces(img_a, img_b, stride, template_radius,
+                                  search_window)
+    want = reference_matches(surfaces, min_conf, subpixel)
+    assert np.array_equal(got[:, :2], want[:, :2])
+    assert np.array_equal(peaks[:, :2], want[:, :2])
+    assert np.allclose(got[:, 4], want[:, 4], rtol=0.0, atol=1e-9)
+    for row, peak, ref in zip(got, peaks, want):
+        y_lo, x_lo, ncc = surfaces[(int(row[0]), int(row[1]))]
+        iy, ix = np.unravel_index(int(ncc.argmax()), ncc.shape)
+        py, px = int(peak[3]) - y_lo, int(peak[2]) - x_lo
+        if (py, px) == (iy, ix):
+            assert np.allclose(row[2:4], ref[2:4], rtol=0.0, atol=1e-6), row
+        else:
+            # a tie: the reference scores the other peak as high as its own
+            assert ncc[py, px] >= ncc.max() - 1e-9, row
+    return got
+
+
+def shifted_pair(rng, shape_a, shape_b, shift=(3, -2)):
+    """Textured img_a and an img_b cut from the same texture moved by
+    `shift` (dy, dx), with a little noise."""
+    h = max(shape_a[0], shape_b[0]) + 10
+    w = max(shape_a[1], shape_b[1]) + 10
+    base = textured_raster(rng, h, w).data.astype(float)
+    moved = np.roll(base, shift, axis=(0, 1)) + rng.normal(0.0, 4.0, base.shape)
+    a = Raster(base[:shape_a[0], :shape_a[1]], "a")
+    b = Raster(np.clip(moved[:shape_b[0], :shape_b[1]], 0, 255), "b")
+    return a, b
+
+
+@pytest.mark.parametrize("shape_a, shape_b, kw", [
+    ((96, 96), (96, 96), {}),
+    ((80, 120), (100, 70), {}),                          # non-square, a wider
+    ((120, 64), (72, 90), {"stride": 5}),                # a taller
+    ((64, 48), (50, 60), {"search_window": 200}),        # window beyond image
+    ((96, 96), (96, 96), {"search_window": 21}),         # odd window
+    ((96, 80), (96, 80), {"subpixel": False}),
+    ((70, 90), (90, 70), {"template_radius": 4, "min_conf": 0.0}),
+])
+def test_matches_equal_per_keypoint_reference(shape_a, shape_b, kw):
+    rng = np.random.default_rng(sum(shape_a + shape_b))
+    a, b = shifted_pair(rng, shape_a, shape_b)
+    assert len(assert_matches_reference(a, b, **kw)) > 0
+
+
+def test_peaks_on_the_search_boundary():
+    # shifts beyond the +-2 px window put peaks on every edge of the range
+    for shift in ((3, -2), (-3, 3)):
+        rng = np.random.default_rng(10)
+        a, b = shifted_pair(rng, (96, 96), (96, 96), shift)
+        got = assert_matches_reference(a, b, search_window=4, min_conf=0.0)
+        assert np.any((got[:, 4] > 0.0) & (got[:, 4] < 1.0))
+
+
+def test_flat_search_region_scores_minus_one():
+    # Against an inverted texture a window scores about -0.5, so a flat
+    # window scored anything above -1 would win the keypoints at x or y = 39,
+    # whose candidate windows straddle the flat block's edge.
+    rng = np.random.default_rng(7)
+    a, _ = shifted_pair(rng, (96, 96), (96, 96))
+    inverted = 255 - a.data
+    inverted[:46, :46] = 90             # windows centred at x, y <= 38 are flat
+    got = assert_matches_reference(a, Raster(inverted, "b"), min_conf=0.0,
+                                   search_window=2, subpixel=False)
+    assert len(got) == 11 * 11
+    u, v, mu, mv = got[:, :4].T
+    assert np.all(got[(u <= 31) & (v <= 31), 4] == 0.0)
+    edge = ((u == 39) & (v <= 39)) | ((v == 39) & (u <= 39))
+    assert np.all((mu[edge] > 38) | (mv[edge] > 38))
+
+
+def test_textureless_templates_are_skipped():
+    rng = np.random.default_rng(8)
+    a, b = shifted_pair(rng, (96, 96), (96, 96))
+    data = a.data.copy()
+    data[40:80, 40:80] = 120
+    got = assert_matches_reference(Raster(data, "a"), b, min_conf=0.0)
+    inside = (got[:, 0:2] >= 47) & (got[:, 0:2] <= 72)
+    assert not np.any(inside.all(axis=1))
+    assert len(got) > 0
+
+
+def test_empty_search_range_is_skipped_at_zero_min_conf():
+    # img_a reaches far beyond img_b: keypoints there have no window to search
+    rng = np.random.default_rng(9)
+    a, b = shifted_pair(rng, (90, 120), (50, 50))
+    r, half = 3, 4
+    got = assert_matches_reference(a, b, stride=6, template_radius=r,
+                                   search_window=2 * half, min_conf=0.0)
+    assert len(got) > 0
+    assert got[:, 0].max() <= 50 - 1 - r + half
+    assert got[:, 1].max() <= 50 - 1 - r + half

@@ -1,7 +1,11 @@
 """End-to-end runs: the output contract of `run_pipeline`, thread-count
-invariance, checkpoint resume, located input errors, and a CLI smoke test."""
+invariance, image pairs matched once per run, checkpoint resume, located
+input errors, and a CLI smoke test."""
 
 import csv
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -47,6 +51,80 @@ def test_two_workers_give_the_same_field_as_one():
                        replace(cfg, n_workers=2))
     assert len(one.tile_pairs) == 2
     assert_same_field(one.field, two.field)
+
+
+def test_each_image_pair_is_matched_once_per_run(monkeypatch):
+    scene = synth_generate_scene(
+        SynthParams(n_points=1050, extent=30.0, n_images=2,
+                    image_width=160, image_height=120), seed=2)
+    cfg = PipelineConfig(max_points=1000, overlap_margin=2.0, use_images=True,
+                         top_k_images=2, n_workers=1)
+    match_pixels = dvfusion.pipeline.match_pixels
+    select = dvfusion.pipeline.select_top_k_images
+    matched, selected = [], []
+
+    def counting_match(img_a, img_b, **kwargs):
+        matched.append(img_a.image_id)
+        return match_pixels(img_a, img_b, **kwargs)
+
+    def recording_select(*args, **kwargs):
+        ids = select(*args, **kwargs)
+        selected.append(ids)
+        return ids
+
+    monkeypatch.setattr(dvfusion.pipeline, "match_pixels", counting_match)
+    monkeypatch.setattr(dvfusion.pipeline, "select_top_k_images",
+                        recording_select)
+    fields = []
+    for n_workers in (1, 2):
+        matched.clear()
+        selected.clear()
+        result = run_pipeline(scene.source.points, scene.target.points,
+                              replace(cfg, n_workers=n_workers),
+                              cameras=scene.cameras,
+                              source_images=scene.source_images,
+                              target_images=scene.target_images)
+        assert len(result.tile_pairs) == 2
+        assert len(selected) == 2
+        # some image serves both tiles, yet every image is matched once
+        assert set(selected[0]) & set(selected[1])
+        assert sorted(matched) == sorted(set(selected[0]) | set(selected[1]))
+        fields.append(result.field)
+    assert_same_field(*fields)
+
+
+def test_pixel_match_memo_under_contention(monkeypatch):
+    # more threads than cores, switching as often as possible: a check and a
+    # store that were not under one lock would match some pair twice
+    calls = []
+
+    def slow_match(img_a, img_b, **kwargs):
+        calls.append(img_a)
+        time.sleep(0.01)
+        return img_a
+
+    monkeypatch.setattr(dvfusion.pipeline, "match_pixels", slow_match)
+    memo = dvfusion.pipeline._PixelMatchMemo()
+    rasters = {"a": "A", "b": "B"}
+    got = []
+
+    def worker():
+        for image_id in ("a", "b", "a", "b"):
+            got.append(memo.get(image_id, rasters, rasters, PipelineConfig()))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(calls) == ["A", "B"]
+    assert sorted(got) == ["A"] * 16 + ["B"] * 16
 
 
 def test_checkpoint_is_recomputed_when_inputs_change(tmp_path, monkeypatch):
