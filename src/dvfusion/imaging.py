@@ -4,10 +4,10 @@ The matcher is deliberately simple: normalized cross-correlation of fixed
 grid templates over a bounded search window, with quadratic sub-pixel peak
 refinement. It is computed the fast way (Lewis 1995, *Fast Normalized
 Cross-Correlation*): the window means and variances of the searched image
-come from integral images, and the template-window products from real FFTs,
-batched over one grid row of keypoints at a time. It stands behind the same
-interface as imported precomputed matches, so a stronger external matcher
-can be dropped in without touching the pipeline.
+come from separable running window sums, and the template-window products
+from real FFTs, batched over one grid row of keypoints at a time. It stands
+behind the same interface as imported precomputed matches, so a stronger
+external matcher can be dropped in without touching the pipeline.
 """
 
 from __future__ import annotations
@@ -66,11 +66,14 @@ def select_top_k_images(points, cams, k: int = 1) -> list:
 
 
 def _box_sums(img: np.ndarray, d: int) -> np.ndarray:
-    """Sum of `img` over every d x d window, from its integral image; entry
-    [y, x] covers rows y..y+d-1 and columns x..x+d-1. Exact while the sums
-    are integers below 2**53, as they are for 8-bit gray levels."""
-    ii = np.pad(img.cumsum(axis=0).cumsum(axis=1), ((1, 0), (1, 0)))
-    return ii[d:, d:] - ii[:-d, d:] - ii[d:, :-d] + ii[:-d, :-d]
+    """Sum of `img` over every d x d window, along rows and then columns;
+    entry [y, x] covers rows y..y+d-1 and columns x..x+d-1. Each sum adds
+    only the window's own d*d values, so its rounding error does not grow
+    with the image as an integral image's does for non-integer (colour
+    luma) values; for 8-bit gray levels both are exact."""
+    windows = np.lib.stride_tricks.sliding_window_view
+    rows = windows(img, d, axis=1).sum(axis=-1)
+    return windows(rows, d, axis=0).sum(axis=-1)
 
 
 def _fft_len(n: int) -> int:
@@ -113,13 +116,14 @@ def match_pixels(img_a: Raster, img_b: Raster,
     peak is a perfect 1.0, a parabola through its neighbours on each axis
     gives a sub-pixel offset of at most half a pixel.
 
-    Window sums and sums of squares of `img_b` come once from its integral
-    image. The numerators of one grid row of keypoints come from one batched
-    real FFT over each keypoint's search region, which all have the same
-    size: out-of-range displacements are masked, and the argmax, confidence
-    and sub-pixel step run over the whole row at once. The extra memory is
-    O(keypoints per row x search region), the region being at most
-    (search_window + 2r + 1)^2 and never more than `img_b`. The FFT rounds
+    Window sums and sums of squares of `img_b` come once per image from
+    separable running sums. The numerators of one grid row of keypoints
+    come from one batched real FFT over each keypoint's search region,
+    which all have the same size: out-of-range displacements are masked,
+    and the argmax, confidence and sub-pixel step run over the whole row at
+    once. The extra memory is O(keypoints per row x search region), the
+    region being at most (search_window + 2r + 1)^2 and never more than
+    `img_b`. The FFT rounds
     differently from a direct sum (about 1e-15 in the score), so where two
     displacements score equal to that precision either may win.
     """

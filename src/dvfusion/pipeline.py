@@ -222,14 +222,18 @@ def _tile_features(sub_pts, global_ids, cfg: PipelineConfig,
 class _PixelMatchMemo:
     """Whole-image matches per image id, shared by the tiles of one run so
     that each image pair is matched at most once; None marks a pair too
-    small to match. The lock keeps two workers from matching one pair."""
+    small to match. A lock per image id keeps two workers from matching one
+    pair while pairs of different ids are matched at the same time."""
 
     sets: dict = dc_field(default_factory=dict)
+    locks: dict = dc_field(default_factory=dict)
     lock: threading.Lock = dc_field(default_factory=threading.Lock)
 
     def get(self, image_id, src_rasters: dict, tgt_rasters: dict,
             cfg: PipelineConfig):
         with self.lock:
+            image_lock = self.locks.setdefault(image_id, threading.Lock())
+        with image_lock:
             if image_id not in self.sets:
                 try:
                     self.sets[image_id] = match_pixels(

@@ -321,6 +321,29 @@ def test_flat_search_region_scores_minus_one():
     assert np.all((mu[edge] > 38) | (mv[edge] > 38))
 
 
+def test_colour_rasters_with_a_flat_block():
+    # Colour luma is not an integer, so window sums round. They must round
+    # with the window's own values, not with the whole image's, or a flat
+    # window gets a small variance and scores about 0 instead of -1.
+    rng = np.random.default_rng(11)
+    h, w = 240, 320
+    tex = np.stack([textured_raster(rng, h + 10, w + 10).data
+                    for _ in range(3)], axis=-1)
+    base = 190 + np.round(tex * (12 / 255))         # bright, low contrast
+    moved = np.roll(base, (3, -2), axis=(0, 1)) + rng.integers(-1, 2, base.shape)
+    b = np.clip(moved[:h, :w], 0, 255).astype(np.uint8)
+    b[20:80, 30:110] = (200, 190, 170)
+    a = Raster(base[:h, :w].astype(np.uint8), "a")
+    got = assert_matches_reference(a, Raster(b, "b"), stride=24,
+                                   search_window=16, min_conf=0.0)
+    # every window these keypoints search is flat: all score -1, the first
+    # wins, and the confidence clamps to 0
+    for u, v in ((55, 55), (79, 55)):
+        row = got[(got[:, 0] == u) & (got[:, 1] == v)]
+        assert row.tolist() == [[u, v, u - 8, v - 8, 0.0]]
+    assert np.median(got[:, 4]) > 0.5
+
+
 def test_textureless_templates_are_skipped():
     rng = np.random.default_rng(8)
     a, b = shifted_pair(rng, (96, 96), (96, 96))

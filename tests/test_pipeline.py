@@ -127,6 +127,31 @@ def test_pixel_match_memo_under_contention(monkeypatch):
     assert sorted(got) == ["A"] * 16 + ["B"] * 16
 
 
+def test_pixel_match_memo_matches_different_images_at_once(monkeypatch):
+    # each match waits for the other image's match to start: a memo that
+    # matched one pair at a time would let the first wait time out
+    started = {"a": threading.Event(), "b": threading.Event()}
+    overlapped = []
+
+    def waiting_match(img_a, img_b, **kwargs):
+        started[img_a].set()
+        other = "b" if img_a == "a" else "a"
+        overlapped.append(started[other].wait(timeout=5))
+        return img_a
+
+    monkeypatch.setattr(dvfusion.pipeline, "match_pixels", waiting_match)
+    memo = dvfusion.pipeline._PixelMatchMemo()
+    rasters = {"a": "a", "b": "b"}
+    threads = [threading.Thread(target=memo.get,
+                                args=(i, rasters, rasters, PipelineConfig()))
+               for i in ("a", "b")]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert overlapped == [True, True]
+
+
 def test_checkpoint_is_recomputed_when_inputs_change(tmp_path, monkeypatch):
     scene = tiny_scene()
     src, tgt = scene.source.points, scene.target.points
