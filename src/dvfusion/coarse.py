@@ -340,8 +340,8 @@ def match_patches_2d(level, table: CorrTable, src_labels, tgt_labels) -> MatchSe
         rows = ok & (sp == sid)
         cand = tp[rows]
         counts = np.bincount(cand)
-        conf_sum = np.zeros_like(counts, dtype=np.float64)
-        np.add.at(conf_sum, cand, table.confidence[rows])
+        conf_sum = np.bincount(cand, weights=table.confidence[rows],
+                               minlength=len(counts))
         present = np.flatnonzero(counts)
         best = min(present, key=lambda t: (-counts[t], -conf_sum[t], t))
         votes = rows & (tp == best)

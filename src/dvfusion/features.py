@@ -58,8 +58,8 @@ def adaptive_downsample(points, voxel_factor: float = DEFAULT_VOXEL_FACTOR,
 
     # Per-voxel centroid, then the member nearest to it.
     group = np.repeat(np.arange(len(starts)), counts)
-    sums = np.zeros((len(starts), 3))
-    np.add.at(sums, group, pts[order])
+    sums = np.column_stack([np.bincount(group, weights=pts[order, c],
+                                        minlength=len(starts)) for c in range(3)])
     centroids = sums / counts[:, None]
     d2 = np.sum((pts[order] - centroids[group]) ** 2, axis=1)
     pick = np.lexsort((order, d2, group))
@@ -146,10 +146,10 @@ def pair_histogram_descriptors(points, radius: float,
         alpha, phi, theta, ok = _pair_angles(pts[i], normals[i], pts[j], normals[j])
         i, j = i[ok], j[ok]
         ba, bp, bt = (b[ok] for b in _bin_triplets(alpha, phi, theta))
-        for ends in (i, j):
-            np.add.at(spfh, (ends, ba), 1.0)
-            np.add.at(spfh, (ends, N_ANGLE_BINS + bp), 1.0)
-            np.add.at(spfh, (ends, 2 * N_ANGLE_BINS + bt), 1.0)
+        cells = [ends * DESCRIPTOR_DIM + k * N_ANGLE_BINS + b
+                 for ends in (i, j) for k, b in enumerate((ba, bp, bt))]
+        spfh = np.bincount(np.concatenate(cells), minlength=n * DESCRIPTOR_DIM
+                           ).astype(np.float64).reshape(n, DESCRIPTOR_DIM)
 
     # Distance-weighted pooling of neighbor histograms into the queries.
     desc = spfh[query].copy()

@@ -11,6 +11,12 @@ partition energy
 relabeling, strict-decrease acceptance, followed by region merges and a
 vertex-level boundary polish on small problems. Deterministic throughout:
 no RNG, fixed vertex orderings, ties broken toward lower index.
+
+Like cut pursuit (Landrieu & Obozinski 2017), split passes keep an active
+set: they retry only regions that changed since their split was last
+rejected. This is exact, not a heuristic: a region's split and its
+acceptance depend only on its own vertices, their features and sizes, its
+internal edges and lam, so an unchanged region would be rejected again.
 """
 
 from __future__ import annotations
@@ -104,6 +110,12 @@ def _canonical_labels(labels: np.ndarray) -> np.ndarray:
     return order[inv]
 
 
+def _bincount_rows(index, values, n):
+    """Row sums of `values` per index, added in index order like `np.add.at`."""
+    return np.column_stack([np.bincount(index, weights=values[:, c], minlength=n)
+                            for c in range(values.shape[1])])
+
+
 def _region_stats(f, labels, nreg, sizes=None):
     """Per-region weighted count, feature sum, and scatter.
 
@@ -114,8 +126,7 @@ def _region_stats(f, labels, nreg, sizes=None):
     if sizes is None:
         sizes = np.ones(len(f))
     counts = np.bincount(labels, weights=sizes, minlength=nreg)
-    sums = np.zeros((nreg, f.shape[1]))
-    np.add.at(sums, labels, sizes[:, None] * f)
+    sums = _bincount_rows(labels, sizes[:, None] * f, nreg)
     sq = np.bincount(labels, weights=sizes * (f * f).sum(axis=1), minlength=nreg)
     with np.errstate(invalid="ignore", divide="ignore"):
         data = sq - (sums * sums).sum(axis=1) / counts
@@ -132,29 +143,49 @@ def _components(n, sub_edges):
     return comp
 
 
-def _split_pass(f, edges, weights, labels, lam, sizes):
-    """Attempt a regularized 2-means split of every region simultaneously.
+def _split_pass(f, edges, weights, labels, lam, sizes, stable):
+    """Attempt a regularized 2-means split of every region not marked stable.
 
-    Returns (labels, changed). Each region's split is accepted independently,
-    only on strict energy decrease.
+    Returns (labels, stable, changed). Each region's split is accepted
+    independently, only on strict energy decrease. The split core runs on the
+    subgraph of the unstable regions (vertex order kept); afterwards only the
+    vertices of accepted splits are unstable.
+    """
+    act = np.flatnonzero(~stable)
+    if len(act) == 0:
+        return labels, stable, False
+    inside = ~stable[edges[:, 0]] & (labels[edges[:, 0]] == labels[edges[:, 1]])
+    pos = np.zeros(len(f), dtype=np.int64)
+    pos[act] = np.arange(len(act))
+    _, sub_labels = np.unique(labels[act], return_inverse=True)
+    comp, take = _split_regions(f[act], pos[edges[inside]], weights[inside],
+                                sub_labels, lam, sizes[act])
+    stable = np.ones(len(f), dtype=bool)
+    if not take.any():
+        return labels, stable, False
+    out = labels.copy()
+    out[act[take]] = labels.max() + 1 + comp[take]     # canonicalized below
+    stable[act[take]] = False
+    return _canonical_labels(out), stable, True
+
+
+def _split_regions(f, edges, weights, labels, lam, sizes):
+    """Regularized 2-means split of each region; `edges` are internal edges.
+
+    Returns each vertex's connected component after the split and whether
+    its region's split strictly lowers the energy.
     """
     n, dim = f.shape
     nreg = labels.max() + 1
     counts, sums, data_old = _region_stats(f, labels, nreg, sizes)
-    vertices_per = np.bincount(labels, minlength=nreg)
-    splittable = vertices_per >= 2
-    if not splittable.any():
-        return labels, False
-
     means = np.zeros((nreg, dim))
     nz = counts > 0
     means[nz] = sums[nz] / counts[nz, None]
     centered = f - means[labels]
 
     # Per-region principal direction from batched covariance eigenvectors.
-    cov = np.zeros((nreg, dim, dim))
     outer = sizes[:, None, None] * (centered[:, :, None] * centered[:, None, :])
-    np.add.at(cov, labels, outer)
+    cov = _bincount_rows(labels, outer.reshape(n, -1), nreg).reshape(nreg, dim, dim)
     _, vecs = np.linalg.eigh(cov)
     pc1 = vecs[:, :, -1]
     flip = pc1[np.arange(nreg), np.abs(pc1).argmax(axis=1)] < 0
@@ -173,22 +204,18 @@ def _split_pass(f, edges, weights, labels, lam, sizes):
     # Degenerate (zero-spread) regions can't improve: mask them out later via
     # the energy test; their two seeds coincide and produce a no-op split.
     side = np.zeros(n, dtype=np.int64)
+    ends = np.concatenate([edges[:, 0], edges[:, 1]])
 
     def assign(with_cut):
         d0 = sizes * ((f - c0[labels]) ** 2).sum(axis=1)
         d1 = sizes * ((f - c1[labels]) ** 2).sum(axis=1)
         if with_cut and len(edges):
-            internal = labels[edges[:, 0]] == labels[edges[:, 1]]
-            ie = edges[internal]
-            iw = weights[internal]
-            pen0 = np.zeros(n)
-            pen1 = np.zeros(n)
-            s_i, s_j = side[ie[:, 0]], side[ie[:, 1]]
+            s_i, s_j = side[edges[:, 0]], side[edges[:, 1]]
             # disagreement cost a vertex would pay for picking each side
-            np.add.at(pen0, ie[:, 0], iw * (s_j == 1))
-            np.add.at(pen1, ie[:, 0], iw * (s_j == 0))
-            np.add.at(pen0, ie[:, 1], iw * (s_i == 1))
-            np.add.at(pen1, ie[:, 1], iw * (s_i == 0))
+            pen0 = np.bincount(ends, minlength=n, weights=np.concatenate(
+                [weights * (s_j == 1), weights * (s_i == 1)]))
+            pen1 = np.bincount(ends, minlength=n, weights=np.concatenate(
+                [weights * (s_j == 0), weights * (s_i == 0)]))
             d0 = d0 + lam * pen0
             d1 = d1 + lam * pen1
         return np.where(d1 < d0, 1, 0)
@@ -196,8 +223,7 @@ def _split_pass(f, edges, weights, labels, lam, sizes):
     def update_centers():
         key = labels * 2 + side
         cnt = np.bincount(key, weights=sizes, minlength=nreg * 2)
-        sm = np.zeros((nreg * 2, dim))
-        np.add.at(sm, key, sizes[:, None] * f)
+        sm = _bincount_rows(key, sizes[:, None] * f, nreg * 2)
         ok = cnt > 0
         sm[ok] /= cnt[ok, None]
         c0_new = np.where(ok[0::2, None], sm[0::2], c0)
@@ -219,12 +245,8 @@ def _split_pass(f, edges, weights, labels, lam, sizes):
 
     # Split regions into connected components per side.
     key = labels * 2 + side
-    if len(edges):
-        same = key[edges[:, 0]] == key[edges[:, 1]]
-        comp = _components(n, edges[same])
-    else:
-        comp = np.arange(n)
-    comp = _canonical_labels(comp)
+    same = key[edges[:, 0]] == key[edges[:, 1]]
+    comp = _canonical_labels(_components(n, edges[same]))
     ncomp = comp.max() + 1
 
     _, _, comp_data = _region_stats(f, comp, ncomp, sizes)
@@ -233,22 +255,26 @@ def _split_pass(f, edges, weights, labels, lam, sizes):
     comp_region = labels[first_vertex]
 
     data_new_per_region = np.bincount(comp_region, weights=comp_data, minlength=nreg)
-    cut_new_per_region = np.zeros(nreg)
-    if len(edges):
-        internal = labels[edges[:, 0]] == labels[edges[:, 1]]
-        ie = edges[internal]
-        iw = weights[internal]
-        crossing = comp[ie[:, 0]] != comp[ie[:, 1]]
-        np.add.at(cut_new_per_region, labels[ie[:, 0][crossing]], iw[crossing])
-
+    crossing = comp[edges[:, 0]] != comp[edges[:, 1]]
+    cut_new_per_region = np.bincount(labels[edges[crossing, 0]],
+                                     weights=weights[crossing], minlength=nreg)
     gain = data_old - (data_new_per_region + lam * cut_new_per_region)
-    accept = gain > _EPS_DECREASE
-    if not accept.any():
-        return labels, False
-    out = labels.copy()
-    take = accept[labels]
-    out[take] = nreg + comp[take]          # unique ids, canonicalized below
-    return _canonical_labels(out), True
+    return comp, (gain > _EPS_DECREASE)[labels]
+
+
+def _unchanged(stable, old, new):
+    """Mark the vertices of `new` regions that are stable regions of `old`.
+
+    A region keeps its flag only when all its vertices were stable, share one
+    old label, and that old region had as many vertices: the same vertex set.
+    """
+    rep = np.empty(new.max() + 1, dtype=np.int64)
+    rep[new] = old
+    same = stable & (old == rep[new])
+    size = np.bincount(new)
+    keep = ((np.bincount(new[same], minlength=len(size)) == size)
+            & (np.bincount(old)[rep] == size))
+    return keep[new]
 
 
 def _merge_pass(f, edges, weights, labels, lam, sizes):
@@ -282,23 +308,42 @@ def _merge_pass(f, edges, weights, labels, lam, sizes):
                        - (smerge ** 2).sum(1) / nmerge)
         # data_merged now holds sum||f-c||^2 of the union (parallel-axis form)
         gain = lam * wsum - (data_merged - data[pa] - data[pb])
-        order = np.lexsort((pb, pa, -gain))
-        used = np.zeros(nreg, dtype=bool)
+        good = np.flatnonzero(gain > _EPS_DECREASE)
+        if len(good) == 0:
+            return labels, changed_any
+        order = good[np.lexsort((pb[good], pa[good], -gain[good]))]
+        used = bytearray(nreg)
         mapping = np.arange(nreg)
-        any_this_round = False
-        for e in order:
-            if gain[e] <= _EPS_DECREASE:
-                break
-            ra, rb = pa[e], pb[e]
+        for ra, rb in zip(pa[order].tolist(), pb[order].tolist()):
             if used[ra] or used[rb]:
                 continue
             mapping[rb] = ra
-            used[ra] = used[rb] = True
-            any_this_round = True
-        if not any_this_round:
-            return labels, changed_any
+            used[ra] = used[rb] = 1
         labels = _canonical_labels(mapping[labels])
         changed_any = True
+
+
+def _sum(xs):
+    """Sum floats in the order of numpy's pairwise float64 reduction (blocks
+    of up to 128 added with 8 accumulators), so a Python sum of a short row
+    has the same bits as `np.sum` of that row."""
+    n = len(xs)
+    if n < 8:
+        total = 0.0
+        for x in xs:
+            total += x
+        return total
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _sum(xs[:half]) + _sum(xs[half:])
+    acc, m = xs[:8], n - n % 8
+    for i in range(8, m, 8):
+        acc = [a + x for a, x in zip(acc, xs[i:i + 8])]
+    total = (((acc[0] + acc[1]) + (acc[2] + acc[3]))
+             + ((acc[4] + acc[5]) + (acc[6] + acc[7])))
+    for x in xs[m:]:
+        total += x
+    return total
 
 
 def _boundary_polish(f, edges, weights, labels, lam, sizes):
@@ -306,59 +351,62 @@ def _boundary_polish(f, edges, weights, labels, lam, sizes):
 
     Only runs on small problems; each move is accepted on strict decrease of
     the exact local energy delta, so the global energy keeps decreasing.
+    The loop runs on Python lists and floats with numpy's operation order,
+    so every delta has the bits the array arithmetic would give.
     """
     n = len(f)
     if n > _POLISH_LIMIT or len(edges) == 0:
         return labels, False
     nbr: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for (i, j), w in zip(edges, weights):
-        nbr[i].append((int(j), float(w)))
-        nbr[j].append((int(i), float(w)))
-    labels = labels.copy()
+    for i, j, w in zip(edges[:, 0].tolist(), edges[:, 1].tolist(), weights.tolist()):
+        nbr[i].append((j, w))
+        nbr[j].append((i, w))
     nreg = labels.max() + 1
     counts, sums, _ = _region_stats(f, labels, nreg, sizes)
-    vertices_per = np.bincount(labels, minlength=nreg)
+    counts, sums = counts.tolist(), sums.tolist()
+    vertices_per = np.bincount(labels, minlength=nreg).tolist()
+    feats, sz, lab = f.tolist(), sizes.tolist(), labels.tolist()
+
+    def sq_dist(fv, s):
+        d = [x - m / counts[s] for x, m in zip(fv, sums[s])]
+        return _sum([t * t for t in d])
+
     changed_any = False
     for _ in range(6):
         moved = False
-        cut_mask = labels[edges[:, 0]] != labels[edges[:, 1]]
-        boundary = np.unique(edges[cut_mask].ravel())
-        for v in boundary:
-            r = labels[v]
+        arr = np.array(lab)
+        cut_mask = arr[edges[:, 0]] != arr[edges[:, 1]]
+        for v in np.unique(edges[cut_mask].ravel()).tolist():
+            r = lab[v]
             if vertices_per[r] <= 1:
                 continue            # don't empty a region here; merges handle that
             cand = {r}
             for u, _w in nbr[v]:
-                cand.add(int(labels[u]))
+                cand.add(lab[u])
             if len(cand) == 1:
                 continue
-            fv = f[v]
-            sv = float(sizes[v])
+            fv, sv = feats[v], sz[v]
             best_lab, best_delta = r, 0.0
             # removal cost from r: change in r's scatter when v leaves
-            mu_r = sums[r] / counts[r]
-            rem = -(counts[r] * sv / (counts[r] - sv)) \
-                * float(((fv - mu_r) ** 2).sum())
+            rem = -(counts[r] * sv / (counts[r] - sv)) * sq_dist(fv, r)
             for s in sorted(cand):
                 if s == r:
                     continue
-                mu_s = sums[s] / counts[s]
-                add = (counts[s] * sv / (counts[s] + sv)) \
-                    * float(((fv - mu_s) ** 2).sum())
+                add = (counts[s] * sv / (counts[s] + sv)) * sq_dist(fv, s)
                 dcut = 0.0
                 for u, w in nbr[v]:
-                    lu = labels[u]
-                    dcut += w * (int(lu != s) - int(lu != r))
+                    lu = lab[u]
+                    dcut += w * ((lu != s) - (lu != r))
                 delta = rem + add + lam * dcut
                 if delta < best_delta - _EPS_DECREASE:
                     best_delta, best_lab = delta, s
             if best_lab != r:
-                labels[v] = best_lab
+                lab[v] = best_lab
                 counts[r] -= sv
-                sums[r] -= sv * fv
+                sums[r] = [m - sv * x for m, x in zip(sums[r], fv)]
                 vertices_per[r] -= 1
                 counts[best_lab] += sv
-                sums[best_lab] += sv * fv
+                sums[best_lab] = [m + sv * x for m, x in zip(sums[best_lab], fv)]
                 vertices_per[best_lab] += 1
                 moved = True
         if not moved:
@@ -366,9 +414,9 @@ def _boundary_polish(f, edges, weights, labels, lam, sizes):
         changed_any = True
     if changed_any:
         # a move can disconnect a region; restore the components-are-regions rule
+        labels = np.array(lab)
         same = labels[edges[:, 0]] == labels[edges[:, 1]]
-        comp = _components(n, edges[same])
-        labels = _canonical_labels(comp)
+        labels = _canonical_labels(_components(n, edges[same]))
     return labels, changed_any
 
 
@@ -382,6 +430,12 @@ def cut_pursuit(features, edges, weights, lam: float, sizes=None) -> np.ndarray:
     `sizes` gives each vertex a multiplicity in the data term, so a solve on
     a region-contracted graph reproduces the energy of the full one; it
     defaults to 1 for every vertex.
+
+    Split passes only retry regions that changed: a region whose split was
+    rejected and whose vertex set has not changed since is skipped. That is
+    exact, because a region's split and its acceptance depend only on its own
+    vertices, their features and sizes, its internal edges and `lam`, so the
+    skipped split would be rejected again.
     """
     f = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if f.shape[0] != int(np.asarray(features).shape[0]):
@@ -393,22 +447,27 @@ def cut_pursuit(features, edges, weights, lam: float, sizes=None) -> np.ndarray:
              else np.asarray(sizes, dtype=np.float64).reshape(-1))
     if lam < 0:
         raise InvalidParams(f"regularization strength must be >= 0, got {lam}")
-    labels = _canonical_labels(_components(n, edges))
+    components = _canonical_labels(_components(n, edges))
+    labels = components
+    stable = np.zeros(n, dtype=bool)
     for _ in range(_MAX_OUTER):
         ch_split = False
         while True:
-            labels, ch = _split_pass(f, edges, weights, labels, lam, sizes)
+            labels, stable, ch = _split_pass(f, edges, weights, labels, lam,
+                                             sizes, stable)
             ch_split = ch_split or ch
             if not ch:
                 break
+        split = labels
         labels, ch_merge = _merge_pass(f, edges, weights, labels, lam, sizes)
         labels, ch_polish = _boundary_polish(f, edges, weights, labels, lam, sizes)
         if not (ch_split or ch_merge or ch_polish):
             break
+        stable = _unchanged(stable, split, labels)
     # Safety net: never return worse than the trivial labelings.
     best = labels
     best_e = partition_energy(f, edges, weights, labels, lam, sizes)
-    for cand in (_canonical_labels(_components(n, edges)), np.arange(n)):
+    for cand in (components, np.arange(n)):
         e = partition_energy(f, edges, weights, cand, lam, sizes)
         if e < best_e - _EPS_DECREASE:
             best, best_e = cand, e

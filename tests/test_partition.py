@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dvfusion.errors import InvalidParams
+from dvfusion import partition
 from dvfusion.geometry import RigidTransform
 from dvfusion.partition import (
     build_adjacency_graph,
@@ -313,3 +314,347 @@ def test_partition_energy_matches_oracle():
     labels = rng.integers(0, 4, n)
     assert abs(partition_energy(f, g.edges, g.weights, labels, 0.7)
                - oracle_energy(f, g.edges, g.weights, labels, 0.7)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Reference: the full-sweep solver as it was before the active set, with its
+# arithmetic in the same order: every split pass retries every region, sums
+# go through `np.add.at`, and the merge and polish loops work on arrays. The
+# solver must return the same labels.
+
+
+def _ref_region_stats(f, labels, nreg, sizes):
+    counts = np.bincount(labels, weights=sizes, minlength=nreg)
+    sums = np.zeros((nreg, f.shape[1]))
+    np.add.at(sums, labels, sizes[:, None] * f)
+    sq = np.bincount(labels, weights=sizes * (f * f).sum(axis=1), minlength=nreg)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        data = sq - (sums * sums).sum(axis=1) / counts
+    data[counts == 0] = 0.0
+    return counts, sums, data
+
+
+def _ref_canonical(labels):
+    _, first, inv = np.unique(labels, return_index=True, return_inverse=True)
+    order = np.argsort(np.argsort(first))
+    return order[inv]
+
+
+def _ref_components(n, sub_edges):
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+    if len(sub_edges) == 0:
+        return np.arange(n)
+    m = coo_matrix((np.ones(len(sub_edges)), (sub_edges[:, 0], sub_edges[:, 1])),
+                   shape=(n, n))
+    _, comp = connected_components(m, directed=False)
+    return comp
+
+
+def _ref_energy(f, edges, weights, labels, lam, sizes):
+    _, inv = np.unique(labels, return_inverse=True)
+    _, _, per_region = _ref_region_stats(f, inv, inv.max() + 1, sizes)
+    cut = float(np.sum(weights[inv[edges[:, 0]] != inv[edges[:, 1]]])) if len(edges) else 0.0
+    return float(per_region.sum()) + lam * cut
+
+
+def _ref_split_pass(f, edges, weights, labels, lam, sizes):
+    n, dim = f.shape
+    nreg = labels.max() + 1
+    counts, sums, data_old = _ref_region_stats(f, labels, nreg, sizes)
+    if not (np.bincount(labels, minlength=nreg) >= 2).any():
+        return labels, False
+    means = np.zeros((nreg, dim))
+    nz = counts > 0
+    means[nz] = sums[nz] / counts[nz, None]
+    centered = f - means[labels]
+    cov = np.zeros((nreg, dim, dim))
+    np.add.at(cov, labels, sizes[:, None, None] * (centered[:, :, None] * centered[:, None, :]))
+    _, vecs = np.linalg.eigh(cov)
+    pc1 = vecs[:, :, -1]
+    flip = pc1[np.arange(nreg), np.abs(pc1).argmax(axis=1)] < 0
+    pc1[flip] *= -1.0
+    proj = np.einsum("ij,ij->i", centered, pc1[labels])
+    order = np.lexsort((np.arange(n), proj, labels))
+    sorted_labels = labels[order]
+    first_of = np.searchsorted(sorted_labels, np.arange(nreg), side="left")
+    last_of = np.searchsorted(sorted_labels, np.arange(nreg), side="right") - 1
+    c0 = f[order[np.clip(first_of, 0, n - 1)]].copy()
+    c1 = f[order[np.clip(last_of, 0, n - 1)]].copy()
+    side = np.zeros(n, dtype=np.int64)
+
+    def assign(with_cut):
+        d0 = sizes * ((f - c0[labels]) ** 2).sum(axis=1)
+        d1 = sizes * ((f - c1[labels]) ** 2).sum(axis=1)
+        if with_cut and len(edges):
+            internal = labels[edges[:, 0]] == labels[edges[:, 1]]
+            ie, iw = edges[internal], weights[internal]
+            pen0, pen1 = np.zeros(n), np.zeros(n)
+            s_i, s_j = side[ie[:, 0]], side[ie[:, 1]]
+            np.add.at(pen0, ie[:, 0], iw * (s_j == 1))
+            np.add.at(pen1, ie[:, 0], iw * (s_j == 0))
+            np.add.at(pen0, ie[:, 1], iw * (s_i == 1))
+            np.add.at(pen1, ie[:, 1], iw * (s_i == 0))
+            d0 = d0 + lam * pen0
+            d1 = d1 + lam * pen1
+        return np.where(d1 < d0, 1, 0)
+
+    def update_centers():
+        key = labels * 2 + side
+        cnt = np.bincount(key, weights=sizes, minlength=nreg * 2)
+        sm = np.zeros((nreg * 2, dim))
+        np.add.at(sm, key, sizes[:, None] * f)
+        ok = cnt > 0
+        sm[ok] /= cnt[ok, None]
+        return (np.where(ok[0::2, None], sm[0::2], c0),
+                np.where(ok[1::2, None], sm[1::2], c1))
+
+    for iters, with_cut in ((partition._KMEANS_ITERS, False),
+                            (partition._ICM_SWEEPS, True)):
+        for _ in range(iters):
+            new_side = assign(with_cut)
+            if np.array_equal(new_side, side):
+                break
+            side = new_side
+            c0, c1 = update_centers()
+    key = labels * 2 + side
+    if len(edges):
+        comp = _ref_components(n, edges[key[edges[:, 0]] == key[edges[:, 1]]])
+    else:
+        comp = np.arange(n)
+    comp = _ref_canonical(comp)
+    _, _, comp_data = _ref_region_stats(f, comp, comp.max() + 1, sizes)
+    _, first_vertex = np.unique(comp, return_index=True)
+    data_new = np.bincount(labels[first_vertex], weights=comp_data, minlength=nreg)
+    cut_new = np.zeros(nreg)
+    if len(edges):
+        internal = labels[edges[:, 0]] == labels[edges[:, 1]]
+        ie, iw = edges[internal], weights[internal]
+        crossing = comp[ie[:, 0]] != comp[ie[:, 1]]
+        np.add.at(cut_new, labels[ie[:, 0][crossing]], iw[crossing])
+    accept = data_old - (data_new + lam * cut_new) > partition._EPS_DECREASE
+    if not accept.any():
+        return labels, False
+    out = labels.copy()
+    take = accept[labels]
+    out[take] = nreg + comp[take]
+    return _ref_canonical(out), True
+
+
+def _ref_merge_pass(f, edges, weights, labels, lam, sizes):
+    changed_any = False
+    while True:
+        nreg = labels.max() + 1
+        if nreg <= 1 or len(edges) == 0:
+            return labels, changed_any
+        counts, sums, data = _ref_region_stats(f, labels, nreg, sizes)
+        la, lb = labels[edges[:, 0]], labels[edges[:, 1]]
+        cross = la != lb
+        if not cross.any():
+            return labels, changed_any
+        a = np.minimum(la[cross], lb[cross])
+        b = np.maximum(la[cross], lb[cross])
+        uniq, inv = np.unique(a.astype(np.int64) * nreg + b, return_inverse=True)
+        wsum = np.bincount(inv, weights=weights[cross], minlength=len(uniq))
+        pa = (uniq // nreg).astype(np.int64)
+        pb = (uniq % nreg).astype(np.int64)
+        smerge = sums[pa] + sums[pb]
+        data_merged = (data[pa] + data[pb]
+                       + counts[pa] * ((sums[pa] / counts[pa, None]) ** 2).sum(1)
+                       + counts[pb] * ((sums[pb] / counts[pb, None]) ** 2).sum(1)
+                       - (smerge ** 2).sum(1) / (counts[pa] + counts[pb]))
+        gain = lam * wsum - (data_merged - data[pa] - data[pb])
+        used = np.zeros(nreg, dtype=bool)
+        mapping = np.arange(nreg)
+        any_this_round = False
+        for e in np.lexsort((pb, pa, -gain)):
+            if gain[e] <= partition._EPS_DECREASE:
+                break
+            ra, rb = pa[e], pb[e]
+            if used[ra] or used[rb]:
+                continue
+            mapping[rb] = ra
+            used[ra] = used[rb] = True
+            any_this_round = True
+        if not any_this_round:
+            return labels, changed_any
+        labels = _ref_canonical(mapping[labels])
+        changed_any = True
+
+
+def _ref_boundary_polish(f, edges, weights, labels, lam, sizes):
+    n = len(f)
+    if n > partition._POLISH_LIMIT or len(edges) == 0:
+        return labels, False
+    nbr = [[] for _ in range(n)]
+    for (i, j), w in zip(edges, weights):
+        nbr[i].append((int(j), float(w)))
+        nbr[j].append((int(i), float(w)))
+    labels = labels.copy()
+    nreg = labels.max() + 1
+    counts, sums, _ = _ref_region_stats(f, labels, nreg, sizes)
+    vertices_per = np.bincount(labels, minlength=nreg)
+    changed_any = False
+    for _ in range(6):
+        moved = False
+        boundary = np.unique(edges[labels[edges[:, 0]] != labels[edges[:, 1]]].ravel())
+        for v in boundary:
+            r = labels[v]
+            if vertices_per[r] <= 1:
+                continue
+            cand = {r} | {int(labels[u]) for u, _w in nbr[v]}
+            if len(cand) == 1:
+                continue
+            fv, sv = f[v], float(sizes[v])
+            best_lab, best_delta = r, 0.0
+            mu_r = sums[r] / counts[r]
+            rem = -(counts[r] * sv / (counts[r] - sv)) * float(((fv - mu_r) ** 2).sum())
+            for s in sorted(cand):
+                if s == r:
+                    continue
+                mu_s = sums[s] / counts[s]
+                add = (counts[s] * sv / (counts[s] + sv)) * float(((fv - mu_s) ** 2).sum())
+                dcut = 0.0
+                for u, w in nbr[v]:
+                    lu = labels[u]
+                    dcut += w * (int(lu != s) - int(lu != r))
+                delta = rem + add + lam * dcut
+                if delta < best_delta - partition._EPS_DECREASE:
+                    best_delta, best_lab = delta, s
+            if best_lab != r:
+                labels[v] = best_lab
+                counts[r] -= sv
+                sums[r] -= sv * fv
+                vertices_per[r] -= 1
+                counts[best_lab] += sv
+                sums[best_lab] += sv * fv
+                vertices_per[best_lab] += 1
+                moved = True
+        if not moved:
+            break
+        changed_any = True
+    if changed_any:
+        same = labels[edges[:, 0]] == labels[edges[:, 1]]
+        labels = _ref_canonical(_ref_components(n, edges[same]))
+    return labels, changed_any
+
+
+def reference_cut_pursuit(features, edges, weights, lam, sizes=None):
+    f = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    if f.shape[0] != int(np.asarray(features).shape[0]):
+        f = f.T
+    n = f.shape[0]
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    weights = np.asarray(weights, dtype=np.float64).reshape(-1)
+    sizes = np.ones(n) if sizes is None else np.asarray(sizes, dtype=np.float64)
+    labels = _ref_canonical(_ref_components(n, edges))
+    for _ in range(partition._MAX_OUTER):
+        ch_split = False
+        while True:
+            labels, ch = _ref_split_pass(f, edges, weights, labels, lam, sizes)
+            ch_split = ch_split or ch
+            if not ch:
+                break
+        labels, ch_merge = _ref_merge_pass(f, edges, weights, labels, lam, sizes)
+        labels, ch_polish = _ref_boundary_polish(f, edges, weights, labels, lam, sizes)
+        if not (ch_split or ch_merge or ch_polish):
+            break
+    best = labels
+    best_e = _ref_energy(f, edges, weights, labels, lam, sizes)
+    for cand in (_ref_canonical(_ref_components(n, edges)), np.arange(n)):
+        e = _ref_energy(f, edges, weights, cand, lam, sizes)
+        if e < best_e - partition._EPS_DECREASE:
+            best, best_e = cand, e
+    return _ref_canonical(best)
+
+
+# ---------------------------------------------------------------------------
+# Solver vs reference
+
+
+def knn_graph(rng, n, k_adj=6):
+    """Random k-NN graph over clustered points, with cluster features."""
+    pts = rng.uniform(0, 30, (n, 3))
+    g = build_adjacency_graph(pts, k_adj=k_adj)
+    return pts, g.edges, g.weights
+
+
+def clustered_features(rng, pts, dim, n_clusters=8, noise=0.3):
+    centers = pts[rng.choice(len(pts), n_clusters, replace=False)]
+    cl = np.linalg.norm(pts[:, None] - centers[None], axis=2).argmin(axis=1)
+    return rng.normal(0, 1, (n_clusters, dim))[cl] + rng.normal(0, noise, (len(pts), dim))
+
+
+def assert_same_labels(f, edges, weights, sizes=None):
+    for lam in (0.05, 0.4, 1.0, 2.0):
+        got = cut_pursuit(f, edges, weights, lam, sizes=sizes)
+        want = reference_cut_pursuit(f, edges, weights, lam, sizes=sizes)
+        assert np.array_equal(got, want), lam
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("dim", [1, 4, 9])
+def test_same_labels_as_reference_on_knn_graphs(seed, dim):
+    rng = np.random.default_rng(100 + seed)
+    pts, e, w = knn_graph(rng, 300)
+    f = clustered_features(rng, pts, dim)
+    assert_same_labels(f[:, 0] if dim == 1 else f, e, w)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_same_labels_as_reference_with_sizes(seed):
+    """Non-unit multiplicities, as on a region-contracted graph."""
+    rng = np.random.default_rng(200 + seed)
+    pts, e, w = knn_graph(rng, 250)
+    f = clustered_features(rng, pts, 4, noise=0.5)
+    assert_same_labels(f, e, w * rng.uniform(0.5, 3.0, len(w)),
+                       sizes=rng.integers(1, 40, len(pts)).astype(float))
+
+
+def test_same_labels_as_reference_on_disconnected_graphs():
+    rng = np.random.default_rng(300)
+    pts, e, w = knn_graph(rng, 300)
+    f = clustered_features(rng, pts, 3)
+    # cut the slab x in [12, 18) loose, and isolate every 25th vertex
+    halves = np.digitize(pts[:, 0], [12.0, 18.0])
+    isolated = np.zeros(len(pts), dtype=bool)
+    isolated[::25] = True
+    keep = (halves[e[:, 0]] == halves[e[:, 1]]) & ~isolated[e].any(axis=1)
+    assert_same_labels(f, e[keep], w[keep])
+    assert_same_labels(f, np.zeros((0, 2), dtype=np.int64), np.zeros(0))
+
+
+def test_same_labels_as_reference_with_ties():
+    rng = np.random.default_rng(400)
+    pts, e, w = knn_graph(rng, 240)
+    assert_same_labels(np.full((240, 3), 0.25), e, w)
+    # features drawn from four values: many exact duplicates and equal seeds
+    f = rng.integers(0, 4, (240, 2)).astype(float)
+    assert_same_labels(f, e, w)
+    assert_same_labels(f, e, np.ones(len(e)), sizes=np.full(240, 3.0))
+
+
+@pytest.mark.parametrize("n", [120, 200])
+def test_same_labels_as_reference_around_polish_limit(monkeypatch, n):
+    monkeypatch.setattr(partition, "_POLISH_LIMIT", 150)
+    rng = np.random.default_rng(500 + n)
+    pts, e, w = knn_graph(rng, n)
+    assert_same_labels(clustered_features(rng, pts, 4, noise=0.6), e, w)
+
+
+def test_hierarchy_same_labels_as_reference(monkeypatch):
+    from dvfusion.synth import SynthParams, synth_generate_scene
+    scene = synth_generate_scene(SynthParams(n_points=3000, texture=False), seed=7)
+    pts = scene.source.points
+    got = hierarchical_partition(pts)
+    monkeypatch.setattr(partition, "cut_pursuit", reference_cut_pursuit)
+    want = hierarchical_partition(pts)
+    for a, b in zip(got.level_labels, want.level_labels):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 8, 9, 16, 17, 127, 128, 129, 300])
+def test_python_sum_has_numpy_bits(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 6, n)
+    assert partition._sum(x.tolist()) == x.sum()
