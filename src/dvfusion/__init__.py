@@ -13,7 +13,6 @@ from .geometry import (  # noqa: F401
     PointCorrespondenceSet,
     kabsch,
     icp_point_to_point,
-    NNIndex,
     local_covariance_features,
     mean_scan_resolution,
 )

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -103,21 +104,17 @@ def export_plot_data(dvf, out_dir) -> list:
 
 def _build_run_config(args) -> PipelineConfig:
     cfg = load_config(args.config) if args.config else PipelineConfig()
-    direct = {}
-    for key in ("source_path", "target_path", "cameras_path", "output_dir"):
-        value = getattr(args, key, None)
-        if value:
-            direct[f"{key}"] = value
-    if direct:
-        cfg = apply_overrides(cfg, [f"{k}={v}" for k, v in direct.items()])
+    # Direct flags are taken verbatim; only --set values are parsed as YAML.
+    direct = {key: getattr(args, key) for key in
+              ("source_path", "target_path", "cameras_path", "output_dir")
+              if getattr(args, key, None)}
     if args.source_image:
-        cfg = apply_overrides(
-            cfg, ["source_image_paths=[%s]" % ",".join(args.source_image)])
+        direct["source_image_paths"] = tuple(args.source_image)
     if args.target_image:
-        cfg = apply_overrides(
-            cfg, ["target_image_paths=[%s]" % ",".join(args.target_image)])
+        direct["target_image_paths"] = tuple(args.target_image)
     if args.use_images:
-        cfg = apply_overrides(cfg, ["use_images=true"])
+        direct["use_images"] = True
+    cfg = replace(cfg, **direct)
     if args.set:
         cfg = apply_overrides(cfg, args.set)
     return cfg

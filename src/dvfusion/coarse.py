@@ -6,6 +6,10 @@ channel) and pixel matches lifted through the cameras onto tile points (the
 2D channel). Both carry point-level support pairs; the merge step prefers
 the geometric channel where the two disagree and enforces an injective
 source-to-target patch mapping.
+
+Patches are the ids of one level's label arrays (see `partition`): a
+patch's members, centroid, radius and featured points are all derived from
+the source or target label array, and every match names its patches by id.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from scipy.spatial import cKDTree
 
 from .dvf import MODALITY_2D, MODALITY_3D
 from .errors import InvalidParams
-from .geometry import PointCorrespondenceSet, as_points
+from .geometry import PointCorrespondenceSet, as_points, bincount_rows
+from .partition import patch_members
 
 DEFAULT_LIFT_RADIUS_PX = 2.0
 DEFAULT_MAX_DISPLACEMENT = 10.0
@@ -134,11 +139,6 @@ MAX_MEMBERS_PER_MATCH = 8192
 _MEMBER_SUBSAMPLE_SEED = 71
 
 
-def _featured_members(patch, feats):
-    """Positions (into the feature set) of featured points inside a patch."""
-    return np.flatnonzero(np.isin(feats.point_indices, patch.point_indices))
-
-
 def _cap_members(pos: np.ndarray, cap: int = MAX_MEMBERS_PER_MATCH) -> np.ndarray:
     """Bound the points fed into per-pair matching. Very large patches (a
     coarse level can cover most of a tile) would otherwise make the pairing
@@ -150,18 +150,27 @@ def _cap_members(pos: np.ndarray, cap: int = MAX_MEMBERS_PER_MATCH) -> np.ndarra
     return pos[np.sort(rng.choice(len(pos), size=cap, replace=False))]
 
 
-def _patch_radii(patches, points):
-    """Max member distance from the centroid, per patch."""
-    return np.array([np.linalg.norm(points[p.point_indices] - p.centroid,
-                                    axis=1).max() for p in patches])
+def _centroids_and_radii(labels, points):
+    """Per patch id: member centroid and max member distance from it."""
+    keep = np.flatnonzero(labels >= 0)
+    lab = labels[keep]
+    n = lab.max(initial=-1) + 1
+    centroids = bincount_rows(lab, points[keep], n) / np.bincount(lab, minlength=n)[:, None]
+    radii = np.zeros(n)
+    np.maximum.at(radii, lab, np.linalg.norm(points[keep] - centroids[lab], axis=1))
+    return centroids, radii
 
 
 def match_patches_3d(level, src_patch_feats, tgt_patch_feats,
                      src_point_feats, tgt_point_feats,
-                     src_patches, tgt_patches,
+                     src_labels, tgt_labels,
                      src_points, tgt_points,
                      max_displacement: float | None = None) -> MatchSet:
     """Mutual-NN matching of patch descriptors, with point-level support.
+
+    `src_patch_feats`/`tgt_patch_feats` are (patch ids, unit descriptors) as
+    `aggregate_level_features` returns them; `src_labels`/`tgt_labels` map
+    each tile point to its patch id at this level (-1: none).
 
     When `max_displacement` is given, a target patch is only a candidate if
     its centroid lies within `max_displacement` of the source centroid plus
@@ -173,36 +182,32 @@ def match_patches_3d(level, src_patch_feats, tgt_patch_feats,
     featured (downsampled) points; a patch pair without any supporting point
     pair is dropped, since nothing downstream could estimate motion from it.
     """
-    if not src_patch_feats or not tgt_patch_feats:
+    src_ids, fa = src_patch_feats
+    tgt_ids, fb = tgt_patch_feats
+    if len(src_ids) == 0 or len(tgt_ids) == 0:
         return MatchSet(level)
-    src_patch_feats = sorted(src_patch_feats, key=lambda f: f.patch_id)
-    tgt_patch_feats = sorted(tgt_patch_feats, key=lambda f: f.patch_id)
-    fa = np.stack([f.vector for f in src_patch_feats])
-    fb = np.stack([f.vector for f in tgt_patch_feats])
-    src_by_id = {p.patch_id: p for p in src_patches}
-    tgt_by_id = {p.patch_id: p for p in tgt_patches}
+    src_labels = np.asarray(src_labels)
+    tgt_labels = np.asarray(tgt_labels)
     src_points = as_points(src_points)
     tgt_points = as_points(tgt_points)
 
     allowed = None
     if max_displacement is not None:
-        pa = [src_by_id[f.patch_id] for f in src_patch_feats]
-        pb = [tgt_by_id[f.patch_id] for f in tgt_patch_feats]
-        ca = np.stack([p.centroid for p in pa])
-        cb = np.stack([p.centroid for p in pb])
-        ra = _patch_radii(pa, src_points)
-        rb = _patch_radii(pb, tgt_points)
+        ca, ra = _centroids_and_radii(src_labels, src_points)
+        cb, rb = _centroids_and_radii(tgt_labels, tgt_points)
+        ca, ra, cb, rb = ca[src_ids], ra[src_ids], cb[tgt_ids], rb[tgt_ids]
         gap = np.linalg.norm(ca[:, None, :] - cb[None, :, :], axis=2)
         allowed = gap <= max_displacement + ra[:, None] + rb[None, :]
 
+    # positions (into each feature set) of the featured points of every patch
+    src_members = patch_members(src_labels[src_point_feats.point_indices])
+    tgt_members = patch_members(tgt_labels[tgt_point_feats.point_indices])
     matches = []
     for ia, ib in zip(*mutual_nn(fa, fb, allowed=allowed)):
-        sid = src_patch_feats[ia].patch_id
-        tid = tgt_patch_feats[ib].patch_id
-        pos_a = _cap_members(_featured_members(src_by_id[sid], src_point_feats))
-        pos_b = _cap_members(_featured_members(tgt_by_id[tid], tgt_point_feats))
-        if len(pos_a) == 0 or len(pos_b) == 0:
-            continue
+        sid = int(src_ids[ia])
+        tid = int(tgt_ids[ib])
+        pos_a = _cap_members(src_members[sid])
+        pos_b = _cap_members(tgt_members[tid])
         pa, pb = mutual_nn(src_point_feats.descriptors[pos_a],
                            tgt_point_feats.descriptors[pos_b])
         if len(pa) == 0:

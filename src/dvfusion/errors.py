@@ -13,10 +13,6 @@ class DegenerateSupport(DegenerateInput):
     """A patch match has too few / collinear support points for transform estimation."""
 
 
-class EmptyIndex(DvfError):
-    """Attempted to build or query a nearest-neighbour index over zero points."""
-
-
 class ParseError(DvfError):
     """Malformed input file; carries the offending location."""
 
@@ -40,10 +36,6 @@ class UnsupportedFormat(DvfError):
 
 class ImportKeyMismatch(DvfError):
     """Imported per-point features do not cover the requested point indices."""
-
-
-class EmptyPatchFeature(DvfError):
-    """No featured point falls inside a patch, so no patch feature can be aggregated."""
 
 
 class NoVisibleImage(DvfError):

@@ -24,7 +24,6 @@ from .errors import (
     NoEstimateNearObservation,
 )
 from .geometry import (
-    NNIndex,
     as_points,
     icp_point_to_point,
     local_covariance_features,
@@ -104,10 +103,10 @@ def compare_nn(dvf: DisplacementVectorField, observations,
     """
     if len(dvf) == 0:
         raise NoEstimateNearObservation("displacement field is empty")
-    index = NNIndex(dvf.positions)
+    tree = cKDTree(dvf.positions)
     report = EvaluationReport()
     for obs in observations:
-        idx, dist = index.query_nearest(obs.position[None, :])
+        dist, idx = tree.query(obs.position[None, :], k=1)
         if dist[0] > max_dist:
             raise NoEstimateNearObservation(
                 f"observation {obs.id}: nearest estimate at {dist[0]:.3f} m "

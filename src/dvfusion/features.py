@@ -16,8 +16,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import EmptyPatchFeature, ImportKeyMismatch, InvalidParams
-from .geometry import as_points, local_covariance_features, mean_scan_resolution
+from .errors import ImportKeyMismatch, InvalidParams
+from .geometry import (as_points, bincount_rows, local_covariance_features,
+                       mean_scan_resolution)
 from .io import PointFeatureSet
 
 DEFAULT_VOXEL_FACTOR = 2.0      # voxel edge = factor x mean scan resolution
@@ -212,44 +213,22 @@ def extract_point_features(points, sample_indices=None, provider: str = "builtin
 # Patch-level aggregation
 
 
-class PatchFeature:
-    """Unit-norm aggregate descriptor of one patch."""
+def aggregate_level_features(labels, feats: PointFeatureSet):
+    """Descriptor of every patch of one level that holds featured points.
 
-    __slots__ = ("patch_id", "level", "vector")
-
-    def __init__(self, patch_id: int, level: int, vector):
-        self.patch_id = int(patch_id)
-        self.level = int(level)
-        self.vector = np.asarray(vector, dtype=np.float64).reshape(-1)
-        norm = np.linalg.norm(self.vector)
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"patch feature must be unit norm, got {norm}")
-
-    def __repr__(self):
-        return f"PatchFeature(level={self.level}, patch_id={self.patch_id})"
-
-
-def aggregate_patch_feature(patch, feats: PointFeatureSet) -> PatchFeature:
-    """Mean of the member descriptors, re-normalized."""
-    members = np.isin(feats.point_indices, patch.point_indices)
-    if not members.any():
-        raise EmptyPatchFeature(
-            f"no featured point inside patch {patch.patch_id} (level {patch.level})")
-    vec = feats.descriptors[members].mean(axis=0)
-    norm = np.linalg.norm(vec)
-    if norm <= 1e-12:
-        raise EmptyPatchFeature(
-            f"member descriptors of patch {patch.patch_id} cancel to zero")
-    return PatchFeature(patch.patch_id, patch.level, vec / norm)
-
-
-def aggregate_level_features(patches, feats: PointFeatureSet):
-    """PatchFeatures for every patch that contains featured points; patches
-    without any are silently skipped (they cannot be matched in 3D)."""
-    out = []
-    for patch in patches:
-        try:
-            out.append(aggregate_patch_feature(patch, feats))
-        except EmptyPatchFeature:
-            continue
-    return out
+    `labels` maps tile points to patch ids (-1: no patch). A patch's
+    descriptor is the mean of its members' descriptors, re-normalized.
+    Returns (patch ids, unit descriptors), ascending by id; patches with no
+    featured member, or whose member descriptors cancel to zero, get none
+    (they cannot be matched in 3D).
+    """
+    lab = np.asarray(labels)[feats.point_indices]
+    rows = np.flatnonzero(lab >= 0)
+    n = lab.max(initial=-1) + 1
+    counts = np.bincount(lab[rows], minlength=n)
+    ids = np.flatnonzero(counts)
+    means = bincount_rows(lab[rows], feats.descriptors[rows], n)[ids] / counts[ids, None]
+    # the 1-D norm per row: norm(axis=1) rounds differently
+    norms = np.array([np.linalg.norm(v) for v in means])
+    ok = norms > 1e-12
+    return ids[ok], means[ok] / norms[ok, None]

@@ -5,11 +5,13 @@ pairs (closed-form first, then ICP on the same points). Applying the
 transform to every full-resolution point of the source patch gives that
 patch's displacement vectors; the three hierarchy levels are then collapsed
 into a single field, finer levels taking precedence.
+
+A patch is a patch id of one level's label array (see `partition`): its
+members are the points carrying that id, and every vector records the level
+and patch id it came from.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,27 +22,6 @@ from .geometry import RigidTransform, alignment_rmse, icp_point_to_point, kabsch
 
 ICP_MAX_ITER = 30
 ICP_CONV_TOL = 1e-6
-
-
-@dataclass
-class PatchDisplacement:
-    """Displacement vectors for every full-resolution point of one patch."""
-
-    level: int
-    patch_id: int
-    modality: str
-    transform: RigidTransform
-    point_ids: np.ndarray
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        self.point_ids = np.asarray(self.point_ids, dtype=np.int64).reshape(-1)
-        self.vectors = np.asarray(self.vectors, dtype=np.float64).reshape(-1, 3)
-        if len(self.point_ids) != len(self.vectors):
-            raise ValueError("one vector per point id required")
-
-    def __len__(self) -> int:
-        return len(self.point_ids)
 
 
 def estimate_patch_transform(match: PatchMatch,
@@ -74,36 +55,31 @@ def estimate_patch_transform(match: PatchMatch,
     return t0
 
 
-def patch_dvf(patch, transform: RigidTransform, points,
-              modality: str) -> PatchDisplacement:
-    """Displacement vector for every full-resolution point of `patch`:
-    v_i = R p_i + T - p_i."""
-    pts = np.asarray(points, dtype=np.float64)[patch.point_indices]
-    vectors = transform.apply(pts) - pts
-    return PatchDisplacement(patch.level, patch.patch_id, modality, transform,
-                             patch.point_indices.copy(), vectors)
+def level_field(level: int, patches, fits, points) -> DisplacementVectorField:
+    """Displacement field of one level from its per-patch rigid fits.
 
-
-def assemble_level_field(displacements, positions) -> DisplacementVectorField:
-    """Stack per-patch displacements of one level into a single field.
-
-    Patches of one level are disjoint by construction, so ids never collide.
+    `patches` lists each patch's member indices by patch id (as
+    `HierarchicalPartition.patches` returns them); `fits` holds one
+    (patch id, transform, modality) per fitted patch. Every member p of a
+    fitted patch gets v = R p + T - p. Patches of one level are disjoint, so
+    ids never collide.
     """
-    displacements = [d for d in displacements if len(d)]
-    if not displacements:
+    if not fits:
         return DisplacementVectorField.empty()
-    pts = np.asarray(positions, dtype=np.float64)
-    ids = np.concatenate([d.point_ids for d in displacements])
+    pts = np.asarray(points, dtype=np.float64)
+    members = [patches[pid] for pid, _, _ in fits]
+    sizes = [len(m) for m in members]
+    ids = np.concatenate(members)
+    # one apply per patch on its ascending members keeps each vector's bits
+    moved = np.vstack([t.apply(pts[m]) for m, (_, t, _) in zip(members, fits)])
     return DisplacementVectorField(
         ids,
         pts[ids],
-        np.vstack([d.vectors for d in displacements]),
-        np.concatenate([np.full(len(d), d.level, dtype=np.int64)
-                        for d in displacements]),
-        np.concatenate([np.full(len(d), d.patch_id, dtype=np.int64)
-                        for d in displacements]),
-        np.concatenate([np.full(len(d), d.modality, dtype="U2")
-                        for d in displacements])).sorted_by_id()
+        moved - pts[ids],
+        np.full(len(ids), level, dtype=np.int64),
+        np.repeat([pid for pid, _, _ in fits], sizes),
+        np.repeat(np.array([mod for _, _, mod in fits], dtype="U2"), sizes),
+    ).sorted_by_id()
 
 
 def integrate_levels(level1: DisplacementVectorField,

@@ -1,9 +1,8 @@
 """Pure numerical geometry: rigid transforms, Kabsch estimation, point-to-point
-ICP, exact nearest-neighbour search and local covariance features.
+ICP, local covariance features and per-label row sums.
 
 Points are plain float64 ndarrays: a single point has shape (3,), a cloud
-(N, 3). All operations are deterministic and reentrant; `NNIndex` is immutable
-after construction and safe for concurrent read-only queries.
+(N, 3). All operations are deterministic and reentrant.
 """
 
 from __future__ import annotations
@@ -13,11 +12,21 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateInput, EmptyIndex
+from .errors import DegenerateInput
 
 _ORTHO_TOL = 1e-9
 _RESOLUTION_SAMPLE_CAP = 50_000
 _RESOLUTION_SEED = 7
+
+
+def bincount_rows(index, values, n):
+    """Row sums of `values` per index, added in index order like `np.add.at`.
+
+    Each column is one `np.bincount`, so a label's sum has the bits of
+    `values[index == label].sum(axis=0)`.
+    """
+    return np.column_stack([np.bincount(index, weights=values[:, c], minlength=n)
+                            for c in range(values.shape[1])])
 
 
 def as_points(a) -> np.ndarray:
@@ -135,6 +144,12 @@ def kabsch(corrs: PointCorrespondenceSet) -> RigidTransform:
     sv = np.linalg.svd(pc, compute_uv=False)
     if sv[1] <= 1e-9 * max(sv[0], 1e-30):
         raise DegenerateInput("source points are collinear (rank < 2)")
+    return _kabsch_solve(pc, qc, p_mean, q_mean)
+
+
+def _kabsch_solve(pc, qc, p_mean, q_mean) -> RigidTransform:
+    """Rigid motion from centred pairs `pc`, `qc` and their means: SVD of the
+    cross-covariance, reflection corrected on the smallest direction."""
     h = pc.T @ qc
     u, _, vt = np.linalg.svd(h)
     d = np.sign(np.linalg.det(vt.T @ u.T))
@@ -146,45 +161,6 @@ def alignment_rmse(t: RigidTransform, source, target) -> float:
     """RMS of ||t(p_i) - q_i|| over paired arrays."""
     res = t.apply(source) - as_points(target)
     return float(np.sqrt(np.mean(np.sum(res * res, axis=1))))
-
-
-class NNIndex:
-    """Exact Euclidean k-NN index over a fixed point array.
-
-    Queries match a linear scan point for point: candidate distances are
-    recomputed in float64 and ties are broken by ascending point index.
-    """
-
-    def __init__(self, points):
-        pts = as_points(points)
-        if len(pts) == 0:
-            raise EmptyIndex("cannot index an empty point set")
-        self.points = pts
-        self._tree = cKDTree(pts)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def query(self, q, k: int = 1):
-        """Return (indices, distances) of the k nearest points to `q`."""
-        n = len(self.points)
-        if not 1 <= k <= n:
-            raise ValueError(f"k must be in [1, {n}], got {k}")
-        q = np.asarray(q, dtype=np.float64).reshape(3)
-        d, _ = self._tree.query(q, k=k)
-        d_max = float(np.max(np.atleast_1d(d)))
-        # Inflated ball pulls in every candidate tied with the k-th distance.
-        radius = d_max + 1e-9 * (1.0 + d_max)
-        cand = np.asarray(self._tree.query_ball_point(q, radius), dtype=np.int64)
-        dist = np.linalg.norm(self.points[cand] - q, axis=1)
-        order = np.lexsort((cand, dist))[:k]
-        return cand[order], dist[order]
-
-    def query_nearest(self, pts):
-        """Bulk 1-NN: (indices, distances) per query point. Fast path used by
-        ICP association; deterministic but without the tie-break guarantee."""
-        d, i = self._tree.query(as_points(pts), k=1)
-        return np.asarray(i, dtype=np.int64), np.asarray(d, dtype=np.float64)
 
 
 @dataclass
@@ -216,13 +192,13 @@ def icp_point_to_point(source, target, init: RigidTransform | None = None,
     if max_pair_dist is None:
         max_pair_dist = 5.0 * mean_scan_resolution(tgt) if len(tgt) >= 2 else np.inf
     t = RigidTransform.identity() if init is None else init
-    index = NNIndex(tgt)
+    tree = cKDTree(tgt)
     history: list[float] = []
     rmse = np.inf
     iterations = 0
     for _ in range(max_iter):
         moved = t.apply(src)
-        idx, dist = index.query_nearest(moved)
+        dist, idx = tree.query(moved, k=1)
         keep = dist <= max_pair_dist
         if int(keep.sum()) < 3:
             raise DegenerateInput(
@@ -233,11 +209,7 @@ def icp_point_to_point(source, target, init: RigidTransform | None = None,
         # Indices are unique on the source side only; Kabsch does not need them.
         p_mean = pairs_src.mean(axis=0)
         q_mean = pairs_tgt.mean(axis=0)
-        h = (pairs_src - p_mean).T @ (pairs_tgt - q_mean)
-        u, _, vt = np.linalg.svd(h)
-        d = np.sign(np.linalg.det(vt.T @ u.T))
-        rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-        t = RigidTransform(rot, q_mean - rot @ p_mean)
+        t = _kabsch_solve(pairs_src - p_mean, pairs_tgt - q_mean, p_mean, q_mean)
         rmse = alignment_rmse(t, pairs_src, pairs_tgt)
         history.append(rmse)
         iterations += 1

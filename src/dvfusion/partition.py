@@ -17,6 +17,13 @@ set: they retry only regions that changed since their split was last
 rejected. This is exact, not a heuristic: a region's split and its
 acceptance depend only on its own vertices, their features and sizes, its
 internal edges and lam, so an unchanged region would be rejected again.
+
+Label convention: a level is one int array over the tile's points holding
+each point's patch id, or -1 where the point lies in no patch (its region
+fell under `min_patch`). Ids run 0..K-1 in order of each patch's lowest
+point index. That array is the only record of a patch: descriptors,
+matches and displacement vectors downstream are derived from it and carry
+its ids.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import InvalidParams
-from .geometry import as_points, local_covariance_features
+from .geometry import as_points, bincount_rows, local_covariance_features
 from scipy.spatial import cKDTree
 
 DEFAULT_K_ADJ = 10
@@ -110,12 +117,6 @@ def _canonical_labels(labels: np.ndarray) -> np.ndarray:
     return order[inv]
 
 
-def _bincount_rows(index, values, n):
-    """Row sums of `values` per index, added in index order like `np.add.at`."""
-    return np.column_stack([np.bincount(index, weights=values[:, c], minlength=n)
-                            for c in range(values.shape[1])])
-
-
 def _region_stats(f, labels, nreg, sizes=None):
     """Per-region weighted count, feature sum, and scatter.
 
@@ -126,7 +127,7 @@ def _region_stats(f, labels, nreg, sizes=None):
     if sizes is None:
         sizes = np.ones(len(f))
     counts = np.bincount(labels, weights=sizes, minlength=nreg)
-    sums = _bincount_rows(labels, sizes[:, None] * f, nreg)
+    sums = bincount_rows(labels, sizes[:, None] * f, nreg)
     sq = np.bincount(labels, weights=sizes * (f * f).sum(axis=1), minlength=nreg)
     with np.errstate(invalid="ignore", divide="ignore"):
         data = sq - (sums * sums).sum(axis=1) / counts
@@ -185,7 +186,7 @@ def _split_regions(f, edges, weights, labels, lam, sizes):
 
     # Per-region principal direction from batched covariance eigenvectors.
     outer = sizes[:, None, None] * (centered[:, :, None] * centered[:, None, :])
-    cov = _bincount_rows(labels, outer.reshape(n, -1), nreg).reshape(nreg, dim, dim)
+    cov = bincount_rows(labels, outer.reshape(n, -1), nreg).reshape(nreg, dim, dim)
     _, vecs = np.linalg.eigh(cov)
     pc1 = vecs[:, :, -1]
     flip = pc1[np.arange(nreg), np.abs(pc1).argmax(axis=1)] < 0
@@ -223,7 +224,7 @@ def _split_regions(f, edges, weights, labels, lam, sizes):
     def update_centers():
         key = labels * 2 + side
         cnt = np.bincount(key, weights=sizes, minlength=nreg * 2)
-        sm = _bincount_rows(key, sizes[:, None] * f, nreg * 2)
+        sm = bincount_rows(key, sizes[:, None] * f, nreg * 2)
         ok = cnt > 0
         sm[ok] /= cnt[ok, None]
         c0_new = np.where(ok[0::2, None], sm[0::2], c0)
@@ -478,19 +479,17 @@ def cut_pursuit(features, edges, weights, lam: float, sizes=None) -> np.ndarray:
 # Hierarchy assembly
 
 
-@dataclass
-class Patch:
-    level: int
-    patch_id: int
-    point_indices: np.ndarray
-    centroid: np.ndarray
+def patch_members(labels) -> list:
+    """Ascending member indices of each patch, in patch-id order.
 
-    def __post_init__(self):
-        self.point_indices = np.asarray(self.point_indices, dtype=np.int64).reshape(-1)
-        self.centroid = np.asarray(self.centroid, dtype=np.float64).reshape(3)
-
-    def __len__(self) -> int:
-        return len(self.point_indices)
+    `labels` gives each point its patch id, or -1 for none; entry k of the
+    result lists the points labelled k (empty where no point is). One stable
+    argsort, so members keep their index order.
+    """
+    labels = np.asarray(labels)
+    order = np.argsort(labels, kind="stable")
+    bounds = np.searchsorted(labels[order], np.arange(labels.max(initial=-1) + 2))
+    return [order[lo:hi] for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 
 
 @dataclass
@@ -498,15 +497,17 @@ class HierarchicalPartition:
     """Three independent segmentations of one tile, fine to coarse.
 
     `level_labels[l]` maps every tile point to a patch id at level l+1, or -1
-    where the point belongs to no surviving patch.
+    where the point belongs to no surviving patch. Patch ids of a level run
+    0..K-1 in order of each patch's lowest point index; the label array is
+    the only record of a patch.
     """
 
-    levels: list              # list of 3 lists of Patch
     level_labels: list        # list of 3 int arrays, -1 = unassigned
     regularization: tuple
 
     def patches(self, level: int) -> list:
-        return self.levels[level - 1]
+        """Member indices of each patch of `level`, see `patch_members`."""
+        return patch_members(self.level_labels[level - 1])
 
     def labels(self, level: int) -> np.ndarray:
         return self.level_labels[level - 1]
@@ -552,20 +553,6 @@ def filter_small_patches(labels: np.ndarray, min_patch: int = DEFAULT_MIN_PATCH)
     idx = np.flatnonzero(valid)
     labels[idx[small]] = -1
     return labels
-
-
-def _assemble_level(points, labels, level: int):
-    patches = []
-    keep = labels >= 0
-    if keep.any():
-        ids = _canonical_labels(labels[keep])
-        full = np.full(len(labels), -1, dtype=np.int64)
-        full[keep] = ids
-        for pid in range(ids.max() + 1):
-            members = np.flatnonzero(full == pid)
-            patches.append(Patch(level, pid, members, points[members].mean(axis=0)))
-        return patches, full
-    return patches, np.full(len(labels), -1, dtype=np.int64)
 
 
 def _contract_graph(f, edges, weights, labels, sizes=None):
@@ -632,12 +619,12 @@ def hierarchical_partition(points, feats=None, color=None, lambdas=None,
     sup3 = cut_pursuit(means2, sup_edges2, sup_w2, lam3, sizes=counts2)
     raw3 = sup3[raw2]
 
-    levels = []
     level_labels = []
-    for level, raw in enumerate((raw1, raw2, raw3), start=1):
+    for raw in (raw1, raw2, raw3):
         filtered = filter_small_patches(raw, min_patch=min_patch)
-        patches, full = _assemble_level(pts, filtered, level)
-        levels.append(patches)
+        keep = filtered >= 0
+        full = np.full(len(filtered), -1, dtype=np.int64)
+        full[keep] = _canonical_labels(filtered[keep])
         level_labels.append(full)
-    return HierarchicalPartition(levels, level_labels, tuple(lambdas))
+    return HierarchicalPartition(level_labels, tuple(lambdas))
 

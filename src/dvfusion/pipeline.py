@@ -35,7 +35,6 @@ from .errors import (
     ConfigError,
     DegenerateSupport,
     DvfError,
-    EmptyIndex,
     ImageTooSmall,
     NoVisibleImage,
     PipelineError,
@@ -45,7 +44,7 @@ from .features import (
     aggregate_level_features,
     extract_point_features,
 )
-from .fine import assemble_level_field, estimate_patch_transform, integrate_levels, patch_dvf
+from .fine import estimate_patch_transform, integrate_levels, level_field
 from .geometry import PointCorrespondenceSet, as_points, mean_scan_resolution
 from .io import PointFeatureSet
 from .imaging import match_pixels, project_to_image, select_top_k_images
@@ -319,16 +318,16 @@ def _process_tile(pair, source_points, target_points, cfg: PipelineConfig,
                 if cfg.use_images else CorrTable.empty())
             merged_sets = []
             for level in LEVELS:
+                src_labels = part_src.labels(level)
+                tgt_labels = part_tgt.labels(level)
                 m3d = match_patches_3d(
                     level,
-                    aggregate_level_features(part_src.patches(level), src_feats),
-                    aggregate_level_features(part_tgt.patches(level), tgt_feats),
-                    src_feats, tgt_feats,
-                    part_src.patches(level), part_tgt.patches(level),
+                    aggregate_level_features(src_labels, src_feats),
+                    aggregate_level_features(tgt_labels, tgt_feats),
+                    src_feats, tgt_feats, src_labels, tgt_labels,
                     sub_src, sub_tgt,
                     max_displacement=cfg.max_displacement)
-                m2d = match_patches_2d(level, table, part_src.labels(level),
-                                       part_tgt.labels(level))
+                m2d = match_patches_2d(level, table, src_labels, tgt_labels)
                 merged_sets.append(gate_match_set(
                     merge_match_sets(m3d, m2d), cfg.max_displacement,
                     min_support=cfg.min_support))
@@ -353,8 +352,7 @@ def _process_tile(pair, source_points, target_points, cfg: PipelineConfig,
     level_fields = []
     try:
         for ms in kept_sets:
-            patches_by_id = {p.patch_id: p for p in part_src.patches(ms.level)}
-            disps = []
+            fits = []
             for m in ms.matches:
                 try:
                     t = estimate_patch_transform(
@@ -362,9 +360,9 @@ def _process_tile(pair, source_points, target_points, cfg: PipelineConfig,
                         conv_tol=cfg.icp_conv_tol)
                 except DegenerateSupport:
                     continue        # unusable support; the patch stays uncovered
-                disps.append(patch_dvf(patches_by_id[m.source_patch_id], t,
-                                       sub_src, m.modality))
-            level_fields.append(assemble_level_field(disps, sub_src))
+                fits.append((m.source_patch_id, t, m.modality))
+            level_fields.append(level_field(ms.level, part_src.patches(ms.level),
+                                            fits, sub_src))
     except DvfError as exc:
         raise _fail("fine", pid, exc) from exc
     t0 = _tick(timings, "fine", t0)
@@ -421,7 +419,7 @@ def run_pipeline(source_points, target_points, cfg: PipelineConfig,
         pairs = tile_pair(source_points, target_points,
                           max_points=cfg.max_points,
                           overlap_margin=cfg.overlap_margin)
-    except (DvfError, EmptyIndex) as exc:
+    except DvfError as exc:
         raise PipelineError(f"stage 'tiling': {exc}") from exc
     t0 = _tick(timings, "tiling", t0)
 

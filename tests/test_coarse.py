@@ -19,11 +19,9 @@ from dvfusion.coarse import (
 )
 from dvfusion.dvf import MODALITY_2D, MODALITY_3D
 from dvfusion.errors import InvalidParams
-from dvfusion.features import PatchFeature
 from dvfusion.geometry import PointCorrespondenceSet
 from dvfusion.imaging import Projection
 from dvfusion.io import PixelMatchSet, PointFeatureSet
-from dvfusion.partition import Patch
 
 
 def unit_rows(rng, n, d):
@@ -67,29 +65,23 @@ def test_mutual_nn_is_injective():
 # 3D patch matching
 
 
-def patch_world(vectors, level=1, start_point=0):
+def patch_world(vectors):
     """One single-point patch per descriptor; the point descriptor equals the
-    patch descriptor, so every matched pair has a support pair."""
-    patches, feats_idx = [], []
-    for k, _ in enumerate(vectors):
-        idx = start_point + k
-        patches.append(Patch(level, k, [idx], np.zeros(3)))
-        feats_idx.append(idx)
+    patch descriptor, so every matched pair has a support pair. Returns the
+    patch descriptors (ids, rows), point features, labels and points."""
     vec = np.asarray(vectors, dtype=np.float64)
-    pf = [PatchFeature(k, level, v) for k, v in enumerate(vec)]
-    feats = PointFeatureSet(np.asarray(feats_idx), vec)
-    n_pts = start_point + len(vectors)
-    points = np.arange(n_pts * 3, dtype=np.float64).reshape(n_pts, 3)
-    return pf, feats, patches, points
+    ids = np.arange(len(vec))
+    points = np.arange(len(vec) * 3, dtype=np.float64).reshape(-1, 3)
+    return (ids, vec), PointFeatureSet(ids, vec), ids, points
 
 
 def test_identical_feature_lists_match_identity():
     rng = np.random.default_rng(2)
     vecs = unit_rows(rng, 8, 4)
-    pf_s, feats_s, patches_s, pts_s = patch_world(vecs)
-    pf_t, feats_t, patches_t, pts_t = patch_world(vecs)
+    pf_s, feats_s, labels_s, pts_s = patch_world(vecs)
+    pf_t, feats_t, labels_t, pts_t = patch_world(vecs)
     ms = match_patches_3d(1, pf_s, pf_t, feats_s, feats_t,
-                          patches_s, patches_t, pts_s, pts_t)
+                          labels_s, labels_t, pts_s, pts_t)
     assert ms.source_ids() == ms.target_ids() == list(range(8))
     assert ms.is_injective()
     assert all(m.modality == MODALITY_3D for m in ms.matches)
@@ -102,10 +94,10 @@ def test_non_mutual_pair_is_dropped():
     b = [np.cos(deg(10)), np.sin(deg(10))]      # equals X exactly
     x = [np.cos(deg(10)), np.sin(deg(10))]
     y = [np.cos(deg(80)), np.sin(deg(80))]
-    pf_s, feats_s, patches_s, pts_s = patch_world([a, b])
-    pf_t, feats_t, patches_t, pts_t = patch_world([x, y])
+    pf_s, feats_s, labels_s, pts_s = patch_world([a, b])
+    pf_t, feats_t, labels_t, pts_t = patch_world([x, y])
     ms = match_patches_3d(1, pf_s, pf_t, feats_s, feats_t,
-                          patches_s, patches_t, pts_s, pts_t)
+                          labels_s, labels_t, pts_s, pts_t)
     # X's nearest source is B (exact), so A stays unmatched
     assert ms.source_ids() == [1]
     assert ms.target_ids() == [0]
@@ -117,10 +109,10 @@ def test_patch_matching_equals_brute_force_oracle(seed):
     rng = np.random.default_rng(seed)
     va = unit_rows(rng, 20, 8)
     vb = unit_rows(rng, 20, 8)
-    pf_s, feats_s, patches_s, pts_s = patch_world(va)
-    pf_t, feats_t, patches_t, pts_t = patch_world(vb)
+    pf_s, feats_s, labels_s, pts_s = patch_world(va)
+    pf_t, feats_t, labels_t, pts_t = patch_world(vb)
     ms = match_patches_3d(1, pf_s, pf_t, feats_s, feats_t,
-                          patches_s, patches_t, pts_s, pts_t)
+                          labels_s, labels_t, pts_s, pts_t)
     got = list(zip(ms.source_ids(), ms.target_ids()))
     assert got == brute_force_mutual_nn(va, vb)
 
@@ -129,14 +121,32 @@ def test_role_swap_transposes_matches():
     rng = np.random.default_rng(3)
     va = unit_rows(rng, 15, 6)
     vb = unit_rows(rng, 12, 6)
-    pf_s, feats_s, patches_s, pts_s = patch_world(va)
-    pf_t, feats_t, patches_t, pts_t = patch_world(vb)
+    pf_s, feats_s, labels_s, pts_s = patch_world(va)
+    pf_t, feats_t, labels_t, pts_t = patch_world(vb)
     fwd = match_patches_3d(1, pf_s, pf_t, feats_s, feats_t,
-                           patches_s, patches_t, pts_s, pts_t)
+                           labels_s, labels_t, pts_s, pts_t)
     rev = match_patches_3d(1, pf_t, pf_s, feats_t, feats_s,
-                           patches_t, patches_s, pts_t, pts_s)
+                           labels_t, labels_s, pts_t, pts_s)
     assert (sorted(zip(fwd.source_ids(), fwd.target_ids()))
             == sorted((t, s) for s, t in zip(rev.source_ids(), rev.target_ids())))
+
+
+@pytest.mark.parametrize("gap,matched", [(7.9, True), (8.1, False)])
+def test_max_displacement_allows_gap_plus_both_radii(gap, matched):
+    """Identical descriptors pair only when the centroid gap is at most
+    max_displacement (5) plus the source radius (1) and target radius (2)."""
+    d = np.array([[0.6, 0.8]] * 3)
+    src = np.array([[-1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    tgt = np.array([[-2.0, 0.0, gap], [0.0, 0.0, gap], [2.0, 0.0, gap]])
+    labels = np.zeros(3, dtype=np.int64)
+    feats = PointFeatureSet(np.arange(3), d)
+    pf = (np.array([0]), d[:1])
+    ms = match_patches_3d(1, pf, pf, feats, feats, labels, labels, src, tgt,
+                          max_displacement=5.0)
+    assert len(ms) == int(matched)
+    unbounded = match_patches_3d(1, pf, pf, feats, feats, labels, labels,
+                                 src, tgt)
+    assert len(unbounded) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -38,3 +38,24 @@ def test_dump_then_load_round_trips(tmp_path):
     path = tmp_path / "cfg.yaml"
     dump_config(path, cfg)
     assert load_config(path) == cfg
+
+
+def test_direct_run_flags_are_taken_verbatim():
+    """Paths and switches given as flags are not parsed as YAML; only --set
+    values are."""
+    from dvfusion.cli import _build_run_config, build_parser
+
+    args = build_parser().parse_args([
+        "run", "--source", "epoch: 1.xyz", "--target", "on",
+        "--cameras", "[cams].csv", "--output-dir", "run #2",
+        "--source-image", "a,b.pgm", "--target-image", "x.pgm",
+        "--target-image", "null", "--use-images", "--set", "min_patch=25"])
+    cfg = _build_run_config(args)
+    assert cfg.source_path == "epoch: 1.xyz"
+    assert cfg.target_path == "on"
+    assert cfg.cameras_path == "[cams].csv"
+    assert cfg.output_dir == "run #2"
+    assert cfg.source_image_paths == ("a,b.pgm",)
+    assert cfg.target_image_paths == ("x.pgm", "null")
+    assert cfg.use_images is True
+    assert cfg.min_patch == 25

@@ -5,18 +5,15 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from dvfusion.errors import EmptyPatchFeature, ImportKeyMismatch, InvalidParams
+from dvfusion.errors import ImportKeyMismatch, InvalidParams
 from dvfusion.features import (
     DESCRIPTOR_DIM,
-    PatchFeature,
     adaptive_downsample,
     aggregate_level_features,
-    aggregate_patch_feature,
     extract_point_features,
     pair_histogram_descriptors,
 )
 from dvfusion.io import PointFeatureSet
-from dvfusion.partition import Patch
 
 
 def bumpy_blob(rng, n=60, scale=1.0):
@@ -145,50 +142,64 @@ def unit(v):
     return v / np.linalg.norm(v)
 
 
-def make_patch(indices, level=1, patch_id=0):
-    pts = np.zeros((np.max(indices) + 1, 3))
-    return Patch(level, patch_id, np.asarray(indices), np.zeros(3))
+def labels_of(*patches, n=None):
+    """Label array in which patch k holds the point indices `patches[k]`."""
+    n = n or max(max(p) for p in patches if len(p)) + 1
+    labels = np.full(n, -1)
+    for k, members in enumerate(patches):
+        labels[list(members)] = k
+    return labels
 
 
 def test_single_point_patch_keeps_descriptor():
     d = unit([1.0, 2.0, 2.0])
     feats = PointFeatureSet([5], d.reshape(1, -1))
-    out = aggregate_patch_feature(make_patch([5]), feats)
-    assert np.allclose(out.vector, d, atol=1e-12)
+    ids, desc = aggregate_level_features(labels_of([5]), feats)
+    assert ids.tolist() == [0]
+    assert np.allclose(desc[0], d, atol=1e-12)
 
 
 def test_identical_descriptors_aggregate_to_same():
     d = unit([0.0, 3.0, 4.0])
     feats = PointFeatureSet([1, 2], np.vstack([d, d]))
-    out = aggregate_patch_feature(make_patch([1, 2]), feats)
-    assert np.allclose(out.vector, d, atol=1e-12)
+    ids, desc = aggregate_level_features(labels_of([1, 2]), feats)
+    assert np.allclose(desc[0], d, atol=1e-12)
 
 
 def test_aggregate_matches_direct_mean_oracle():
     rng = np.random.default_rng(11)
-    d = rng.normal(size=(5, 7))
+    d = rng.normal(size=(9, 7))
     d /= np.linalg.norm(d, axis=1, keepdims=True)
-    feats = PointFeatureSet(np.arange(5), d)
-    out = aggregate_patch_feature(make_patch([0, 1, 2, 3, 4]), feats)
-    expect = d.mean(axis=0)
-    expect /= np.linalg.norm(expect)
-    assert np.abs(out.vector - expect).max() < 1e-9
+    feats = PointFeatureSet(np.arange(9), d)
+    members = ([0, 3, 4, 8], [1, 2, 5], [6, 7])
+    ids, desc = aggregate_level_features(labels_of(*members), feats)
+    assert ids.tolist() == [0, 1, 2]
+    for k, m in enumerate(members):
+        expect = d[m].mean(axis=0)
+        expect /= np.linalg.norm(expect)
+        assert np.abs(desc[k] - expect).max() < 1e-9
 
 
-def test_empty_patch_feature_raises():
+def test_empty_patch_gets_no_feature():
     feats = PointFeatureSet([0, 1], np.eye(2))
-    with pytest.raises(EmptyPatchFeature):
-        aggregate_patch_feature(make_patch([7, 8]), feats)
+    ids, desc = aggregate_level_features(labels_of([7, 8]), feats)
+    assert len(ids) == 0
+    assert desc.shape == (0, 2)
 
 
 def test_aggregate_level_skips_uncovered_patches():
     d = np.eye(3)
     feats = PointFeatureSet([0, 1, 2], d)
-    patches = [make_patch([0, 1], patch_id=0), make_patch([9], patch_id=1)]
-    out = aggregate_level_features(patches, feats)
-    assert [p.patch_id for p in out] == [0]
+    ids, desc = aggregate_level_features(labels_of([9], [0, 1], [2]), feats)
+    assert ids.tolist() == [1, 2]
+    assert len(desc) == 2
 
 
 def test_patch_feature_validates_norm():
-    with pytest.raises(ValueError):
-        PatchFeature(0, 1, [2.0, 0.0])
+    # members of patch 0 cancel to a zero mean: it gets no descriptor, and
+    # every descriptor returned is unit norm
+    d = np.array([[1.0, 0.0], [-1.0, 0.0], [0.6, 0.8]])
+    feats = PointFeatureSet([0, 1, 2], d)
+    ids, desc = aggregate_level_features(labels_of([0, 1], [2]), feats)
+    assert ids.tolist() == [1]
+    assert np.allclose(np.linalg.norm(desc, axis=1), 1.0, atol=1e-12)

@@ -1,5 +1,5 @@
-"""Rigid motion estimation per match, per-patch displacement fields, and
-level integration."""
+"""Rigid motion estimation per match, level displacement fields from
+per-patch fits, and level integration."""
 
 import numpy as np
 import pytest
@@ -10,14 +10,8 @@ from scipy.spatial.transform import Rotation
 from dvfusion.coarse import PatchMatch
 from dvfusion.dvf import MODALITY_2D, MODALITY_3D, DisplacementVectorField
 from dvfusion.errors import DegenerateSupport
-from dvfusion.fine import (
-    assemble_level_field,
-    estimate_patch_transform,
-    integrate_levels,
-    patch_dvf,
-)
+from dvfusion.fine import estimate_patch_transform, integrate_levels, level_field
 from dvfusion.geometry import PointCorrespondenceSet, RigidTransform
-from dvfusion.partition import Patch
 
 
 def random_rigid(rng):
@@ -74,41 +68,44 @@ def test_icp_never_worse_than_closed_form():
     # of the returned transform vs the fixed-pairing residual of the
     # closed-form fit (which upper-bounds the former at the start)
     rng = np.random.default_rng(2)
-    from dvfusion.geometry import NNIndex, alignment_rmse, kabsch
+    from scipy.spatial import cKDTree
+
+    from dvfusion.geometry import alignment_rmse, kabsch
     for _ in range(10):
         p = rng.uniform(-5, 5, (25, 3))
         q = random_rigid(rng).apply(p) + rng.normal(0, 0.3, p.shape)
         m = support_match(p, q)
         t = estimate_patch_transform(m, gate=np.inf)
-        _, dist = NNIndex(q).query_nearest(t.apply(p))
+        dist, _ = cKDTree(q).query(t.apply(p), k=1)
         assert (float(np.sqrt((dist ** 2).mean()))
                 <= alignment_rmse(kabsch(m.support), p, q) + 1e-12)
 
 
 # ---------------------------------------------------------------------------
-# Patch displacement fields
+# Level fields from per-patch fits
 
 
-def patch_of(ids, level=1, pid=0):
-    return Patch(level, pid, np.asarray(ids), np.zeros(3))
+def one_patch_field(ids, t, pts, modality=MODALITY_3D, level=1, pid=0):
+    """Field of a level whose only fitted patch `pid` has members `ids`."""
+    patches = [np.zeros(0, dtype=np.int64)] * pid + [np.asarray(ids)]
+    return level_field(level, patches, [(pid, t, modality)], pts)
 
 
 def test_identity_transform_zero_vectors():
     rng = np.random.default_rng(3)
     pts = rng.uniform(0, 5, (30, 3))
-    d = patch_dvf(patch_of(np.arange(10)), RigidTransform.identity(), pts,
-                  MODALITY_3D)
-    assert np.all(d.vectors == 0.0)
-    assert d.point_ids.tolist() == list(range(10))
+    f = one_patch_field(np.arange(10), RigidTransform.identity(), pts)
+    assert np.all(f.vectors == 0.0)
+    assert f.point_ids.tolist() == list(range(10))
 
 
 def test_translation_gives_constant_vectors():
     rng = np.random.default_rng(4)
     pts = rng.uniform(0, 5, (20, 3))
     t = RigidTransform(np.eye(3), np.array([1.0, -2.0, 0.5]))
-    d = patch_dvf(patch_of(np.arange(20)), t, pts, MODALITY_2D)
-    assert np.allclose(d.vectors, [1.0, -2.0, 0.5], atol=1e-12)
-    assert d.modality == MODALITY_2D
+    f = one_patch_field(np.arange(20), t, pts, MODALITY_2D)
+    assert np.allclose(f.vectors, [1.0, -2.0, 0.5], atol=1e-12)
+    assert f.modalities.tolist() == [MODALITY_2D] * 20
 
 
 def test_rotation_about_centroid_closed_form():
@@ -119,20 +116,27 @@ def test_rotation_about_centroid_closed_form():
     theta = np.deg2rad(30.0)
     rot = Rotation.from_rotvec([0, 0, theta]).as_matrix()
     t = RigidTransform(rot, c - rot @ c)       # rotate about the centroid
-    d = patch_dvf(patch_of(ids), t, pts, MODALITY_3D)
+    f = one_patch_field(ids, t, pts)
     # |v| = 2 sin(theta/2) * distance from the rotation axis through c
     radial = np.linalg.norm((pts - c)[:, :2], axis=1)
     expect = 2.0 * np.sin(theta / 2.0) * radial
-    assert np.allclose(np.linalg.norm(d.vectors, axis=1), expect, atol=1e-9)
+    assert np.allclose(np.linalg.norm(f.vectors, axis=1), expect, atol=1e-9)
 
 
 def test_vectors_recomputable_from_transform():
     rng = np.random.default_rng(6)
     pts = rng.uniform(0, 10, (40, 3))
     t = random_rigid(rng)
-    d = patch_dvf(patch_of(np.arange(15, 35)), t, pts, MODALITY_3D)
-    pa = pts[d.point_ids]
-    assert np.abs(d.vectors - (t.apply(pa) - pa)).max() < 1e-12
+    f = one_patch_field(np.arange(15, 35), t, pts, level=2, pid=3)
+    pa = pts[f.point_ids]
+    assert np.abs(f.vectors - (t.apply(pa) - pa)).max() < 1e-12
+    assert np.array_equal(f.positions, pa)
+    assert f.levels.tolist() == [2] * 20
+    assert f.patch_ids.tolist() == [3] * 20
+
+
+def test_level_field_without_fits_is_empty():
+    assert len(level_field(1, [np.arange(5)], [], np.zeros((5, 3)))) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -192,14 +196,18 @@ def test_assemble_level_field_roundtrip():
     rng = np.random.default_rng(8)
     pts = rng.uniform(0, 10, (40, 3))
     t = random_rigid(rng)
-    d1 = patch_dvf(patch_of(np.arange(0, 20), pid=0), t, pts, MODALITY_3D)
-    d2 = patch_dvf(patch_of(np.arange(20, 40), pid=1),
-                   RigidTransform.identity(), pts, MODALITY_2D)
-    f = assemble_level_field([d1, d2], pts)
-    assert len(f) == 40
-    assert np.array_equal(f.point_ids, np.arange(40))
-    assert set(f.patch_ids.tolist()) == {0, 1}
+    # patch 1 interleaves with patch 0 and patch 2 has no fit
+    labels = np.where(np.arange(40) % 4 == 1, 1, 0)
+    labels[30:] = 2
+    patches = [np.flatnonzero(labels == k) for k in range(3)]
+    f = level_field(1, patches, [(1, RigidTransform.identity(), MODALITY_2D),
+                                 (0, t, MODALITY_3D)], pts)
+    assert len(f) == 30
+    assert np.array_equal(f.point_ids, np.arange(30))
+    assert np.array_equal(f.patch_ids, labels[:30])
     # stored vectors recompute from the patch transforms
-    assert np.abs(f.vectors[:20] - (t.apply(pts[:20]) - pts[:20])).max() < 1e-12
-    assert np.all(f.vectors[20:] == 0.0)
-    assert f.modalities.tolist() == [MODALITY_3D] * 20 + [MODALITY_2D] * 20
+    in0 = labels[:30] == 0
+    p0 = pts[:30][in0]
+    assert np.abs(f.vectors[in0] - (t.apply(p0) - p0)).max() < 1e-12
+    assert np.all(f.vectors[~in0] == 0.0)
+    assert np.array_equal(f.modalities, np.where(in0, MODALITY_3D, MODALITY_2D))

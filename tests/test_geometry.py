@@ -1,5 +1,5 @@
-"""Tests for the geometry core: Kabsch, ICP, exact NN search, covariance
-features and scan resolution. Derived expectations are checked against
+"""Tests for the geometry core: Kabsch, ICP, covariance features and scan
+resolution. Derived expectations are checked against
 independent brute-force oracles, never against the implementation itself."""
 
 import numpy as np
@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.transform import Rotation
 
-from dvfusion.errors import DegenerateInput, EmptyIndex
+from dvfusion.errors import DegenerateInput
 from dvfusion.geometry import (
     IcpResult,
-    NNIndex,
     PointCorrespondenceSet,
     RigidTransform,
     alignment_rmse,
@@ -223,6 +222,19 @@ def test_icp_one_step_matches_brute_force_on_disjoint_clusters():
     assert abs(res.rmse - rmse) < 1e-12
 
 
+def test_icp_step_is_kabsch_on_its_associations():
+    """One ICP iteration re-estimates with the same solve as `kabsch`, so on
+    pairs it associates one to one it returns kabsch's bits exactly."""
+    rng = np.random.default_rng(24)
+    src = jittered_grid(rng)
+    tgt = RigidTransform(rot_z(0.5), np.array([0.03, -0.02, 0.01])).apply(src)
+    res = icp_point_to_point(src, tgt, RigidTransform.identity(), max_iter=1,
+                             max_pair_dist=np.inf)
+    t = kabsch(corrs_from(src, tgt))
+    assert np.array_equal(res.transform.rotation, t.rotation)
+    assert np.array_equal(res.transform.translation, t.translation)
+
+
 @settings(deadline=None, max_examples=15)
 @given(st.integers(0, 10**6))
 def test_icp_rmse_non_increasing(seed):
@@ -246,71 +258,6 @@ def test_icp_gate_starving_associations_raises():
     tgt = src + 1000.0
     with pytest.raises(DegenerateInput):
         icp_point_to_point(src, tgt, max_pair_dist=1.0)
-
-
-# ---------------------------------------------------------------------------
-# NN index
-
-
-def linear_scan_knn(pts, q, k):
-    d = np.linalg.norm(pts - np.asarray(q, dtype=float), axis=1)
-    order = np.lexsort((np.arange(len(pts)), d))[:k]
-    return order, d[order]
-
-
-def test_nn_basic_two_points():
-    idx = NNIndex([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    i, d = idx.query([0.1, 0.0, 0.0], k=1)
-    assert i[0] == 0
-    assert abs(d[0] - 0.1) < 1e-12
-
-
-def test_nn_full_k_returns_all_sorted():
-    rng = np.random.default_rng(31)
-    pts = rng.uniform(0, 1, (20, 3))
-    idx = NNIndex(pts)
-    i, d = idx.query([0.5, 0.5, 0.5], k=20)
-    assert sorted(i.tolist()) == list(range(20))
-    assert np.all(np.diff(d) >= 0)
-
-
-def test_nn_matches_linear_scan_bulk():
-    rng = np.random.default_rng(32)
-    pts = rng.uniform(-10, 10, (1000, 3))
-    idx = NNIndex(pts)
-    queries = rng.uniform(-10, 10, (100, 3))
-    for q in queries:
-        for k in (1, 5, 17):
-            gi, gd = linear_scan_knn(pts, q, k)
-            i, d = idx.query(q, k)
-            assert np.array_equal(i, gi)
-            assert np.array_equal(d, gd)
-
-
-@settings(deadline=None, max_examples=40)
-@given(st.integers(0, 10**6))
-def test_nn_tie_break_property(seed):
-    """Ties (duplicated points, lattice symmetry) must resolve to ascending
-    index, exactly as the linear scan does."""
-    rng = np.random.default_rng(seed)
-    base = rng.integers(0, 4, (30, 3)).astype(float)  # heavy ties on purpose
-    idx = NNIndex(base)
-    q = rng.integers(0, 4, 3).astype(float)
-    k = int(rng.integers(1, len(base) + 1))
-    gi, gd = linear_scan_knn(base, q, k)
-    i, d = idx.query(q, k)
-    assert np.array_equal(i, gi)
-    assert np.array_equal(d, gd)
-
-
-def test_nn_empty_and_bad_k():
-    with pytest.raises(EmptyIndex):
-        NNIndex(np.zeros((0, 3)))
-    idx = NNIndex(np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        idx.query([0.0, 0.0, 0.0], k=4)
-    with pytest.raises(ValueError):
-        idx.query([0.0, 0.0, 0.0], k=0)
 
 
 # ---------------------------------------------------------------------------

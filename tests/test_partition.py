@@ -16,6 +16,7 @@ from dvfusion.partition import (
     filter_small_patches,
     hierarchical_partition,
     partition_energy,
+    patch_members,
     standardize_features,
 )
 
@@ -263,14 +264,26 @@ def test_levels_disjoint_and_labels_consistent():
     for level in (1, 2, 3):
         lab = part.labels(level)
         seen = np.zeros(len(pts), dtype=int)
-        for patch in part.patches(level):
-            assert patch.level == level
-            seen[patch.point_indices] += 1
-            assert np.all(lab[patch.point_indices] == patch.patch_id)
-            assert np.allclose(patch.centroid, pts[patch.point_indices].mean(axis=0))
-            assert len(patch) >= 10
+        patches = part.patches(level)
+        first = []
+        for pid, members in enumerate(patches):
+            seen[members] += 1
+            assert np.all(lab[members] == pid)
+            assert np.all(np.diff(members) > 0)
+            assert len(members) >= 10
+            first.append(members[0])
         assert seen.max() <= 1
         assert np.all((lab >= 0) == (seen == 1))
+        # ids run 0..K-1 in order of each patch's lowest point index
+        assert len(patches) == lab.max() + 1
+        assert np.all(np.diff(first) > 0)
+
+
+def test_patch_members_groups_ascending_by_id():
+    labels = np.array([2, -1, 0, 2, 0, -1, 2, 4])
+    got = [m.tolist() for m in patch_members(labels)]
+    assert got == [[2, 4], [], [0, 3, 6], [], [7]]
+    assert patch_members(np.full(3, -1)) == []
 
 
 def test_filter_small_patches_thresholds():
