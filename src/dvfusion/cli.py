@@ -125,16 +125,13 @@ def _cmd_run(args) -> int:
     cfg.validate()
     if not cfg.source_path or not cfg.target_path:
         raise ConfigError("run needs source_path and target_path")
-    source = load_point_cloud(cfg.source_path, epoch_label="epoch0")
-    target = load_point_cloud(cfg.target_path, epoch_label="epoch1")
+    source = load_point_cloud(cfg.source_path)
+    target = load_point_cloud(cfg.target_path)
     cameras = load_cameras(cfg.cameras_path) if cfg.cameras_path else []
     src_imgs = [load_raster(p) for p in cfg.source_image_paths]
     tgt_imgs = [load_raster(p) for p in cfg.target_image_paths]
     imported = None
-    if cfg.feature_provider == "import":
-        if not cfg.source_features_path or not cfg.target_features_path:
-            raise ConfigError("feature_provider 'import' needs "
-                              "source_features_path and target_features_path")
+    if cfg.source_features_path:     # validate() ensures both or neither
         imported = (load_point_features(cfg.source_features_path),
                     load_point_features(cfg.target_features_path))
 

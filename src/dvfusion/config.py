@@ -2,7 +2,11 @@
 ``key=value`` command-line overrides.
 
 Every tunable of the five processing stages lives here exactly once, so a
-config file fully determines a run.
+config file fully determines a run. What the inputs decide is no key:
+descriptors are imported when both feature files are given (the two paths
+go together) and builtin otherwise, and a target tile's margin is
+`max_displacement`. Values are checked, not cast; a ``--set`` value of a
+string key (a path) is taken verbatim.
 """
 
 from dataclasses import asdict, dataclass, fields, replace
@@ -26,7 +30,6 @@ class PipelineConfig:
 
     # --- tiling -------------------------------------------------------------
     max_points: int = 1_000_000        # source points per tile, upper bound
-    overlap_margin: float = 10.0       # metres of target dilation per tile
 
     # --- hierarchical partitioning -------------------------------------------
     lambda_factors: tuple = (0.1, 0.5, 2.0)   # x mean feature variance
@@ -34,7 +37,6 @@ class PipelineConfig:
     k_adj: int = 10                    # adjacency graph neighbours
 
     # --- coarse matching ----------------------------------------------------
-    feature_provider: str = "builtin"  # "builtin" | "import"
     voxel_factor: float = 2.0          # downsample voxel, x scan resolution
     use_images: bool = False           # enable the image channel
     top_k_images: int = 1
@@ -43,7 +45,7 @@ class PipelineConfig:
     ncc_search_window: int = 64
     min_conf: float = 0.5
     lift_radius_px: float = 2.0
-    max_displacement: float = 10.0     # metres, plausibility gate
+    max_displacement: float = 10.0     # metres, plausibility gate and tile margin
     min_support: int = 3               # support pairs needed to keep a match
 
     # --- refinement ---------------------------------------------------------
@@ -65,18 +67,15 @@ class PipelineConfig:
     def validate(self) -> None:
         if self.max_points < 1000:
             raise ConfigError(f"max_points must be >= 1000, got {self.max_points}")
-        if self.overlap_margin < 0:
-            raise ConfigError("overlap_margin must be >= 0")
         lf = tuple(self.lambda_factors)
         if len(lf) != 3 or not (0 < lf[0] < lf[1] < lf[2]):
             raise ConfigError(
                 f"lambda_factors must be 3 increasing positive values, got {lf}")
         if self.min_patch < 1:
             raise ConfigError("min_patch must be >= 1")
-        if self.feature_provider not in ("builtin", "import"):
-            raise ConfigError(
-                f"feature_provider must be builtin or import, got "
-                f"{self.feature_provider!r}")
+        if bool(self.source_features_path) != bool(self.target_features_path):
+            raise ConfigError("source_features_path and target_features_path "
+                              "must be given together")
         if not 0.0 <= self.min_conf <= 1.0:
             raise ConfigError("min_conf must lie in [0, 1]")
         if self.delta1 <= 0:
@@ -101,7 +100,7 @@ _FIELDS = {f.name: f for f in fields(PipelineConfig)}
 
 
 def _coerce(name: str, value):
-    """Cast a parsed YAML value to the declared field type."""
+    """Check a parsed YAML value against the declared field type."""
     default = _FIELDS[name].default
     if isinstance(default, bool):
         if isinstance(value, bool):
@@ -113,21 +112,26 @@ def _coerce(name: str, value):
             if low in ("false", "no", "0", "off"):
                 return False
         raise ConfigError(f"{name}: expected a boolean, got {value!r}")
-    if isinstance(default, int) and not isinstance(default, bool):
-        try:
+    if isinstance(default, int):
+        if isinstance(value, float) and value.is_integer():
             return int(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{name}: expected an integer, got {value!r}")
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        raise ConfigError(f"{name}: expected an integer, got {value!r}")
     if isinstance(default, float):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{name}: expected a number, got {value!r}")
-    if isinstance(default, tuple) or _FIELDS[name].type == "tuple":
+        if not isinstance(value, bool):
+            try:
+                return float(value)
+            except (TypeError, ValueError):
+                pass
+        raise ConfigError(f"{name}: expected a number, got {value!r}")
+    if isinstance(default, tuple):
         if isinstance(value, (list, tuple)):
             return tuple(value)
         raise ConfigError(f"{name}: expected a list, got {value!r}")
-    return str(value)
+    if isinstance(value, str):
+        return value
+    raise ConfigError(f"{name}: expected a string, got {value!r}")
 
 
 def config_from_mapping(mapping: dict) -> PipelineConfig:
@@ -151,7 +155,8 @@ def load_config(path) -> PipelineConfig:
 
 
 def apply_overrides(cfg: PipelineConfig, pairs) -> PipelineConfig:
-    """Apply ``key=value`` strings (e.g. from ``--set``) on top of a config."""
+    """Apply ``key=value`` strings (e.g. from ``--set``) on top of a config;
+    values are parsed as YAML, those of string keys taken verbatim."""
     updates = {}
     for pair in pairs:
         key, sep, raw = pair.partition("=")
@@ -161,7 +166,8 @@ def apply_overrides(cfg: PipelineConfig, pairs) -> PipelineConfig:
         if key not in _FIELDS:
             raise ConfigError(f"unknown config key: {key}")
         try:
-            value = yaml.safe_load(raw)
+            value = (raw if isinstance(_FIELDS[key].default, str)
+                     else yaml.safe_load(raw))
         except yaml.YAMLError:
             value = raw
         updates[key] = _coerce(key, value)

@@ -119,32 +119,26 @@ def compare_nn(dvf: DisplacementVectorField, observations,
 
 
 def compare_mean_radius(dvf: DisplacementVectorField, observations,
-                        radius: float = DEFAULT_COMPARE_RADIUS,
-                        radius_overrides: dict | None = None) -> EvaluationReport:
+                        radius: float = DEFAULT_COMPARE_RADIUS) -> EvaluationReport:
     """Compare each observation against the mean estimate within a radius.
 
     `member_mad` holds the mean absolute deviation of member components (and
-    magnitudes, fourth column) about the neighbourhood mean. A per-id entry
-    in `radius_overrides` replaces the default radius for that observation.
+    magnitudes, fourth column) about the neighbourhood mean.
 
     Raises:
-        EmptyNeighborhood: no estimate within the effective radius.
+        EmptyNeighborhood: no estimate within the radius.
     """
     if radius <= 0:
         raise InvalidParams(f"radius must be positive, got {radius}")
-    overrides = radius_overrides or {}
     if len(dvf) == 0:
         raise EmptyNeighborhood("displacement field is empty")
     tree = cKDTree(dvf.positions)
     report = EvaluationReport()
     for obs in observations:
-        r = float(overrides.get(obs.id, radius))
-        if r <= 0:
-            raise InvalidParams(f"radius override for {obs.id} must be positive")
-        members = tree.query_ball_point(obs.position, r)
+        members = tree.query_ball_point(obs.position, radius)
         if not members:
             raise EmptyNeighborhood(
-                f"observation {obs.id}: no estimate within {r:.3f} m")
+                f"observation {obs.id}: no estimate within {radius:.3f} m")
         vecs = dvf.vectors[np.asarray(members, dtype=np.int64)]
         est = vecs.mean(axis=0)
         comp_mad = np.abs(vecs - est).mean(axis=0)

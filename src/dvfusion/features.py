@@ -1,6 +1,6 @@
 """Point descriptors for coarse 3D matching: adaptive voxel downsampling, a
-33-bin rotation-robust pair-angle histogram descriptor (builtin provider),
-import of precomputed descriptors, and patch-level aggregation.
+33-bin rotation-robust pair-angle histogram descriptor (the builtin one),
+lookup of imported descriptors, and patch-level aggregation.
 
 Descriptor design: classic fast point-feature histograms. Per point, the
 three Darboux-frame angles of every neighbor pair are binned (11 bins each,
@@ -171,42 +171,38 @@ def pair_histogram_descriptors(points, radius: float,
     return desc / np.linalg.norm(desc, axis=1)[:, None]
 
 
-def extract_point_features(points, sample_indices=None, provider: str = "builtin",
+def extract_point_features(points, sample_indices=None,
                            radius: float | None = None,
-                           resolution: float | None = None,
-                           imported: PointFeatureSet | None = None) -> PointFeatureSet:
-    """Descriptors for the downsampled points of a tile.
-
-    builtin: pair-angle histograms over radius 5x the tile's mean scan
-    resolution, with the full tile as neighborhood context.
-    import: rows of a precomputed set selected by point index; every sampled
-    index must be covered or ImportKeyMismatch is raised.
-    """
+                           resolution: float | None = None) -> PointFeatureSet:
+    """Builtin descriptors for the downsampled points of a tile: pair-angle
+    histograms over radius 5x the tile's mean scan resolution, with the full
+    tile as neighborhood context."""
     pts = as_points(points)
     if sample_indices is None:
         sample_indices = adaptive_downsample(pts, resolution=resolution)
     sample_indices = np.asarray(sample_indices, dtype=np.int64)
-
-    if provider == "import":
-        if imported is None:
-            raise InvalidParams("provider 'import' requires a loaded feature set")
-        lookup = {int(k): i for i, k in enumerate(imported.point_indices)}
-        missing = [int(k) for k in sample_indices if int(k) not in lookup]
-        if missing:
-            raise ImportKeyMismatch(
-                f"imported features miss {len(missing)} sampled indices "
-                f"(first missing: {missing[0]})")
-        rows = np.array([lookup[int(k)] for k in sample_indices], dtype=np.int64)
-        return PointFeatureSet(sample_indices, imported.descriptors[rows], "import")
-    if provider != "builtin":
-        raise InvalidParams(f"unknown feature provider {provider!r}")
-
     if radius is None:
         if resolution is None:
             resolution = mean_scan_resolution(pts) if len(pts) >= 2 else 1.0
         radius = DEFAULT_RADIUS_FACTOR * resolution
     desc = pair_histogram_descriptors(pts, radius, query_indices=sample_indices)
-    return PointFeatureSet(sample_indices, desc, "builtin")
+    return PointFeatureSet(sample_indices, desc)
+
+
+def lookup_descriptors(imported: PointFeatureSet, point_ids) -> np.ndarray:
+    """Rows of an imported feature set for the given point ids, in order.
+
+    Raises:
+        ImportKeyMismatch: some id has no imported descriptor.
+    """
+    lookup = {int(k): i for i, k in enumerate(imported.point_indices)}
+    missing = [int(k) for k in point_ids if int(k) not in lookup]
+    if missing:
+        raise ImportKeyMismatch(
+            f"imported features miss {len(missing)} sampled indices "
+            f"(first missing: {missing[0]})")
+    rows = np.array([lookup[int(k)] for k in point_ids], dtype=np.int64)
+    return imported.descriptors[rows]
 
 
 # ---------------------------------------------------------------------------

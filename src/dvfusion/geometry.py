@@ -235,21 +235,17 @@ class LocalGeomFeatures:
     valid: np.ndarray
 
 
-def _orient_normals(normals: np.ndarray, points: np.ndarray, viewpoint) -> np.ndarray:
-    # Canonical sign first (largest-magnitude component positive) so the
-    # orientation is deterministic even without a viewpoint.
+def _orient_normals(normals: np.ndarray) -> np.ndarray:
+    # Canonical sign (largest-magnitude component positive), so the
+    # orientation is deterministic.
     comp = normals[np.arange(len(normals)), np.abs(normals).argmax(axis=1)]
     flip = comp < 0
     normals[flip] = -normals[flip]
-    if viewpoint is not None:
-        vp = np.asarray(viewpoint, dtype=np.float64).reshape(3)
-        away = np.einsum("ij,ij->i", normals, vp - points) < 0
-        normals[away] = -normals[away]
     return normals
 
 
-def local_covariance_features(points, k: int | None = None, radius: float | None = None,
-                              viewpoint=None) -> LocalGeomFeatures:
+def local_covariance_features(points, k: int | None = None,
+                              radius: float | None = None) -> LocalGeomFeatures:
     """Eigenvalue features and normals from k-NN or radius neighbourhoods.
 
     Exactly one of `k` / `radius` may be given; the default is k=16. Points
@@ -310,7 +306,7 @@ def local_covariance_features(points, k: int | None = None, radius: float | None
     np.clip(planarity, 0.0, 1.0, out=planarity)
     np.clip(curvature, 0.0, 1.0, out=curvature)
 
-    normals[ok] = _orient_normals(normals[ok], pts[ok], viewpoint)
+    normals[ok] = _orient_normals(normals[ok])
     normals[~ok] = 0.0
     return LocalGeomFeatures(linearity, planarity, curvature, normals, ok)
 

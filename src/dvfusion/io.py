@@ -38,7 +38,6 @@ class PointCloud:
 
     points: np.ndarray
     color: np.ndarray | None = None
-    epoch_label: str = ""
 
     def __post_init__(self):
         self.points = as_points(self.points)
@@ -143,7 +142,6 @@ class PointFeatureSet:
 
     point_indices: np.ndarray
     descriptors: np.ndarray
-    provider_id: str = "builtin"
 
     def __post_init__(self):
         self.point_indices = np.asarray(self.point_indices, dtype=np.int64).reshape(-1)
@@ -163,7 +161,7 @@ class PointFeatureSet:
 # Point clouds
 
 
-def load_point_cloud(path, epoch_label: str = "") -> PointCloud:
+def load_point_cloud(path) -> PointCloud:
     path = Path(path)
     suffix = path.suffix.lower()
     if suffix == ".ply":
@@ -172,7 +170,7 @@ def load_point_cloud(path, epoch_label: str = "") -> PointCloud:
         pts, color = _load_xyz(path)
     else:
         raise UnsupportedFormat(f"unknown point-cloud extension {suffix!r} ({path})")
-    return PointCloud(pts, color, epoch_label=epoch_label or path.stem)
+    return PointCloud(pts, color)
 
 
 def write_point_cloud(path, cloud: PointCloud) -> None:
@@ -476,7 +474,7 @@ def load_point_features(path) -> PointFeatureSet:
         raise ParseError(str(path), bad + 2, "zero-norm descriptor cannot be normalized")
     if len(desc):
         desc /= norms[:, None]
-    return PointFeatureSet(np.asarray(indices, dtype=np.int64), desc, provider_id="import")
+    return PointFeatureSet(np.asarray(indices, dtype=np.int64), desc)
 
 
 def write_point_features(path, feats: PointFeatureSet) -> None:

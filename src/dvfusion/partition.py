@@ -503,7 +503,6 @@ class HierarchicalPartition:
     """
 
     level_labels: list        # list of 3 int arrays, -1 = unassigned
-    regularization: tuple
 
     def patches(self, level: int) -> list:
         """Member indices of each patch of `level`, see `patch_members`."""
@@ -579,16 +578,15 @@ def _contract_graph(f, edges, weights, labels, sizes=None):
     return means, counts, sup_edges, w
 
 
-def hierarchical_partition(points, feats=None, color=None, lambdas=None,
-                           lambda_factors=None,
+def hierarchical_partition(points, feats=None, color=None,
+                           lambda_factors=DEFAULT_LAMBDA_FACTORS,
                            min_patch: int = DEFAULT_MIN_PATCH,
-                           k_adj: int = DEFAULT_K_ADJ,
-                           graph: AdjacencyGraph | None = None) -> HierarchicalPartition:
+                           k_adj: int = DEFAULT_K_ADJ) -> HierarchicalPartition:
     """Build the three-level patch hierarchy of a tile.
 
-    Features are standardized per tile; when `lambdas` is omitted the three
-    strengths are `lambda_factors` (default (0.1, 0.5, 2.0)) x the mean
-    channel variance of the standardized features. Level 1 solves on the
+    Features are standardized per tile; the three strengths are
+    `lambda_factors` x the mean channel variance of the standardized
+    features (1 when every channel is live). Level 1 solves on the
     full graph; levels 2 and 3 re-solve on the previous level's
     region-contracted graph (same energy, far fewer vertices), so the
     hierarchy is nested coarse-over-fine by construction.
@@ -597,14 +595,11 @@ def hierarchical_partition(points, feats=None, color=None, lambdas=None,
     if feats is None:
         feats = partition_features(pts, color=color)
     f = standardize_features(feats)
-    if graph is None:
-        graph = build_adjacency_graph(pts, k_adj=k_adj)
-    if lambdas is None:
-        base = float(f.var(axis=0).mean())
-        if base <= 0:
-            base = 1.0
-        factors = DEFAULT_LAMBDA_FACTORS if lambda_factors is None else lambda_factors
-        lambdas = tuple(c * base for c in factors)
+    graph = build_adjacency_graph(pts, k_adj=k_adj)
+    base = float(f.var(axis=0).mean())
+    if base <= 0:
+        base = 1.0
+    lambdas = tuple(c * base for c in lambda_factors)
     lam1, lam2, lam3 = lambdas
     if not lam1 < lam2 < lam3:
         raise InvalidParams(f"regularization strengths must increase, got {lambdas}")
@@ -626,5 +621,5 @@ def hierarchical_partition(points, feats=None, color=None, lambdas=None,
         full = np.full(len(filtered), -1, dtype=np.int64)
         full[keep] = _canonical_labels(filtered[keep])
         level_labels.append(full)
-    return HierarchicalPartition(level_labels, tuple(lambdas))
+    return HierarchicalPartition(level_labels)
 

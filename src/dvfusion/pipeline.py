@@ -10,8 +10,11 @@ whole-image pixel matches, computed once per image pair and run.
 from __future__ import annotations
 
 import hashlib
+import os
+import tempfile
 import threading
 import time
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
@@ -43,13 +46,14 @@ from .features import (
     adaptive_downsample,
     aggregate_level_features,
     extract_point_features,
+    lookup_descriptors,
 )
 from .fine import estimate_patch_transform, integrate_levels, level_field
 from .geometry import PointCorrespondenceSet, as_points, mean_scan_resolution
 from .io import PointFeatureSet
 from .imaging import match_pixels, project_to_image, select_top_k_images
 from .partition import hierarchical_partition
-from .refinement import RefinementCriteria, refine
+from .refinement import refine
 from .tiling import tile_pair
 
 LEVELS = (1, 2, 3)
@@ -121,13 +125,15 @@ _RESUMABLE_FIELDS = frozenset({
 
 
 def _coarse_key(cfg: PipelineConfig, resolution: float, sub_src, sub_tgt,
-                cameras, src_rasters: dict, tgt_rasters: dict, imported) -> str:
+                part_src, part_tgt, cameras, src_rasters: dict,
+                tgt_rasters: dict, imported) -> str:
     """SHA-256 of everything the coarse matches of one tile depend on: both
-    tiles' points, the coarse-stage settings, the cameras and images when
-    the image channel is on, and imported descriptors."""
+    tiles' points and level labels (whose patch ids the matches name), the
+    coarse-stage settings, the cameras and images when the image channel is
+    on, and imported descriptors."""
     keyed = {k: v for k, v in asdict(cfg).items() if k not in _RESUMABLE_FIELDS}
     h = hashlib.sha256(repr((sorted(keyed.items()), resolution)).encode())
-    arrays = [sub_src, sub_tgt]
+    arrays = [sub_src, sub_tgt, *part_src.level_labels, *part_tgt.level_labels]
     if cfg.use_images:
         for cam in sorted(cameras, key=lambda c: c.image_id):
             h.update(repr((cam.image_id, cam.width, cam.height, cam.fx, cam.fy,
@@ -136,7 +142,7 @@ def _coarse_key(cfg: PipelineConfig, resolution: float, sub_src, sub_tgt,
         for rasters in (src_rasters, tgt_rasters):
             h.update(repr(sorted(rasters)).encode())
             arrays += [rasters[image_id].data for image_id in sorted(rasters)]
-    if cfg.feature_provider == "import":
+    if imported is not None:
         arrays += [a for feats in imported for a in (feats.point_indices,
                                                      feats.descriptors)]
     for a in arrays:
@@ -169,15 +175,29 @@ def save_coarse_checkpoint(path, match_sets: list, key: str) -> None:
         else:
             arrays[f"l{l}_si"] = np.zeros(0, dtype=np.int64)
             arrays[f"l{l}_ti"] = np.zeros(0, dtype=np.int64)
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    np.savez(path, **arrays)
+    # Written whole or not at all: a run cut short mid-write leaves only a
+    # stray temporary file, never a partial checkpoint.
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:      # a path would get ".npz" appended
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    finally:
+        Path(tmp).unlink(missing_ok=True)
 
 
 def load_coarse_checkpoint(path, src_points, tgt_points, key: str):
     """Rebuild per-level MatchSets from a checkpoint, or return None when it
-    was written under another key (other inputs or settings)."""
-    data = np.load(path)
-    if "key" not in data.files or str(data["key"]) != key:
+    is missing, unreadable, or was written under another key (other inputs
+    or settings)."""
+    try:
+        with np.load(path) as npz:
+            data = {name: npz[name] for name in npz.files}
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile):
+        return None
+    if "key" not in data or str(data["key"]) != key:
         return None
     out = []
     for l in LEVELS:
@@ -200,19 +220,18 @@ def load_coarse_checkpoint(path, src_points, tgt_points, key: str):
 
 def _tile_features(sub_pts, global_ids, cfg: PipelineConfig,
                    resolution: float, imported) -> PointFeatureSet:
-    """Descriptors for the downsampled points of one tile.
+    """Descriptors for the downsampled points of one tile: imported ones
+    when a feature set is given, the builtin ones otherwise.
 
     Imported feature files are keyed by point ids of the *full* cloud, so the
     tile-local sample is translated to global ids for the lookup and the
-    result re-keyed locally.
+    result keyed locally.
     """
     sample = adaptive_downsample(sub_pts, voxel_factor=cfg.voxel_factor,
                                  resolution=resolution)
-    if cfg.feature_provider == "import":
-        looked_up = extract_point_features(
-            sub_pts, sample_indices=global_ids[sample],
-            provider="import", imported=imported)
-        return PointFeatureSet(sample, looked_up.descriptors, "import")
+    if imported is not None:
+        return PointFeatureSet(sample,
+                               lookup_descriptors(imported, global_ids[sample]))
     return extract_point_features(sub_pts, sample_indices=sample,
                                   resolution=resolution)
 
@@ -299,10 +318,9 @@ def _process_tile(pair, source_points, target_points, cfg: PipelineConfig,
     checkpoint, key, merged_sets = None, "", None
     if cfg.checkpoint_dir:
         checkpoint = _checkpoint_path(cfg.checkpoint_dir, pid)
-        key = _coarse_key(cfg, resolution, sub_src, sub_tgt, cameras,
-                          src_rasters, tgt_rasters, imported_features)
-        if checkpoint.exists():
-            merged_sets = load_coarse_checkpoint(checkpoint, sub_src, sub_tgt, key)
+        key = _coarse_key(cfg, resolution, sub_src, sub_tgt, part_src, part_tgt,
+                          cameras, src_rasters, tgt_rasters, imported_features)
+        merged_sets = load_coarse_checkpoint(checkpoint, sub_src, sub_tgt, key)
     if merged_sets is not None:
         t0 = _tick(timings, "coarse", t0)
     else:
@@ -337,11 +355,10 @@ def _process_tile(pair, source_points, target_points, cfg: PipelineConfig,
             save_coarse_checkpoint(checkpoint, merged_sets, key)
         t0 = _tick(timings, "coarse", t0)
 
-    crit = RefinementCriteria(cfg.delta1, cfg.delta2)
     kept_sets, reports = [], []
     try:
         for ms in merged_sets:
-            kept, reps = refine(ms, crit)
+            kept, reps = refine(ms, cfg.delta1, cfg.delta2)
             kept_sets.append(kept)
             reports.extend(reps)
     except DvfError as exc:
@@ -389,8 +406,8 @@ def run_pipeline(source_points, target_points, cfg: PipelineConfig,
 
     `source_images`/`target_images` are Rasters whose image ids match the
     camera models; they are only consulted when `cfg.use_images` is set.
-    `imported_features` is a (source, target) pair of PointFeatureSets for
-    the import provider.
+    `imported_features`, a (source, target) pair of PointFeatureSets keyed
+    by point id, replaces the builtin descriptors when given.
     """
     cfg.validate()
     clouds = {"source": source_points, "target": target_points}
@@ -403,10 +420,8 @@ def run_pipeline(source_points, target_points, cfg: PipelineConfig,
     cameras = list(cameras or [])
     if cfg.use_images and not cameras:
         raise ConfigError("image channel enabled but no cameras supplied")
-    if cfg.feature_provider == "import" and (
-            imported_features is None or None in tuple(imported_features)):
-        raise ConfigError("feature_provider 'import' requires feature sets "
-                          "for both epochs")
+    if imported_features is not None and None in tuple(imported_features):
+        raise ConfigError("imported features need a set for both epochs")
     src_rasters = {r.image_id: r for r in (source_images or [])}
     tgt_rasters = {r.image_id: r for r in (target_images or [])}
     if cfg.use_images and (not src_rasters or not tgt_rasters):
@@ -416,9 +431,10 @@ def run_pipeline(source_points, target_points, cfg: PipelineConfig,
     t0 = time.perf_counter()
     try:
         resolution = mean_scan_resolution(source_points)
+        # target tiles reach wherever their cell's points may move to
         pairs = tile_pair(source_points, target_points,
                           max_points=cfg.max_points,
-                          overlap_margin=cfg.overlap_margin)
+                          overlap_margin=cfg.max_displacement)
     except DvfError as exc:
         raise PipelineError(f"stage 'tiling': {exc}") from exc
     t0 = _tick(timings, "tiling", t0)

@@ -29,18 +29,6 @@ MAX_SUPPORT_POINTS = 512
 _SUBSAMPLE_SEED = 20
 
 
-@dataclass(frozen=True)
-class RefinementCriteria:
-    delta1: float = DEFAULT_DELTA1
-    delta2: float = DEFAULT_DELTA2
-
-    def __post_init__(self):
-        if not self.delta1 > 0:
-            raise ValueError(f"delta1 must be positive, got {self.delta1}")
-        if not 0.0 <= self.delta2 <= 1.0:
-            raise ValueError(f"delta2 must lie in [0, 1], got {self.delta2}")
-
-
 @dataclass
 class MatchQualityReport:
     level: int
@@ -78,28 +66,30 @@ def madd(corrs: PointCorrespondenceSet, cap: int = MAX_SUPPORT_POINTS) -> float:
     return float(distance_deviations(corrs, cap).mean())
 
 
-def evaluate_match(match: PatchMatch, crit: RefinementCriteria) -> MatchQualityReport:
-    """Score one match; supports smaller than 2 pairs are auto-rejected."""
+def evaluate_match(match: PatchMatch, delta1: float = DEFAULT_DELTA1,
+                   delta2: float = DEFAULT_DELTA2) -> MatchQualityReport:
+    """Score one match. It passes when its MADD is below `delta1` metres and
+    more than a `delta2` fraction of its pair deviations are; supports
+    smaller than 2 pairs are auto-rejected."""
     if len(match.support) < 2:
         return MatchQualityReport(match.level, match.source_patch_id,
                                   match.target_patch_id, float("inf"), 0.0, False)
     dev = distance_deviations(match.support)
     score = float(dev.mean())
-    frac = float((dev < crit.delta1).mean())
-    accepted = score < crit.delta1 and frac > crit.delta2
+    frac = float((dev < delta1).mean())
+    accepted = score < delta1 and frac > delta2
     return MatchQualityReport(match.level, match.source_patch_id,
                               match.target_patch_id, score, frac, accepted)
 
 
-def refine(matches: MatchSet,
-           crit: RefinementCriteria | None = None):
-    """Keep only matches passing the quality criteria.
+def refine(matches: MatchSet, delta1: float = DEFAULT_DELTA1,
+           delta2: float = DEFAULT_DELTA2):
+    """Keep only matches passing the thresholds of `evaluate_match`.
 
     Returns the filtered MatchSet plus one report per *input* match, in
     input order.
     """
-    crit = crit or RefinementCriteria()
-    reports = [evaluate_match(m, crit) for m in matches.matches]
+    reports = [evaluate_match(m, delta1, delta2) for m in matches.matches]
     kept = [m for m, r in zip(matches.matches, reports) if r.accepted]
     return MatchSet(matches.level, kept), reports
 

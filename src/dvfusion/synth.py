@@ -284,8 +284,8 @@ def synth_generate_scene(params: SynthParams | None = None,
         np.full(n, MODALITY_3D, dtype="U2"))
 
     scene = SyntheticScene(
-        source=PointCloud(source_pts, epoch_label="epoch0"),
-        target=PointCloud(target_pts, epoch_label="epoch1"),
+        source=PointCloud(source_pts),
+        target=PointCloud(target_pts),
         bodies=bodies, ground_truth=ground_truth, seed=seed)
 
     if params.texture:

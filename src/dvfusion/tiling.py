@@ -71,8 +71,7 @@ def select_projection_axis(source_points, target_points) -> str:
 
 
 def tile_pair(source_points, target_points, max_points: int = DEFAULT_MAX_POINTS,
-              overlap_margin: float = DEFAULT_OVERLAP_MARGIN,
-              projection_axis: str | None = None) -> list[TilePair]:
+              overlap_margin: float = DEFAULT_OVERLAP_MARGIN) -> list[TilePair]:
     """Recursively bisect the joint 2D bounding box until every cell holds
     fewer than `max_points` source points.
 
@@ -89,7 +88,7 @@ def tile_pair(source_points, target_points, max_points: int = DEFAULT_MAX_POINTS
         raise InvalidParams(f"max_points must be >= {MIN_MAX_POINTS}, got {max_points}")
     if overlap_margin < 0:
         raise InvalidParams(f"overlap_margin must be >= 0, got {overlap_margin}")
-    axis = projection_axis or select_projection_axis(src, tgt)
+    axis = select_projection_axis(src, tgt)
 
     src2 = project_2d(src, axis)
     tgt2 = project_2d(tgt, axis)

@@ -1,14 +1,20 @@
 """Configuration: every key is read by the package, unknown keys are
-rejected by name, and a dumped config loads back unchanged."""
+rejected by name, values are checked rather than cast, and a dumped config
+loads back unchanged."""
 
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 import dvfusion
-from dvfusion.config import PipelineConfig, dump_config, load_config
+from dvfusion.config import (
+    PipelineConfig,
+    apply_overrides,
+    dump_config,
+    load_config,
+)
 from dvfusion.errors import ConfigError
 
 
@@ -22,7 +28,8 @@ def test_every_config_field_is_read():
 
 
 @pytest.mark.parametrize("key", ["feature_k", "p2p_threshold_factor",
-                                 "eval_radius", "observations_path", "seed"])
+                                 "eval_radius", "observations_path", "seed",
+                                 "overlap_margin", "feature_provider"])
 def test_removed_key_fails_to_load(tmp_path, key):
     path = tmp_path / "old.yaml"
     path.write_text(f"min_patch: 12\n{key}: 1\n")
@@ -33,7 +40,7 @@ def test_removed_key_fails_to_load(tmp_path, key):
 def test_dump_then_load_round_trips(tmp_path):
     cfg = PipelineConfig(source_image_paths=("a.pgm", "b.pgm"),
                          lambda_factors=(0.2, 0.7, 3.0), min_patch=25,
-                         overlap_margin=4.5, use_images=True,
+                         max_displacement=4.5, use_images=True,
                          checkpoint_dir="ckpt")
     path = tmp_path / "cfg.yaml"
     dump_config(path, cfg)
@@ -59,3 +66,44 @@ def test_direct_run_flags_are_taken_verbatim():
     assert cfg.target_image_paths == ("x.pgm", "null")
     assert cfg.use_images is True
     assert cfg.min_patch == 25
+
+
+@pytest.mark.parametrize("pair", ["min_patch=3.7", "icp_max_iter=true",
+                                  "delta1=true", "max_displacement=no"])
+def test_override_of_the_wrong_type_fails_by_name(pair):
+    key = pair.partition("=")[0]
+    with pytest.raises(ConfigError, match=key):
+        apply_overrides(PipelineConfig(), [pair])
+
+
+def test_values_are_checked_not_cast(tmp_path):
+    cfg = apply_overrides(PipelineConfig(), [
+        "min_patch=12.0", "delta1=2", "icp_conv_tol=1e-7",
+        "output_dir=on", "checkpoint_dir=ck #2"])
+    assert cfg.min_patch == 12 and type(cfg.min_patch) is int
+    assert cfg.delta1 == 2.0 and type(cfg.delta1) is float
+    assert cfg.icp_conv_tol == 1e-7
+    # string keys take the --set text verbatim, as the direct flags do
+    assert cfg.output_dir == "on"
+    assert cfg.checkpoint_dir == "ck #2"
+    for text in ("min_patch: 3.7\n", "output_dir: on\n", "n_workers: true\n"):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=text.partition(":")[0]):
+            load_config(path)
+
+
+def test_madd_threshold_ranges():
+    PipelineConfig(delta1=1e-9, delta2=0.0).validate()
+    PipelineConfig(delta2=0.999).validate()
+    for key, value in (("delta1", 0.0), ("delta1", -1.0), ("delta2", -0.1),
+                       ("delta2", 1.0)):
+        with pytest.raises(ConfigError, match=key):
+            replace(PipelineConfig(), **{key: value}).validate()
+
+
+def test_feature_files_go_together():
+    PipelineConfig(source_features_path="a.csv",
+                   target_features_path="b.csv").validate()
+    with pytest.raises(ConfigError, match="source_features_path"):
+        PipelineConfig(source_features_path="a.csv").validate()

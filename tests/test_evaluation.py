@@ -148,17 +148,6 @@ def test_two_member_mean_and_mad():
     assert row.n_members == 2
 
 
-def test_radius_override_honored():
-    dvf = field_at([(0, 0, 0), (8, 0, 0)], [(1.0, 0, 0), (9.0, 0, 0)])
-    o = obs((0, 0, 0), (1.0, 0.0, 0.0), oid="narrow")
-    wide = compare_mean_radius(dvf, [o], radius=10.0)
-    assert wide.rows[0].n_members == 2
-    tight = compare_mean_radius(dvf, [o], radius=10.0,
-                                radius_overrides={"narrow": 2.0})
-    assert tight.rows[0].n_members == 1
-    assert np.allclose(tight.rows[0].deviations, 0.0, atol=1e-12)
-
-
 def test_empty_neighborhood_raises():
     dvf = field_at([(0, 0, 0)], [(1, 0, 0)])
     with pytest.raises(EmptyNeighborhood):

@@ -1,5 +1,5 @@
 """Descriptor pipeline: adaptive downsampling, pair-angle histograms and
-their rotation robustness, import provider, patch aggregation."""
+their rotation robustness, imported descriptor lookup, patch aggregation."""
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from dvfusion.features import (
     adaptive_downsample,
     aggregate_level_features,
     extract_point_features,
+    lookup_descriptors,
     pair_histogram_descriptors,
 )
 from dvfusion.io import PointFeatureSet
@@ -106,31 +107,23 @@ def test_extract_builtin_provider():
     rng = np.random.default_rng(8)
     pts = rng.uniform(0, 10, (400, 3))
     feats = extract_point_features(pts)
-    assert feats.provider_id == "builtin"
     assert len(feats) <= 400
     assert feats.descriptors.shape[1] == DESCRIPTOR_DIM
 
 
 def test_extract_import_provider():
     rng = np.random.default_rng(9)
-    pts = rng.uniform(0, 10, (50, 3))
     sample = np.array([3, 17, 31])
     desc = rng.normal(size=(50, 8))
     desc /= np.linalg.norm(desc, axis=1, keepdims=True)
-    table = PointFeatureSet(np.arange(50), desc, "import")
-    feats = extract_point_features(pts, sample_indices=sample, provider="import",
-                                   imported=table)
-    assert feats.provider_id == "import"
-    assert np.array_equal(feats.point_indices, sample)
-    assert np.allclose(feats.descriptors, desc[sample])
+    table = PointFeatureSet(np.arange(50), desc)
+    assert np.array_equal(lookup_descriptors(table, sample), desc[sample])
 
 
 def test_import_key_mismatch():
-    pts = np.random.default_rng(10).uniform(0, 5, (20, 3))
-    table = PointFeatureSet([0, 1, 2], np.eye(3), "import")
+    table = PointFeatureSet([0, 1, 2], np.eye(3))
     with pytest.raises(ImportKeyMismatch):
-        extract_point_features(pts, sample_indices=[0, 5], provider="import",
-                               imported=table)
+        lookup_descriptors(table, [0, 5])
 
 
 # ---------------------------------------------------------------------------

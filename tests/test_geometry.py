@@ -333,13 +333,6 @@ def test_features_rigid_invariance(seed):
     assert np.all(dots > 1.0 - 1e-6)
 
 
-def test_viewpoint_orients_normals():
-    xs, ys = np.meshgrid(np.arange(8.0), np.arange(8.0))
-    pts = np.stack([xs.ravel(), ys.ravel(), np.zeros(64)], axis=1)
-    below = local_covariance_features(pts, radius=100.0, viewpoint=[4.0, 4.0, -50.0])
-    assert np.all(below.normals[:, 2] < 0)
-
-
 # ---------------------------------------------------------------------------
 # Mean scan resolution
 

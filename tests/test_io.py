@@ -240,11 +240,10 @@ def test_point_features_round_trip(tmp_path):
     rng = np.random.default_rng(13)
     desc = rng.normal(size=(6, 4))
     desc /= np.linalg.norm(desc, axis=1, keepdims=True)
-    feats = PointFeatureSet(np.arange(6) * 3, desc, "builtin")
+    feats = PointFeatureSet(np.arange(6) * 3, desc)
     p = tmp_path / "f.csv"
     write_point_features(p, feats)
     back = load_point_features(p)
-    assert back.provider_id == "import"
     assert np.array_equal(back.point_indices, feats.point_indices)
     assert np.abs(back.descriptors - desc).max() < 1e-12
 

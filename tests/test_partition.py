@@ -220,7 +220,8 @@ def test_two_separated_clusters_two_patches_each_level():
     rng = np.random.default_rng(11)
     pts, feats = two_cluster_scene(rng)
     for lambdas in [(0.05, 0.2, 1.0), (0.2, 1.0, 4.0)]:
-        part = hierarchical_partition(pts, feats=feats, lambdas=lambdas)
+        # standardized live channels have unit variance: factors = strengths
+        part = hierarchical_partition(pts, feats=feats, lambda_factors=lambdas)
         for level in (1, 2, 3):
             assert len(part.patches(level)) == 2
 
@@ -239,7 +240,8 @@ def test_lambdas_must_increase():
     rng = np.random.default_rng(13)
     pts = rng.uniform(0, 5, (40, 3))
     with pytest.raises(InvalidParams):
-        hierarchical_partition(pts, feats=np.ones((40, 2)), lambdas=(1.0, 1.0, 2.0))
+        hierarchical_partition(pts, feats=np.ones((40, 2)),
+                               lambda_factors=(1.0, 1.0, 2.0))
 
 
 def test_monotone_coarsening_on_clustered_scene():

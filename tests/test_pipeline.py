@@ -1,6 +1,6 @@
 """End-to-end runs: the output contract of `run_pipeline`, thread-count
-invariance, image pairs matched once per run, checkpoint resume, located
-input errors, and a CLI smoke test."""
+invariance, image pairs matched once per run, checkpoint resume, imported
+descriptors, located input errors, and CLI smoke tests."""
 
 import csv
 import sys
@@ -15,7 +15,11 @@ import dvfusion.pipeline
 from dvfusion.cli import main
 from dvfusion.config import PipelineConfig
 from dvfusion.errors import PipelineError
-from dvfusion.pipeline import run_pipeline
+from dvfusion.features import DEFAULT_RADIUS_FACTOR, pair_histogram_descriptors
+from dvfusion.geometry import mean_scan_resolution
+from dvfusion.io import (PointFeatureSet, load_dvf, load_point_cloud,
+                         write_point_features)
+from dvfusion.pipeline import run_pipeline, save_coarse_checkpoint
 from dvfusion.synth import SynthParams, synth_generate_scene
 
 
@@ -45,7 +49,7 @@ def test_output_contract_on_tiny_scene():
 
 def test_two_workers_give_the_same_field_as_one():
     scene = tiny_scene(n_points=1050, seed=2)
-    cfg = PipelineConfig(max_points=1000, overlap_margin=2.0, n_workers=1)
+    cfg = PipelineConfig(max_points=1000, n_workers=1)
     one = run_pipeline(scene.source.points, scene.target.points, cfg)
     two = run_pipeline(scene.source.points, scene.target.points,
                        replace(cfg, n_workers=2))
@@ -57,8 +61,8 @@ def test_each_image_pair_is_matched_once_per_run(monkeypatch):
     scene = synth_generate_scene(
         SynthParams(n_points=1050, extent=30.0, n_images=2,
                     image_width=160, image_height=120), seed=2)
-    cfg = PipelineConfig(max_points=1000, overlap_margin=2.0, use_images=True,
-                         top_k_images=2, n_workers=1)
+    cfg = PipelineConfig(max_points=1000, use_images=True, top_k_images=2,
+                         n_workers=1)
     match_pixels = dvfusion.pipeline.match_pixels
     select = dvfusion.pipeline.select_top_k_images
     matched, selected = [], []
@@ -178,6 +182,98 @@ def test_checkpoint_is_recomputed_when_inputs_change(tmp_path, monkeypatch):
     run_pipeline(src, reordered, replace(gated, delta1=2.0))
 
 
+@pytest.mark.parametrize("min_patch", [5, 20])
+def test_checkpoint_is_recomputed_when_the_partition_changes(
+        tmp_path, monkeypatch, min_patch):
+    # Same points and settings, other patches (another solver, or library
+    # versions that break ties differently): stored patch ids are stale.
+    scene = tiny_scene(n_points=1200)
+    src, tgt = scene.source.points, scene.target.points
+    cfg = PipelineConfig(checkpoint_dir=str(tmp_path))
+    run_pipeline(src, tgt, cfg)
+
+    partition = dvfusion.pipeline.hierarchical_partition
+
+    def other_partition(points, **kwargs):
+        return partition(points, **{**kwargs, "min_patch": min_patch})
+
+    monkeypatch.setattr(dvfusion.pipeline, "hierarchical_partition",
+                        other_partition)
+    resumed = run_pipeline(src, tgt, cfg)
+    fresh = run_pipeline(src, tgt, replace(cfg, checkpoint_dir=""))
+    assert_same_field(resumed.field, fresh.field)
+
+
+@pytest.mark.parametrize("keep", [0.5, 0.0])
+def test_truncated_checkpoint_is_recomputed(tmp_path, monkeypatch, keep):
+    scene = tiny_scene()
+    src, tgt = scene.source.points, scene.target.points
+    cfg = PipelineConfig(checkpoint_dir=str(tmp_path))
+    run_pipeline(src, tgt, cfg)
+    (path,) = tmp_path.iterdir()
+    data = path.read_bytes()
+    path.write_bytes(data[:int(keep * len(data))])
+
+    resumed = run_pipeline(src, tgt, cfg)
+    fresh = run_pipeline(src, tgt, replace(cfg, checkpoint_dir=""))
+    assert_same_field(resumed.field, fresh.field)
+
+    # the damaged file was overwritten with a checkpoint that resumes
+    def no_coarse(*args, **kwargs):
+        raise AssertionError("coarse matches recomputed despite a checkpoint")
+
+    monkeypatch.setattr(dvfusion.pipeline, "match_patches_3d", no_coarse)
+    assert_same_field(run_pipeline(src, tgt, cfg).field, fresh.field)
+
+
+def test_interrupted_checkpoint_write_leaves_no_file(tmp_path, monkeypatch):
+    def cut_short(fh, **arrays):
+        fh.write(b"PK\x03\x04")
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(np, "savez", cut_short)
+    with pytest.raises(KeyboardInterrupt):
+        save_coarse_checkpoint(tmp_path / "coarse_tile0000.npz", [], "key")
+    assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# Imported descriptors
+
+
+def builtin_feature_sets(src, tgt):
+    """Builtin descriptors of every point of both clouds, keyed by point id,
+    over the radius a run derives from the source resolution."""
+    radius = DEFAULT_RADIUS_FACTOR * mean_scan_resolution(src)
+    return tuple(PointFeatureSet(np.arange(len(pts)),
+                                 pair_histogram_descriptors(pts, radius))
+                 for pts in (src, tgt))
+
+
+def test_imported_builtin_descriptors_give_the_builtin_field():
+    scene = tiny_scene()
+    src, tgt = scene.source.points, scene.target.points
+    builtin = run_pipeline(src, tgt, PipelineConfig())
+    (pair,) = builtin.tile_pairs
+    # one tile holding both whole clouds: tile context = cloud context
+    assert len(pair.source) == len(src) and len(pair.target) == len(tgt)
+    imported = run_pipeline(src, tgt, PipelineConfig(),
+                            imported_features=builtin_feature_sets(src, tgt))
+    assert_same_field(imported.field, builtin.field)
+    for a, b in zip(imported.level_fields, builtin.level_fields):
+        assert_same_field(a, b)
+
+
+def test_imported_set_missing_a_sampled_id_is_a_located_error():
+    scene = tiny_scene()
+    src, tgt = scene.source.points, scene.target.points
+    src_set, tgt_set = builtin_feature_sets(src, tgt)
+    holed = PointFeatureSet(src_set.point_indices[::2], src_set.descriptors[::2])
+    with pytest.raises(PipelineError, match="stage 'coarse', tile 0"):
+        run_pipeline(src, tgt, PipelineConfig(),
+                     imported_features=(holed, tgt_set))
+
+
 def test_bad_input_shape_is_a_located_error():
     with pytest.raises(PipelineError, match="stage 'input', source points"):
         run_pipeline(np.zeros((5, 2)), np.zeros((5, 3)), PipelineConfig())
@@ -206,3 +302,24 @@ def test_cli_synth_run_export_eval(tmp_path):
     assert main(["eval", "--dvf", str(dvf_csv), "--observations", str(obs),
                  "--source", str(scene_dir / "source.xyz"),
                  "--out", str(tmp_path / "eval.csv")]) == 0
+
+
+def test_cli_run_on_imported_features(tmp_path):
+    scene_dir, run_dir = tmp_path / "scene", tmp_path / "run"
+    assert main(["synth", "--out", str(scene_dir), "--points", "400",
+                 "--extent", "30", "--no-texture", "--seed", "1"]) == 0
+    clouds = [str(scene_dir / f"{epoch}.xyz") for epoch in ("source", "target")]
+    feature_sets = builtin_feature_sets(
+        *(load_point_cloud(c).points for c in clouds))
+    overrides = []
+    for epoch, feats in zip(("source", "target"), feature_sets):
+        path = tmp_path / f"{epoch}_features.csv"
+        write_point_features(path, feats)
+        overrides += ["--set", f"{epoch}_features_path={path}"]
+    run = ["run", "--source", clouds[0], "--target", clouds[1],
+           "--output-dir", str(run_dir)]
+    assert main(run + overrides) == 0
+    assert len(load_dvf(run_dir / "dvf.csv")) > 0
+    # one feature file without the other is a configuration error
+    assert main(run + overrides[:2]) == 2
+    assert main(run + overrides[2:]) == 2

@@ -14,7 +14,6 @@ from dvfusion.errors import DegenerateInput
 from dvfusion.geometry import PointCorrespondenceSet, RigidTransform
 from dvfusion.refinement import (
     MatchQualityReport,
-    RefinementCriteria,
     dump_quality_reports,
     evaluate_match,
     madd,
@@ -108,7 +107,7 @@ def test_rigid_support_accepted():
     rng = np.random.default_rng(6)
     p = rng.uniform(-4, 4, (25, 3))
     q = random_rigid(rng).apply(p)
-    rep = evaluate_match(match_of(corrs_of(p, q)), RefinementCriteria())
+    rep = evaluate_match(match_of(corrs_of(p, q)))
     assert rep.accepted
     assert rep.madd <= 1e-9
     assert rep.pass_fraction == 1.0
@@ -118,7 +117,7 @@ def test_madd_above_delta1_rejected():
     # two points, single pair: source distance 1, target distance 2.6
     c = corrs_of([(0, 0, 0), (1, 0, 0)], [(0, 0, 0), (2.6, 0, 0)])
     assert abs(madd(c) - 1.6) < 1e-12
-    rep = evaluate_match(match_of(c), RefinementCriteria(delta1=1.5))
+    rep = evaluate_match(match_of(c), delta1=1.5)
     assert not rep.accepted
 
 
@@ -132,7 +131,7 @@ def test_small_mean_but_few_passing_pairs_rejected():
     p = np.repeat(tetra, 2, axis=0)
     q = p * (1.0 + 1.55 / 100.0)
     c = corrs_of(p, q)
-    rep = evaluate_match(match_of(c), RefinementCriteria(delta1=1.5, delta2=0.2))
+    rep = evaluate_match(match_of(c), delta1=1.5, delta2=0.2)
 
     # independent enumeration of all 28 pair deviations
     devs = [abs(np.linalg.norm(p[i] - p[j]) - np.linalg.norm(q[i] - q[j]))
@@ -146,7 +145,7 @@ def test_small_mean_but_few_passing_pairs_rejected():
 
 def test_tiny_support_auto_rejected():
     c = corrs_of([(0, 0, 0)], [(0, 0, 0)])
-    rep = evaluate_match(match_of(c), RefinementCriteria())
+    rep = evaluate_match(match_of(c))
     assert not rep.accepted
     assert rep.madd == float("inf")
 
@@ -155,14 +154,7 @@ def test_boundary_is_strict():
     # madd exactly delta1 -> rejected (strict <)
     c = corrs_of([(0, 0, 0), (1, 0, 0)], [(0, 0, 0), (2.5, 0, 0)])
     assert abs(madd(c) - 1.5) < 1e-12
-    assert not evaluate_match(match_of(c), RefinementCriteria(delta1=1.5)).accepted
-
-
-def test_criteria_validation():
-    with pytest.raises(ValueError):
-        RefinementCriteria(delta1=0.0)
-    with pytest.raises(ValueError):
-        RefinementCriteria(delta2=1.5)
+    assert not evaluate_match(match_of(c), delta1=1.5).accepted
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +185,7 @@ def test_shuffled_targets_all_rejected():
         p = rng.uniform(-20, 20, (25, 3))
         q = random_rigid(rng).apply(p)[rng.permutation(25)]
         _, reports = refine(MatchSet(1, [match_of(corrs_of(p, q))]),
-                            RefinementCriteria(1.5, 0.1))
+                            1.5, 0.1)
         rejected += not reports[0].accepted
     assert rejected == total
 
@@ -223,7 +215,7 @@ def test_acceptance_monotone_in_delta1(seed):
     p = rng.uniform(-10, 10, (12, 3))
     q = random_rigid(rng).apply(p) + rng.normal(0, rng.uniform(0, 2), (12, 3))
     m = match_of(corrs_of(p, q))
-    decisions = [evaluate_match(m, RefinementCriteria(d1, 0.1)).accepted
+    decisions = [evaluate_match(m, d1, 0.1).accepted
                  for d1 in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)]
     # once accepted at some delta1, stays accepted at every larger delta1
     assert decisions == sorted(decisions)
