@@ -188,10 +188,12 @@ def _cmd_synth(args) -> int:
     write_dvf(out / "truth_dvf.csv", scene.ground_truth)
     if scene.cameras:
         write_cameras(out / "cameras.csv", scene.cameras)
-        for raster in scene.source_images:
-            write_raster(out / f"{raster.image_id}_epoch0.pgm", raster)
-        for raster in scene.target_images:
-            write_raster(out / f"{raster.image_id}_epoch1.pgm", raster)
+        # `run` takes an image's id from its file stem
+        for epoch, rasters in (("epoch0", scene.source_images),
+                               ("epoch1", scene.target_images)):
+            (out / epoch).mkdir(exist_ok=True)
+            for raster in rasters:
+                write_raster(out / epoch / f"{raster.image_id}.pgm", raster)
     moving = scene.moving_ids.size
     print(f"scene written to {out} "
           f"({params.n_points} points, {len(scene.bodies)} bodies, "

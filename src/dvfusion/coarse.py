@@ -24,9 +24,6 @@ from .errors import InvalidParams
 from .geometry import PointCorrespondenceSet, as_points, bincount_rows
 from .partition import patch_members
 
-DEFAULT_LIFT_RADIUS_PX = 2.0
-DEFAULT_MAX_DISPLACEMENT = 10.0
-
 
 @dataclass
 class PatchMatch:
@@ -165,18 +162,18 @@ def match_patches_3d(level, src_patch_feats, tgt_patch_feats,
                      src_point_feats, tgt_point_feats,
                      src_labels, tgt_labels,
                      src_points, tgt_points,
-                     max_displacement: float | None = None) -> MatchSet:
+                     max_displacement: float) -> MatchSet:
     """Mutual-NN matching of patch descriptors, with point-level support.
 
     `src_patch_feats`/`tgt_patch_feats` are (patch ids, unit descriptors) as
     `aggregate_level_features` returns them; `src_labels`/`tgt_labels` map
     each tile point to its patch id at this level (-1: none).
 
-    When `max_displacement` is given, a target patch is only a candidate if
-    its centroid lies within `max_displacement` of the source centroid plus
-    both patch radii (the two epochs cut patches independently, so matching
-    patches can have offset centroids even without motion). This keeps
-    near-duplicate descriptors from pairing patches across the scene.
+    A target patch is only a candidate if its centroid lies within
+    `max_displacement` of the source centroid plus both patch radii (the
+    two epochs cut patches independently, so matching patches can have
+    offset centroids even without motion). This keeps near-duplicate
+    descriptors from pairing patches across the scene.
 
     Support pairs are mutual nearest neighbours between the two patches'
     featured (downsampled) points; a patch pair without any supporting point
@@ -191,13 +188,11 @@ def match_patches_3d(level, src_patch_feats, tgt_patch_feats,
     src_points = as_points(src_points)
     tgt_points = as_points(tgt_points)
 
-    allowed = None
-    if max_displacement is not None:
-        ca, ra = _centroids_and_radii(src_labels, src_points)
-        cb, rb = _centroids_and_radii(tgt_labels, tgt_points)
-        ca, ra, cb, rb = ca[src_ids], ra[src_ids], cb[tgt_ids], rb[tgt_ids]
-        gap = np.linalg.norm(ca[:, None, :] - cb[None, :, :], axis=2)
-        allowed = gap <= max_displacement + ra[:, None] + rb[None, :]
+    ca, ra = _centroids_and_radii(src_labels, src_points)
+    cb, rb = _centroids_and_radii(tgt_labels, tgt_points)
+    ca, ra, cb, rb = ca[src_ids], ra[src_ids], cb[tgt_ids], rb[tgt_ids]
+    gap = np.linalg.norm(ca[:, None, :] - cb[None, :, :], axis=2)
+    allowed = gap <= max_displacement + ra[:, None] + rb[None, :]
 
     # positions (into each feature set) of the featured points of every patch
     src_members = patch_members(src_labels[src_point_feats.point_indices])
@@ -229,7 +224,7 @@ def _dedup_keep_best(key, conf):
 
 def lift_matches(pixmatch_sets, src_projections, tgt_projections,
                  src_points, tgt_points,
-                 r_px: float = DEFAULT_LIFT_RADIUS_PX) -> CorrTable:
+                 r_px: float) -> CorrTable:
     """Turn pixel matches into 3D point pairs via nearest projected points.
 
     Each match end snaps to the closest validly-projected tile point within
@@ -289,8 +284,7 @@ def lift_matches(pixmatch_sets, src_projections, tgt_projections,
     return CorrTable(si, ti, src_points[si], tgt_points[ti], conf)
 
 
-def filter_by_max_displacement(table: CorrTable,
-                               d_max: float = DEFAULT_MAX_DISPLACEMENT) -> CorrTable:
+def filter_by_max_displacement(table: CorrTable, d_max: float) -> CorrTable:
     """Drop pairs whose implied displacement magnitude exceeds `d_max`."""
     if len(table) == 0:
         return table
@@ -298,9 +292,7 @@ def filter_by_max_displacement(table: CorrTable,
     return table.take(d <= d_max)
 
 
-def gate_match_set(ms: MatchSet,
-                   d_max: float = DEFAULT_MAX_DISPLACEMENT,
-                   min_support: int = 3) -> MatchSet:
+def gate_match_set(ms: MatchSet, d_max: float, min_support: int) -> MatchSet:
     """Apply the plausible-displacement bound to patch-match supports.
 
     Support pairs implying a displacement above `d_max` are dropped, and a

@@ -2,11 +2,13 @@
 ``key=value`` command-line overrides.
 
 Every tunable of the five processing stages lives here exactly once, so a
-config file fully determines a run. What the inputs decide is no key:
-descriptors are imported when both feature files are given (the two paths
-go together) and builtin otherwise, and a target tile's margin is
-`max_displacement`. Values are checked, not cast; a ``--set`` value of a
-string key (a path) is taken verbatim.
+config file fully determines a run: this dataclass holds the only default
+of each, and the stage functions take their settings as required
+arguments. What the inputs decide is no key: descriptors are imported when
+both feature files are given (the two paths go together) and builtin
+otherwise, and a target tile's margin is `max_displacement`. Values are
+checked, not cast, list elements included; a ``--set`` value of a string
+key (a path) is taken verbatim.
 """
 
 from dataclasses import asdict, dataclass, fields, replace
@@ -14,6 +16,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import yaml
 
 from .errors import ConfigError
+from .tiling import MIN_MAX_POINTS
 
 
 @dataclass
@@ -65,8 +68,9 @@ class PipelineConfig:
     checkpoint_dir: str = ""           # resume coarse matches from here
 
     def validate(self) -> None:
-        if self.max_points < 1000:
-            raise ConfigError(f"max_points must be >= 1000, got {self.max_points}")
+        if self.max_points < MIN_MAX_POINTS:
+            raise ConfigError(f"max_points must be >= {MIN_MAX_POINTS}, "
+                              f"got {self.max_points}")
         lf = tuple(self.lambda_factors)
         if len(lf) != 3 or not (0 < lf[0] < lf[1] < lf[2]):
             raise ConfigError(
@@ -126,9 +130,14 @@ def _coerce(name: str, value):
                 pass
         raise ConfigError(f"{name}: expected a number, got {value!r}")
     if isinstance(default, tuple):
-        if isinstance(value, (list, tuple)):
+        # lambda_factors holds numbers, the image path lists hold strings
+        numbers = bool(default)
+        if isinstance(value, (list, tuple)) and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                if numbers else isinstance(v, str) for v in value):
             return tuple(value)
-        raise ConfigError(f"{name}: expected a list, got {value!r}")
+        raise ConfigError(f"{name}: expected a list of "
+                          f"{'numbers' if numbers else 'strings'}, got {value!r}")
     if isinstance(value, str):
         return value
     raise ConfigError(f"{name}: expected a string, got {value!r}")

@@ -31,6 +31,7 @@ from .geometry import (
 )
 
 DEFAULT_COMPARE_RADIUS = 15.0
+M3C2_CORE_VOXEL_FACTOR = 2.0    # core point spacing, x mean scan resolution
 
 
 @dataclass
@@ -224,7 +225,9 @@ def baseline_m3c2(source_points, target_points,
     both epochs' points inside the normal-aligned cylinder (radius
     `cylinder_radius`, half-depth `max_depth`) are averaged and the mean
     difference is projected on the normal. Blind to motion tangential to the
-    surface by construction.
+    surface by construction. Core points default to an adaptive downsample
+    of the source, one per voxel of `M3C2_CORE_VOXEL_FACTOR` x its mean scan
+    resolution.
     """
     if normal_radius <= 0 or cylinder_radius <= 0:
         raise InvalidParams("radii must be positive")
@@ -232,7 +235,7 @@ def baseline_m3c2(source_points, target_points,
     tgt = as_points(target_points)
     if core_indices is None:
         from .features import adaptive_downsample
-        core_indices = adaptive_downsample(src)
+        core_indices = adaptive_downsample(src, voxel_factor=M3C2_CORE_VOXEL_FACTOR)
     core_indices = np.asarray(core_indices, dtype=np.int64)
     cores = src[core_indices]
     geo = local_covariance_features(src, radius=normal_radius)

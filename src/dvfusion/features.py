@@ -17,25 +17,24 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import ImportKeyMismatch, InvalidParams
-from .geometry import (as_points, bincount_rows, local_covariance_features,
-                       mean_scan_resolution)
+from .geometry import (NORMAL_NEIGHBOURS, as_points, bincount_rows,
+                       local_covariance_features, mean_scan_resolution)
 from .io import PointFeatureSet
 
-DEFAULT_VOXEL_FACTOR = 2.0      # voxel edge = factor x mean scan resolution
-DEFAULT_RADIUS_FACTOR = 5.0     # descriptor radius = factor x mean scan resolution
+RADIUS_FACTOR = 5.0     # descriptor radius = factor x mean scan resolution
 N_ANGLE_BINS = 11
 DESCRIPTOR_DIM = 3 * N_ANGLE_BINS
-_NORMAL_K = 16
 
 
-def adaptive_downsample(points, voxel_factor: float = DEFAULT_VOXEL_FACTOR,
+def adaptive_downsample(points, voxel_factor: float,
                         resolution: float | None = None) -> np.ndarray:
     """Voxel-grid downsample scaled to the cloud's own density.
 
-    The voxel edge is `voxel_factor` x the mean scan resolution, so sparse
-    clouds keep proportionally as many points as dense ones. Returns indices
-    of one representative per occupied voxel: the point closest to the voxel
-    centroid (ties toward the lower index).
+    The voxel edge is `voxel_factor` x the mean scan resolution (measured
+    on `points` unless given), so sparse clouds keep proportionally as many
+    points as dense ones. Returns indices of one representative per
+    occupied voxel: the point closest to the voxel centroid (ties toward
+    the lower index).
     """
     pts = as_points(points)
     n = len(pts)
@@ -115,8 +114,8 @@ def _bin_triplets(alpha, phi, theta):
 
 
 def pair_histogram_descriptors(points, radius: float,
-                               query_indices=None) -> np.ndarray:
-    """33-bin descriptors for the query points (default: all of `points`).
+                               query_indices) -> np.ndarray:
+    """33-bin descriptors for the query points, rows in `query_indices` order.
 
     Two passes in the classic style: per-point simplified histograms over the
     whole cloud first, then distance-weighted pooling of neighbor histograms
@@ -127,11 +126,8 @@ def pair_histogram_descriptors(points, radius: float,
     """
     pts = as_points(points)
     n = len(pts)
-    if query_indices is None:
-        query = np.arange(n, dtype=np.int64)
-    else:
-        query = np.asarray(query_indices, dtype=np.int64)
-    geo = local_covariance_features(pts, k=min(_NORMAL_K, n))
+    query = np.asarray(query_indices, dtype=np.int64)
+    geo = local_covariance_features(pts, k=NORMAL_NEIGHBOURS)
     normals = geo.normals.copy()
     normals[~geo.valid] = np.array([0.0, 0.0, 1.0])
     # Consistent upward orientation: ground-based scans see upper surfaces,
@@ -171,21 +167,14 @@ def pair_histogram_descriptors(points, radius: float,
     return desc / np.linalg.norm(desc, axis=1)[:, None]
 
 
-def extract_point_features(points, sample_indices=None,
-                           radius: float | None = None,
-                           resolution: float | None = None) -> PointFeatureSet:
+def extract_point_features(points, sample_indices,
+                           resolution: float) -> PointFeatureSet:
     """Builtin descriptors for the downsampled points of a tile: pair-angle
-    histograms over radius 5x the tile's mean scan resolution, with the full
-    tile as neighborhood context."""
-    pts = as_points(points)
-    if sample_indices is None:
-        sample_indices = adaptive_downsample(pts, resolution=resolution)
+    histograms over radius `RADIUS_FACTOR` x the mean scan resolution, with
+    the full tile as neighborhood context."""
     sample_indices = np.asarray(sample_indices, dtype=np.int64)
-    if radius is None:
-        if resolution is None:
-            resolution = mean_scan_resolution(pts) if len(pts) >= 2 else 1.0
-        radius = DEFAULT_RADIUS_FACTOR * resolution
-    desc = pair_histogram_descriptors(pts, radius, query_indices=sample_indices)
+    desc = pair_histogram_descriptors(points, RADIUS_FACTOR * resolution,
+                                      query_indices=sample_indices)
     return PointFeatureSet(sample_indices, desc)
 
 

@@ -20,17 +20,12 @@ from .dvf import DisplacementVectorField
 from .errors import DegenerateInput, DegenerateSupport
 from .geometry import RigidTransform, alignment_rmse, icp_point_to_point, kabsch
 
-ICP_MAX_ITER = 30
-ICP_CONV_TOL = 1e-6
 
-
-def estimate_patch_transform(match: PatchMatch,
-                             gate: float | None = None,
-                             max_iter: int = ICP_MAX_ITER,
-                             conv_tol: float = ICP_CONV_TOL) -> RigidTransform:
+def estimate_patch_transform(match: PatchMatch, gate: float, max_iter: int,
+                             conv_tol: float) -> RigidTransform:
     """Closed-form fit on the support pairs, then ICP polish on the same
-    points (never the whole patch). Falls back to the closed-form result if
-    ICP cannot improve its residual.
+    points (never the whole patch), pairing only points within `gate`.
+    Falls back to the closed-form result if ICP cannot improve its residual.
 
     Raises:
         DegenerateSupport: fewer than 3 support pairs or (nearly) collinear

@@ -17,6 +17,7 @@ from .errors import DegenerateInput
 _ORTHO_TOL = 1e-9
 _RESOLUTION_SAMPLE_CAP = 50_000
 _RESOLUTION_SEED = 7
+NORMAL_NEIGHBOURS = 16     # k of the k-NN normals of partition features and descriptors
 
 
 def bincount_rows(index, values, n):
@@ -248,16 +249,14 @@ def local_covariance_features(points, k: int | None = None,
                               radius: float | None = None) -> LocalGeomFeatures:
     """Eigenvalue features and normals from k-NN or radius neighbourhoods.
 
-    Exactly one of `k` / `radius` may be given; the default is k=16. Points
-    whose neighbourhood holds fewer than 3 points (or is rank-0) are flagged
-    invalid instead of raising.
+    Exactly one of `k` / `radius` must be given; k is capped at the cloud
+    size. Points whose neighbourhood holds fewer than 3 points (or is
+    rank-0) are flagged invalid instead of raising.
     """
     pts = as_points(points)
     n = len(pts)
-    if k is not None and radius is not None:
-        raise ValueError("pass either k or radius, not both")
-    if k is None and radius is None:
-        k = 16
+    if (k is None) == (radius is None):
+        raise ValueError("pass exactly one of k or radius")
     tree = cKDTree(pts)
 
     lam = np.zeros((n, 3))

@@ -5,9 +5,7 @@ grid templates over a bounded search window, with quadratic sub-pixel peak
 refinement. It is computed the fast way (Lewis 1995, *Fast Normalized
 Cross-Correlation*): the window means and variances of the searched image
 come from separable running window sums, and the template-window products
-from real FFTs, batched over one grid row of keypoints at a time. It stands
-behind the same interface as imported precomputed matches, so a stronger
-external matcher can be dropped in without touching the pipeline.
+from real FFTs, batched over one grid row of keypoints at a time.
 """
 
 from __future__ import annotations
@@ -19,11 +17,6 @@ import numpy as np
 from .errors import ImageTooSmall, NoVisibleImage
 from .geometry import as_points
 from .io import CameraModel, PixelMatchSet, Raster
-
-DEFAULT_STRIDE = 8
-DEFAULT_TEMPLATE_RADIUS = 7
-DEFAULT_SEARCH_WINDOW = 64
-DEFAULT_MIN_CONF = 0.5
 
 
 @dataclass
@@ -51,7 +44,7 @@ def project_to_image(points, cam: CameraModel) -> Projection:
     return Projection(u, v, z, valid)
 
 
-def select_top_k_images(points, cams, k: int = 1) -> list:
+def select_top_k_images(points, cams, k: int) -> list:
     """Rank cameras by how many of the given points project validly into
     them; return the top-k image ids (count desc, then image_id asc)."""
     if not cams:
@@ -99,11 +92,8 @@ def _peak_offsets(c_minus, c0, c_plus, ok) -> np.ndarray:
     return np.where(ok, np.clip(off, -0.5, 0.5), 0.0)
 
 
-def match_pixels(img_a: Raster, img_b: Raster,
-                 stride: int = DEFAULT_STRIDE,
-                 template_radius: int = DEFAULT_TEMPLATE_RADIUS,
-                 search_window: int = DEFAULT_SEARCH_WINDOW,
-                 min_conf: float = DEFAULT_MIN_CONF,
+def match_pixels(img_a: Raster, img_b: Raster, stride: int,
+                 template_radius: int, search_window: int, min_conf: float,
                  subpixel: bool = True) -> PixelMatchSet:
     """Grid-keypoint NCC matching from `img_a` into `img_b`.
 

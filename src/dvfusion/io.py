@@ -19,6 +19,7 @@ from .errors import ParseError, SchemaError, UnsupportedFormat
 from .geometry import RigidTransform, as_points
 
 COORD_FMT = "%.6f"          # 1e-6 m round-trip precision for coordinates
+UNIT_NORM_TOL = 1e-6        # how far a descriptor's norm may stray from 1
 
 CAMERA_FIELDS = ("image_id", "width", "height", "fx", "fy", "cx", "cy",
                  "r11", "r12", "r13", "r21", "r22", "r23", "r31", "r32", "r33",
@@ -150,7 +151,7 @@ class PointFeatureSet:
             raise ValueError("one descriptor per listed point required")
         if len(self.descriptors):
             norms = np.linalg.norm(self.descriptors, axis=1)
-            if np.abs(norms - 1.0).max() > 1e-6:
+            if np.abs(norms - 1.0).max() > UNIT_NORM_TOL:
                 raise ValueError("descriptors must be L2-normalized")
 
     def __len__(self) -> int:
@@ -442,7 +443,8 @@ def load_external_observations(path) -> list[ExternalObservation]:
 
 
 def load_point_features(path) -> PointFeatureSet:
-    """CSV `point_index,f1..fD`; descriptors are re-normalized on load."""
+    """CSV `point_index,f1..fD`. Unit descriptors (within `UNIT_NORM_TOL`)
+    load exactly as written; the others are normalized."""
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -472,8 +474,8 @@ def load_point_features(path) -> PointFeatureSet:
     if len(desc) and norms.min() <= 1e-12:
         bad = int(np.argmin(norms))
         raise ParseError(str(path), bad + 2, "zero-norm descriptor cannot be normalized")
-    if len(desc):
-        desc /= norms[:, None]
+    off = np.abs(norms - 1.0) > UNIT_NORM_TOL
+    desc[off] /= norms[off, None]
     return PointFeatureSet(np.asarray(indices, dtype=np.int64), desc)
 
 

@@ -35,12 +35,10 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import InvalidParams
-from .geometry import as_points, bincount_rows, local_covariance_features
+from .geometry import (NORMAL_NEIGHBOURS, as_points, bincount_rows,
+                       local_covariance_features)
 from scipy.spatial import cKDTree
 
-DEFAULT_K_ADJ = 10
-DEFAULT_MIN_PATCH = 10
-DEFAULT_LAMBDA_FACTORS = (0.1, 0.5, 2.0)
 _EPS_DECREASE = 1e-12          # strict-improvement threshold for accepting moves
 _KMEANS_ITERS = 12
 _ICM_SWEEPS = 4
@@ -62,7 +60,7 @@ class AdjacencyGraph:
     mean_edge_length: float
 
 
-def build_adjacency_graph(points, k_adj: int = DEFAULT_K_ADJ) -> AdjacencyGraph:
+def build_adjacency_graph(points, k_adj: int) -> AdjacencyGraph:
     """Symmetric k-NN adjacency with weights 1/(1 + d/d_mean).
 
     Close-range edges get weights near 1, long edges decay smoothly, so cuts
@@ -438,9 +436,9 @@ def cut_pursuit(features, edges, weights, lam: float, sizes=None) -> np.ndarray:
     vertices, their features and sizes, its internal edges and `lam`, so the
     skipped split would be rejected again.
     """
-    f = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if f.shape[0] != int(np.asarray(features).shape[0]):
-        f = f.T
+    f = np.asarray(features, dtype=np.float64)
+    if f.ndim != 2:
+        raise InvalidParams(f"features must be (N, D), got shape {f.shape}")
     n = f.shape[0]
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     weights = np.asarray(weights, dtype=np.float64).reshape(-1)
@@ -523,25 +521,22 @@ def standardize_features(feats) -> np.ndarray:
     return out
 
 
-def partition_features(points, color=None, k: int = 16) -> np.ndarray:
+def partition_features(points) -> np.ndarray:
     """Default per-point feature vector: [linearity, planarity, curvature,
-    verticality] plus gray/255 when color is available.
+    verticality] from the k-NN covariance.
 
     Verticality (1 - |n_z|) is what usually tells an object's flanks from
     the ground around it; the eigenvalue shape measures alone are too noisy
     on natural surfaces to support that distinction.
     """
     pts = as_points(points)
-    geo = local_covariance_features(pts, k=min(k, len(pts)))
+    geo = local_covariance_features(pts, k=NORMAL_NEIGHBOURS)
     verticality = 1.0 - np.abs(geo.normals[:, 2])
-    cols = [geo.linearity, geo.planarity, geo.curvature, verticality]
-    if color is not None:
-        gray = np.asarray(color, dtype=np.float64) @ np.array([0.299, 0.587, 0.114])
-        cols.append(gray / 255.0)
-    return np.stack(cols, axis=1)
+    return np.stack([geo.linearity, geo.planarity, geo.curvature, verticality],
+                    axis=1)
 
 
-def filter_small_patches(labels: np.ndarray, min_patch: int = DEFAULT_MIN_PATCH) -> np.ndarray:
+def filter_small_patches(labels: np.ndarray, min_patch: int) -> np.ndarray:
     """Drop regions below the size floor; their points become unassigned (-1)."""
     labels = np.asarray(labels).copy()
     valid = labels >= 0
@@ -578,13 +573,12 @@ def _contract_graph(f, edges, weights, labels, sizes=None):
     return means, counts, sup_edges, w
 
 
-def hierarchical_partition(points, feats=None, color=None,
-                           lambda_factors=DEFAULT_LAMBDA_FACTORS,
-                           min_patch: int = DEFAULT_MIN_PATCH,
-                           k_adj: int = DEFAULT_K_ADJ) -> HierarchicalPartition:
+def hierarchical_partition(points, lambda_factors, min_patch: int, k_adj: int,
+                           feats=None) -> HierarchicalPartition:
     """Build the three-level patch hierarchy of a tile.
 
-    Features are standardized per tile; the three strengths are
+    Features (`feats`, by default `partition_features` of the points) are
+    standardized per tile; the three strengths are
     `lambda_factors` x the mean channel variance of the standardized
     features (1 when every channel is live). Level 1 solves on the
     full graph; levels 2 and 3 re-solve on the previous level's
@@ -593,7 +587,7 @@ def hierarchical_partition(points, feats=None, color=None,
     """
     pts = as_points(points)
     if feats is None:
-        feats = partition_features(pts, color=color)
+        feats = partition_features(pts)
     f = standardize_features(feats)
     graph = build_adjacency_graph(pts, k_adj=k_adj)
     base = float(f.var(axis=0).mean())

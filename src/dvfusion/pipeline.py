@@ -1,9 +1,10 @@
 """End-to-end orchestration: tiling -> partitioning -> coarse matching ->
 refinement -> fine matching -> level integration.
 
-Tiles are processed independently (optionally by a thread pool) and merged
-deterministically by (tile id, point id); source tiles partition the cloud,
-so per-tile fields never collide. The only thing tiles share is the
+Tiles are processed independently (optionally by a thread pool) and their
+per-level fields merged deterministically by point id; source tiles
+partition the cloud, so per-tile fields never collide, and the levels are
+integrated once, after the tiles. The only thing tiles share is the
 whole-image pixel matches, computed once per image pair and run.
 """
 
@@ -64,7 +65,6 @@ class TileOutcome:
     """Everything one tile pair contributed, with point ids already global."""
 
     pair_id: int
-    field: DisplacementVectorField
     level_fields: tuple                 # per-level fields, global ids
     reports: list                       # quality reports, all levels
     timings: dict
@@ -269,7 +269,9 @@ def _coarse_2d_table(tile_src_pts, tile_tgt_pts, cameras,
                      src_rasters: dict, tgt_rasters: dict,
                      cfg: PipelineConfig, memo: _PixelMatchMemo) -> CorrTable:
     """Lifted image correspondences for one tile, already gated by the
-    plausible-displacement radius. Empty when no camera sees the tile."""
+    plausible-displacement radius. Empty when no camera sees the tile.
+    Every camera has a raster of its id in both epochs (`run_pipeline`
+    checks that)."""
     try:
         image_ids = select_top_k_images(tile_src_pts, cameras,
                                         k=cfg.top_k_images)
@@ -278,8 +280,6 @@ def _coarse_2d_table(tile_src_pts, tile_tgt_pts, cameras,
     cams_by_id = {c.image_id: c for c in cameras}
     pix_sets, src_proj, tgt_proj = [], {}, {}
     for image_id in image_ids:
-        if image_id not in src_rasters or image_id not in tgt_rasters:
-            continue
         pm = memo.get(image_id, src_rasters, tgt_rasters, cfg)
         if pm is None:
             continue
@@ -378,21 +378,13 @@ def _process_tile(pair, source_points, target_points, cfg: PipelineConfig,
                 except DegenerateSupport:
                     continue        # unusable support; the patch stays uncovered
                 fits.append((m.source_patch_id, t, m.modality))
-            level_fields.append(level_field(ms.level, part_src.patches(ms.level),
-                                            fits, sub_src))
+            level_fields.append(_remap_to_global(
+                level_field(ms.level, part_src.patches(ms.level), fits, sub_src),
+                pair.source.point_indices))
     except DvfError as exc:
         raise _fail("fine", pid, exc) from exc
-    t0 = _tick(timings, "fine", t0)
-
-    integrated = integrate_levels(*level_fields)
-    global_ids = pair.source.point_indices
-    outcome = TileOutcome(
-        pid,
-        _remap_to_global(integrated, global_ids),
-        tuple(_remap_to_global(f, global_ids) for f in level_fields),
-        reports, timings)
-    _tick(timings, "integrate", t0)
-    return outcome
+    _tick(timings, "fine", t0)
+    return TileOutcome(pid, tuple(level_fields), reports, timings)
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +396,9 @@ def run_pipeline(source_points, target_points, cfg: PipelineConfig,
                  imported_features=None) -> PipelineResult:
     """Estimate the displacement field from epoch 1 to epoch 2.
 
-    `source_images`/`target_images` are Rasters whose image ids match the
-    camera models; they are only consulted when `cfg.use_images` is set.
+    `source_images`/`target_images` are Rasters; they are only consulted
+    when `cfg.use_images` is set, and then each epoch's image ids must be
+    the camera ids.
     `imported_features`, a (source, target) pair of PointFeatureSets keyed
     by point id, replaces the builtin descriptors when given.
     """
@@ -424,8 +417,13 @@ def run_pipeline(source_points, target_points, cfg: PipelineConfig,
         raise ConfigError("imported features need a set for both epochs")
     src_rasters = {r.image_id: r for r in (source_images or [])}
     tgt_rasters = {r.image_id: r for r in (target_images or [])}
-    if cfg.use_images and (not src_rasters or not tgt_rasters):
-        raise ConfigError("image channel enabled but images missing for an epoch")
+    if cfg.use_images:
+        camera_ids = sorted({c.image_id for c in cameras})
+        for epoch, rasters in (("source", src_rasters), ("target", tgt_rasters)):
+            if sorted(rasters) != camera_ids:
+                raise ConfigError(
+                    f"{epoch} image ids {sorted(rasters)} are not the camera "
+                    f"ids {camera_ids}")
 
     timings: dict = {}
     t0 = time.perf_counter()
@@ -457,10 +455,10 @@ def run_pipeline(source_points, target_points, cfg: PipelineConfig,
             timings[stage] = timings.get(stage, 0.0) + sec
 
     t0 = time.perf_counter()
-    merged = concat_fields([o.field for o in outcomes])
     level_fields = tuple(
         concat_fields([o.level_fields[i] for o in outcomes])
         for i in range(len(LEVELS)))
+    merged = integrate_levels(*level_fields)
     reports = [r for o in outcomes for r in o.reports]
     _tick(timings, "integrate", t0)
 

@@ -20,9 +20,6 @@ from .coarse import MatchSet, PatchMatch
 from .errors import DegenerateInput
 from .geometry import PointCorrespondenceSet
 
-DEFAULT_DELTA1 = 1.5
-DEFAULT_DELTA2 = 0.1
-
 # Support caps: scoring is O(N^2) in the support size, so very dense supports
 # are subsampled (fixed seed keeps every evaluation reproducible).
 MAX_SUPPORT_POINTS = 512
@@ -66,8 +63,8 @@ def madd(corrs: PointCorrespondenceSet, cap: int = MAX_SUPPORT_POINTS) -> float:
     return float(distance_deviations(corrs, cap).mean())
 
 
-def evaluate_match(match: PatchMatch, delta1: float = DEFAULT_DELTA1,
-                   delta2: float = DEFAULT_DELTA2) -> MatchQualityReport:
+def evaluate_match(match: PatchMatch, delta1: float,
+                   delta2: float) -> MatchQualityReport:
     """Score one match. It passes when its MADD is below `delta1` metres and
     more than a `delta2` fraction of its pair deviations are; supports
     smaller than 2 pairs are auto-rejected."""
@@ -82,8 +79,7 @@ def evaluate_match(match: PatchMatch, delta1: float = DEFAULT_DELTA1,
                               match.target_patch_id, score, frac, accepted)
 
 
-def refine(matches: MatchSet, delta1: float = DEFAULT_DELTA1,
-           delta2: float = DEFAULT_DELTA2):
+def refine(matches: MatchSet, delta1: float, delta2: float):
     """Keep only matches passing the thresholds of `evaluate_match`.
 
     Returns the filtered MatchSet plus one report per *input* match, in

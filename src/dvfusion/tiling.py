@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import DegenerateInput, InvalidParams
 
-DEFAULT_MAX_POINTS = 1_000_000
-DEFAULT_OVERLAP_MARGIN = 10.0
 MIN_MAX_POINTS = 1000
 
 # Columns of the 3D array that survive when an axis is dropped.
@@ -70,8 +68,8 @@ def select_projection_axis(source_points, target_points) -> str:
     raise AssertionError("unreachable")
 
 
-def tile_pair(source_points, target_points, max_points: int = DEFAULT_MAX_POINTS,
-              overlap_margin: float = DEFAULT_OVERLAP_MARGIN) -> list[TilePair]:
+def tile_pair(source_points, target_points, max_points: int,
+              overlap_margin: float) -> list[TilePair]:
     """Recursively bisect the joint 2D bounding box until every cell holds
     fewer than `max_points` source points.
 

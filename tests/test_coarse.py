@@ -11,17 +11,21 @@ from dvfusion.coarse import (
     MatchSet,
     PatchMatch,
     filter_by_max_displacement,
+    gate_match_set,
     lift_matches,
     match_patches_2d,
     match_patches_3d,
     merge_match_sets,
     mutual_nn,
 )
+from dvfusion.config import PipelineConfig
 from dvfusion.dvf import MODALITY_2D, MODALITY_3D
 from dvfusion.errors import InvalidParams
 from dvfusion.geometry import PointCorrespondenceSet
 from dvfusion.imaging import Projection
 from dvfusion.io import PixelMatchSet, PointFeatureSet
+
+R_PX = PipelineConfig().lift_radius_px
 
 
 def unit_rows(rng, n, d):
@@ -81,7 +85,7 @@ def test_identical_feature_lists_match_identity():
     pf_s, feats_s, labels_s, pts_s = patch_world(vecs)
     pf_t, feats_t, labels_t, pts_t = patch_world(vecs)
     ms = match_patches_3d(1, pf_s, pf_t, feats_s, feats_t,
-                          labels_s, labels_t, pts_s, pts_t)
+                          labels_s, labels_t, pts_s, pts_t, np.inf)
     assert ms.source_ids() == ms.target_ids() == list(range(8))
     assert ms.is_injective()
     assert all(m.modality == MODALITY_3D for m in ms.matches)
@@ -97,7 +101,7 @@ def test_non_mutual_pair_is_dropped():
     pf_s, feats_s, labels_s, pts_s = patch_world([a, b])
     pf_t, feats_t, labels_t, pts_t = patch_world([x, y])
     ms = match_patches_3d(1, pf_s, pf_t, feats_s, feats_t,
-                          labels_s, labels_t, pts_s, pts_t)
+                          labels_s, labels_t, pts_s, pts_t, np.inf)
     # X's nearest source is B (exact), so A stays unmatched
     assert ms.source_ids() == [1]
     assert ms.target_ids() == [0]
@@ -112,7 +116,7 @@ def test_patch_matching_equals_brute_force_oracle(seed):
     pf_s, feats_s, labels_s, pts_s = patch_world(va)
     pf_t, feats_t, labels_t, pts_t = patch_world(vb)
     ms = match_patches_3d(1, pf_s, pf_t, feats_s, feats_t,
-                          labels_s, labels_t, pts_s, pts_t)
+                          labels_s, labels_t, pts_s, pts_t, np.inf)
     got = list(zip(ms.source_ids(), ms.target_ids()))
     assert got == brute_force_mutual_nn(va, vb)
 
@@ -124,9 +128,9 @@ def test_role_swap_transposes_matches():
     pf_s, feats_s, labels_s, pts_s = patch_world(va)
     pf_t, feats_t, labels_t, pts_t = patch_world(vb)
     fwd = match_patches_3d(1, pf_s, pf_t, feats_s, feats_t,
-                           labels_s, labels_t, pts_s, pts_t)
+                           labels_s, labels_t, pts_s, pts_t, np.inf)
     rev = match_patches_3d(1, pf_t, pf_s, feats_t, feats_s,
-                           labels_t, labels_s, pts_t, pts_s)
+                           labels_t, labels_s, pts_t, pts_s, np.inf)
     assert (sorted(zip(fwd.source_ids(), fwd.target_ids()))
             == sorted((t, s) for s, t in zip(rev.source_ids(), rev.target_ids())))
 
@@ -145,7 +149,7 @@ def test_max_displacement_allows_gap_plus_both_radii(gap, matched):
                           max_displacement=5.0)
     assert len(ms) == int(matched)
     unbounded = match_patches_3d(1, pf, pf, feats, feats, labels, labels,
-                                 src, tgt)
+                                 src, tgt, max_displacement=np.inf)
     assert len(unbounded) == 1
 
 
@@ -168,7 +172,8 @@ def test_exact_pixel_match_lifts_to_point_pair():
     src_proj = {"a": line_projection(5)}
     tgt_proj = {"b": line_projection(5)}
     pm = PixelMatchSet(("a", "b"), [[10.0, 0.0, 20.0, 0.0, 0.9]])
-    out = lift_matches([pm], src_proj, tgt_proj, line_points(5), line_points(5))
+    out = lift_matches([pm], src_proj, tgt_proj, line_points(5), line_points(5),
+                       R_PX)
     assert out.source_indices.tolist() == [1]
     assert out.target_indices.tolist() == [2]
     assert out.confidence.tolist() == [0.9]
@@ -194,7 +199,8 @@ def test_lift_equals_projection_table_oracle():
     rows = [[7.0 * s, 0.0, 3.0 + 7.0 * t, 0.0, float(rng.uniform(0.5, 1.0))]
             for s, t in table]
     pm = PixelMatchSet(("a", "b"), rows)
-    out = lift_matches([pm], src_proj, tgt_proj, line_points(n), line_points(n))
+    out = lift_matches([pm], src_proj, tgt_proj, line_points(n), line_points(n),
+                       R_PX)
     assert list(zip(out.source_indices, out.target_indices)) == table
 
 
@@ -205,7 +211,8 @@ def test_duplicate_source_keeps_highest_confidence():
         [10.0, 0.0, 10.0, 0.0, 0.6],
         [10.5, 0.0, 20.0, 0.0, 0.9],     # same source point, better match
     ])
-    out = lift_matches([pm], src_proj, tgt_proj, line_points(5), line_points(5))
+    out = lift_matches([pm], src_proj, tgt_proj, line_points(5), line_points(5),
+                       R_PX)
     assert out.source_indices.tolist() == [1]
     assert out.target_indices.tolist() == [2]
     assert out.confidence.tolist() == [0.9]
@@ -221,7 +228,7 @@ def test_richest_image_pair_wins_conflicts():
     ])
     poor = PixelMatchSet(("c", "d"), [[0.0, 0.0, 30.0, 0.0, 0.99]])
     out = lift_matches([poor, rich], src_proj, tgt_proj,
-                       line_points(5), line_points(5))
+                       line_points(5), line_points(5), R_PX)
     # the 3-match pair is integrated first; the conflicting single match for
     # source point 0 arrives too late
     assert list(zip(out.source_indices, out.target_indices)) == [(0, 0), (1, 1), (2, 2)]
@@ -230,7 +237,7 @@ def test_richest_image_pair_wins_conflicts():
 def test_lift_without_projections_raises():
     pm = PixelMatchSet(("a", "b"), [[0.0, 0.0, 0.0, 0.0, 0.8]])
     with pytest.raises(InvalidParams):
-        lift_matches([pm], {}, {}, line_points(2), line_points(2))
+        lift_matches([pm], {}, {}, line_points(2), line_points(2), R_PX)
 
 
 # ---------------------------------------------------------------------------
@@ -247,22 +254,63 @@ def table_from_displacements(mags):
 
 
 def test_displacement_gate_boundary():
-    out = filter_by_max_displacement(table_from_displacements([9.9, 10.1, 0.0]))
+    out = filter_by_max_displacement(table_from_displacements([9.9, 10.1, 0.0]),
+                                     10.0)
     assert out.source_indices.tolist() == [0, 2]
 
 
 def test_all_outliers_filtered_to_empty():
-    out = filter_by_max_displacement(table_from_displacements([11.0, 250.0]))
+    out = filter_by_max_displacement(table_from_displacements([11.0, 250.0]),
+                                     10.0)
     assert len(out) == 0
 
 
 def test_gate_is_idempotent_and_subset():
     rng = np.random.default_rng(5)
     table = table_from_displacements(rng.uniform(0, 20, 50))
-    once = filter_by_max_displacement(table)
-    twice = filter_by_max_displacement(once)
+    once = filter_by_max_displacement(table, 10.0)
+    twice = filter_by_max_displacement(once, 10.0)
     assert set(once.source_indices) <= set(table.source_indices)
     assert np.array_equal(once.source_indices, twice.source_indices)
+
+
+def gated_match(sid, mags):
+    """A match whose support pair i moves by mags[i] along x."""
+    n = len(mags)
+    src = np.column_stack([np.arange(n) * 100.0, np.zeros(n), np.zeros(n)])
+    tgt = src.copy()
+    tgt[:, 0] += np.asarray(mags, dtype=np.float64)
+    support = PointCorrespondenceSet(src, tgt, np.arange(n), np.arange(n))
+    return PatchMatch(2, sid, sid, MODALITY_3D, support)
+
+
+def test_match_gate_drops_pairs_beyond_d_max():
+    out = gate_match_set(MatchSet(2, [gated_match(0, [1.0, 12.0, 3.0, 9.9, 4.0])]),
+                         d_max=10.0, min_support=3)
+    assert out.level == 2 and len(out) == 1
+    assert out.matches[0].support.source_indices.tolist() == [0, 2, 3, 4]
+    assert np.array_equal(out.matches[0].support.source,
+                          gated_match(0, [0.0] * 5).support.source[[0, 2, 3, 4]])
+
+
+def test_match_gate_drops_matches_left_below_min_support():
+    ms = MatchSet(1, [gated_match(0, [1.0, 2.0, 3.0, 11.0]),     # 3 kept
+                      gated_match(1, [1.0, 2.0, 11.0, 12.0])])   # 2 kept
+    assert [m.source_patch_id for m in
+            gate_match_set(ms, d_max=10.0, min_support=3).matches] == [0]
+    assert len(gate_match_set(ms, d_max=10.0, min_support=4)) == 0
+
+
+def test_match_gate_returns_untouched_matches_unchanged():
+    m = gated_match(0, [1.0, 2.0, 3.0])
+    out = gate_match_set(MatchSet(1, [m]), d_max=10.0, min_support=3)
+    assert out.matches[0] is m
+
+
+def test_match_gate_keeps_the_rigid_fit_floor_of_three():
+    ms = MatchSet(1, [gated_match(0, [1.0, 2.0])])
+    for min_support in (0, 1, 2):
+        assert len(gate_match_set(ms, d_max=10.0, min_support=min_support)) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Configuration: every key is read by the package, unknown keys are
-rejected by name, values are checked rather than cast, and a dumped config
-loads back unchanged."""
+rejected by name, values are checked rather than cast, a dumped config
+loads back unchanged, and no stage function has a default of its own for
+a setting the config feeds it."""
 
+import inspect
 import re
 from dataclasses import fields, replace
 from pathlib import Path
@@ -9,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import dvfusion
+from dvfusion import (coarse, evaluation, features, fine, imaging, partition,
+                      refinement, tiling)
 from dvfusion.config import (
     PipelineConfig,
     apply_overrides,
@@ -69,7 +73,11 @@ def test_direct_run_flags_are_taken_verbatim():
 
 
 @pytest.mark.parametrize("pair", ["min_patch=3.7", "icp_max_iter=true",
-                                  "delta1=true", "max_displacement=no"])
+                                  "delta1=true", "max_displacement=no",
+                                  "lambda_factors=[0.1, true, 2]",
+                                  "lambda_factors=[0.1, x, 2]",
+                                  "source_image_paths=[1, null]",
+                                  "target_image_paths=[a.pgm, 2]"])
 def test_override_of_the_wrong_type_fails_by_name(pair):
     key = pair.partition("=")[0]
     with pytest.raises(ConfigError, match=key):
@@ -107,3 +115,32 @@ def test_feature_files_go_together():
                    target_features_path="b.csv").validate()
     with pytest.raises(ConfigError, match="source_features_path"):
         PipelineConfig(source_features_path="a.csv").validate()
+
+
+# The stage functions a run calls, with the parameters its config feeds them.
+CONFIG_FED = (
+    (tiling.tile_pair, ("max_points", "overlap_margin")),
+    (partition.hierarchical_partition, ("lambda_factors", "min_patch", "k_adj")),
+    (partition.build_adjacency_graph, ("k_adj",)),
+    (partition.filter_small_patches, ("min_patch",)),
+    (features.adaptive_downsample, ("voxel_factor",)),
+    (imaging.select_top_k_images, ("k",)),
+    (imaging.match_pixels, ("stride", "template_radius", "search_window",
+                            "min_conf")),
+    (coarse.lift_matches, ("r_px",)),
+    (coarse.filter_by_max_displacement, ("d_max",)),
+    (coarse.match_patches_3d, ("max_displacement",)),
+    (coarse.gate_match_set, ("d_max", "min_support")),
+    (refinement.refine, ("delta1", "delta2")),
+    (refinement.evaluate_match, ("delta1", "delta2")),
+    (fine.estimate_patch_transform, ("gate", "max_iter", "conv_tol")),
+    (evaluation.spatial_coverage, ("voxel",)),
+)
+
+
+def test_no_stage_function_defaults_a_config_setting():
+    defaulted = [f"{fn.__module__}.{fn.__name__}({name})"
+                 for fn, names in CONFIG_FED for name in names
+                 if inspect.signature(fn).parameters[name].default
+                 is not inspect.Parameter.empty]
+    assert defaulted == []

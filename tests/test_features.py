@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+from dvfusion.config import PipelineConfig
 from dvfusion.errors import ImportKeyMismatch, InvalidParams
 from dvfusion.features import (
     DESCRIPTOR_DIM,
@@ -14,7 +15,10 @@ from dvfusion.features import (
     lookup_descriptors,
     pair_histogram_descriptors,
 )
+from dvfusion.geometry import mean_scan_resolution
 from dvfusion.io import PointFeatureSet
+
+VOXEL_FACTOR = PipelineConfig().voxel_factor
 
 
 def bumpy_blob(rng, n=60, scale=1.0):
@@ -34,12 +38,12 @@ def bumpy_blob(rng, n=60, scale=1.0):
 def test_grid_downsample_density():
     xs, ys = np.meshgrid(np.arange(10.0), np.arange(10.0))
     pts = np.stack([xs.ravel(), ys.ravel(), np.zeros(100)], axis=1)
-    idx = adaptive_downsample(pts)          # resolution 1 m, voxel 2 m
+    idx = adaptive_downsample(pts, VOXEL_FACTOR)    # resolution 1 m, voxel 2 m
     assert len(idx) == 25                   # one representative per 2 m cell
 
 
 def test_single_point_downsample():
-    assert adaptive_downsample([[1.0, 2.0, 3.0]]).tolist() == [0]
+    assert adaptive_downsample([[1.0, 2.0, 3.0]], VOXEL_FACTOR).tolist() == [0]
 
 
 def test_downsample_scale_adaptivity():
@@ -47,8 +51,8 @@ def test_downsample_scale_adaptivity():
     scales along and the selected representatives are identical."""
     rng = np.random.default_rng(4)
     pts = rng.uniform(0, 20, (500, 3))
-    a = adaptive_downsample(pts)
-    b = adaptive_downsample(pts * 2.0)
+    a = adaptive_downsample(pts, VOXEL_FACTOR)
+    b = adaptive_downsample(pts * 2.0, VOXEL_FACTOR)
     assert np.array_equal(a, b)
 
 
@@ -71,7 +75,7 @@ def test_downsample_rejects_bad_factor():
 def test_descriptors_unit_norm_and_shape():
     rng = np.random.default_rng(5)
     pts = rng.uniform(0, 4, (80, 3))
-    desc = pair_histogram_descriptors(pts, radius=1.5)
+    desc = pair_histogram_descriptors(pts, radius=1.5, query_indices=np.arange(80))
     assert desc.shape == (80, DESCRIPTOR_DIM)
     assert np.allclose(np.linalg.norm(desc, axis=1), 1.0, atol=1e-9)
 
@@ -81,7 +85,8 @@ def test_duplicate_neighborhoods_nearly_identical_descriptors():
     blob = bumpy_blob(rng)
     far = blob + np.array([100.0, 0.0, 0.0])
     pts = np.vstack([blob, far])
-    desc = pair_histogram_descriptors(pts, radius=1.2)
+    desc = pair_histogram_descriptors(pts, radius=1.2,
+                                      query_indices=np.arange(len(pts)))
     sims = np.einsum("ij,ij->i", desc[:60], desc[60:])
     assert np.all(sims > 0.99)
 
@@ -96,8 +101,9 @@ def test_rotated_copy_descriptor_stability():
     blob = bumpy_blob(rng)
     rot = Rotation.from_euler("xyz", [8, -5, 110], degrees=True).as_matrix()
     moved = blob @ rot.T + np.array([5.0, -3.0, 2.0])
-    d_a = pair_histogram_descriptors(blob, radius=1.2)
-    d_b = pair_histogram_descriptors(moved, radius=1.2)
+    every = np.arange(len(blob))
+    d_a = pair_histogram_descriptors(blob, radius=1.2, query_indices=every)
+    d_b = pair_histogram_descriptors(moved, radius=1.2, query_indices=every)
     cos_dist = 1.0 - np.einsum("ij,ij->i", d_a, d_b)
     assert np.median(cos_dist) < 0.02
     assert np.quantile(cos_dist, 0.95) < 0.05
@@ -106,8 +112,9 @@ def test_rotated_copy_descriptor_stability():
 def test_extract_builtin_provider():
     rng = np.random.default_rng(8)
     pts = rng.uniform(0, 10, (400, 3))
-    feats = extract_point_features(pts)
-    assert len(feats) <= 400
+    sample = adaptive_downsample(pts, VOXEL_FACTOR)
+    feats = extract_point_features(pts, sample, mean_scan_resolution(pts))
+    assert np.array_equal(feats.point_indices, sample) and len(sample) <= 400
     assert feats.descriptors.shape[1] == DESCRIPTOR_DIM
 
 

@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from dvfusion.coarse import PatchMatch
+from dvfusion.config import PipelineConfig
 from dvfusion.dvf import MODALITY_2D, MODALITY_3D, DisplacementVectorField
 from dvfusion.errors import DegenerateSupport
 from dvfusion.fine import estimate_patch_transform, integrate_levels, level_field
 from dvfusion.geometry import PointCorrespondenceSet, RigidTransform
+
+CFG = PipelineConfig()
 
 
 def random_rigid(rng):
@@ -29,13 +32,19 @@ def support_match(p, q, level=1, sid=0, tid=0):
 # Transform estimation
 
 
+def fit(match, gate=np.inf):
+    """The fit with the configured ICP settings; no pair gate by default."""
+    return estimate_patch_transform(match, gate, CFG.icp_max_iter,
+                                    CFG.icp_conv_tol)
+
+
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=30, deadline=None)
 def test_rigid_support_recovers_exact_transform(seed):
     rng = np.random.default_rng(seed)
     p = rng.uniform(-10, 10, (12, 3))
     truth = random_rigid(rng)
-    t = estimate_patch_transform(support_match(p, truth.apply(p)))
+    t = fit(support_match(p, truth.apply(p)))
     assert np.abs(t.apply(p) - truth.apply(p)).max() < 1e-9
 
 
@@ -45,7 +54,7 @@ def test_gross_outlier_recovered_by_gated_icp():
     truth = RigidTransform(np.eye(3), np.array([0.8, -0.3, 0.2]))
     q = truth.apply(p)
     q[0] += np.array([100.0, 100.0, 100.0])    # one wild pair
-    t = estimate_patch_transform(support_match(p, q), gate=5.0)
+    t = fit(support_match(p, q), gate=5.0)
     extent = np.ptp(p, axis=0).max()
     err = np.linalg.norm(t.apply(p[1:]) - truth.apply(p[1:]), axis=1)
     assert err.max() < 0.1 * extent
@@ -54,13 +63,13 @@ def test_gross_outlier_recovered_by_gated_icp():
 def test_collinear_support_raises():
     p = np.array([[float(i), 0.0, 0.0] for i in range(6)])
     with pytest.raises(DegenerateSupport):
-        estimate_patch_transform(support_match(p, p + 1.0))
+        fit(support_match(p, p + 1.0))
 
 
 def test_two_point_support_raises():
     p = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
     with pytest.raises(DegenerateSupport):
-        estimate_patch_transform(support_match(p, p))
+        fit(support_match(p, p))
 
 
 def test_icp_never_worse_than_closed_form():
@@ -75,7 +84,7 @@ def test_icp_never_worse_than_closed_form():
         p = rng.uniform(-5, 5, (25, 3))
         q = random_rigid(rng).apply(p) + rng.normal(0, 0.3, p.shape)
         m = support_match(p, q)
-        t = estimate_patch_transform(m, gate=np.inf)
+        t = fit(m)
         dist, _ = cKDTree(q).query(t.apply(p), k=1)
         assert (float(np.sqrt((dist ** 2).mean()))
                 <= alignment_rmse(kabsch(m.support), p, q) + 1e-12)

@@ -275,6 +275,12 @@ def test_plane_features():
     assert np.all(f.normals[:, 2] > 0)  # canonical orientation points +z
 
 
+@pytest.mark.parametrize("kw", [{}, {"k": 8, "radius": 1.0}])
+def test_neighbourhood_is_k_or_radius(kw):
+    with pytest.raises(ValueError, match="exactly one of k or radius"):
+        local_covariance_features(np.zeros((10, 3)), **kw)
+
+
 def test_line_features():
     pts = np.stack([np.arange(10.0), np.zeros(10), np.zeros(10)], axis=1)
     f = local_covariance_features(pts, radius=100.0)

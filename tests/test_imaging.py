@@ -4,6 +4,7 @@ pixel matching."""
 import numpy as np
 import pytest
 
+from dvfusion.config import PipelineConfig
 from dvfusion.errors import ImageTooSmall, NoVisibleImage
 from dvfusion.geometry import RigidTransform
 from dvfusion.imaging import match_pixels, project_to_image, select_top_k_images
@@ -101,6 +102,14 @@ def test_no_visible_image_raises():
 # NCC matching
 
 
+def ncc_match(img_a, img_b, **kw):
+    """`match_pixels` with the configured settings, `kw` overriding them."""
+    cfg = PipelineConfig()
+    settings = dict(stride=cfg.ncc_stride, template_radius=cfg.ncc_template_radius,
+                    search_window=cfg.ncc_search_window, min_conf=cfg.min_conf)
+    return match_pixels(img_a, img_b, **{**settings, **kw})
+
+
 def textured_raster(rng, height=96, width=96, image_id="img"):
     base = rng.uniform(0, 255, (height, width))
     # light smoothing keeps correlation peaks sharp but not degenerate
@@ -113,7 +122,7 @@ def textured_raster(rng, height=96, width=96, image_id="img"):
 def test_self_match_zero_displacement_full_confidence():
     rng = np.random.default_rng(2)
     img = textured_raster(rng)
-    result = match_pixels(img, img, stride=16)
+    result = ncc_match(img, img, stride=16)
     m = result.matches
     assert len(m) == 36        # full 6x6 keypoint grid survives
     assert np.allclose(m[:, 2:4] - m[:, 0:2], 0.0, atol=1e-9)
@@ -124,7 +133,7 @@ def test_integer_shift_recovered():
     rng = np.random.default_rng(3)
     img = textured_raster(rng, 96, 96, "a")
     shifted = Raster(np.roll(img.data, 3, axis=1), "b")   # content moves +3 in x
-    m = match_pixels(img, shifted, stride=16).matches
+    m = ncc_match(img, shifted, stride=16).matches
     # keep keypoints whose true match stays clear of the wrapped columns
     m = m[m[:, 0] <= 80.0]
     assert len(m) > 0
@@ -147,7 +156,7 @@ def test_subpixel_refinement_on_smooth_peak():
         f = (f - f.min()) / (np.ptp(f) + 1e-12)
         return Raster((f * 255.0).astype(np.uint8))
 
-    m = match_pixels(field(0.0), field(2.4), stride=8).matches
+    m = ncc_match(field(0.0), field(2.4), stride=8).matches
     assert len(m) > 0
     dx = m[:, 2] - m[:, 0]
     assert np.median(np.abs(dx - 2.4)) <= 0.5
@@ -156,27 +165,27 @@ def test_subpixel_refinement_on_smooth_peak():
 def test_featureless_images_give_no_matches():
     flat_a = Raster(np.full((64, 64), 80, dtype=np.uint8))
     flat_b = Raster(np.full((64, 64), 90, dtype=np.uint8))
-    assert match_pixels(flat_a, flat_b).matches.shape == (0, 5)
+    assert ncc_match(flat_a, flat_b).matches.shape == (0, 5)
 
 
 def test_low_confidence_filtered():
     rng = np.random.default_rng(4)
     a = textured_raster(rng)
     b = Raster(rng.uniform(0, 255, (96, 96)).astype(np.uint8))  # unrelated
-    assert len(match_pixels(a, b, stride=16, min_conf=0.9)) == 0
+    assert len(ncc_match(a, b, stride=16, min_conf=0.9)) == 0
 
 
 def test_image_too_small():
     tiny = Raster(np.zeros((8, 8), dtype=np.uint8))
     with pytest.raises(ImageTooSmall):
-        match_pixels(tiny, tiny)
+        ncc_match(tiny, tiny)
 
 
 def test_match_rows_are_valid_pixel_matches():
     rng = np.random.default_rng(5)
     img = textured_raster(rng, image_id="a")
     other = Raster(np.roll(img.data, 2, axis=0), "b")
-    result = match_pixels(img, other, stride=16)
+    result = ncc_match(img, other, stride=16)
     assert result.image_pair == ("a", "b")
     m = result.matches
     assert m.shape[1] == 5

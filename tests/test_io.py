@@ -248,6 +248,24 @@ def test_point_features_round_trip(tmp_path):
     assert np.abs(back.descriptors - desc).max() < 1e-12
 
 
+def test_unit_point_features_round_trip_bit_equal(tmp_path):
+    rng = np.random.default_rng(14)
+    desc = rng.normal(size=(400, 33))
+    desc /= np.linalg.norm(desc, axis=1, keepdims=True)
+    feats = PointFeatureSet(np.arange(400), desc)
+    p = tmp_path / "f.csv"
+    write_point_features(p, feats)
+    assert np.array_equal(load_point_features(p).descriptors, desc)
+
+
+def test_non_unit_point_features_are_normalized_on_load(tmp_path):
+    p = tmp_path / "f.csv"
+    p.write_text("point_index,f1,f2\n0,3,4\n1,0.6,0.8\n")
+    back = load_point_features(p)
+    assert np.allclose(back.descriptors, [[0.6, 0.8], [0.6, 0.8]], atol=1e-15)
+    assert back.descriptors[1].tolist() == [0.6, 0.8]
+
+
 def test_point_features_require_unit_norm():
     with pytest.raises(ValueError):
         PointFeatureSet([0], [[2.0, 0.0, 0.0]])
@@ -255,8 +273,8 @@ def test_point_features_require_unit_norm():
 
 def test_point_features_zero_row_rejected(tmp_path):
     p = tmp_path / "f.csv"
-    p.write_text("point_index,f1,f2\n0,0,0\n")
-    with pytest.raises(ParseError):
+    p.write_text("point_index,f1,f2\n0,1,0\n1,0,0\n")
+    with pytest.raises(ParseError, match=":3"):
         load_point_features(p)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dvfusion.config import PipelineConfig
 from dvfusion.errors import InvalidParams
 from dvfusion import partition
 from dvfusion.geometry import RigidTransform
@@ -206,6 +207,15 @@ def test_solver_regions_are_connected():
 # Hierarchy
 
 
+def hierarchy(points, **kw):
+    """`hierarchical_partition` with the configured settings, `kw`
+    overriding them."""
+    cfg = PipelineConfig()
+    settings = dict(lambda_factors=cfg.lambda_factors, min_patch=cfg.min_patch,
+                    k_adj=cfg.k_adj)
+    return hierarchical_partition(points, **{**settings, **kw})
+
+
 def two_cluster_scene(rng, n_each=60):
     a = rng.normal(0, 0.5, (n_each, 3)) + np.array([0.0, 0.0, 0.0])
     b = rng.normal(0, 0.5, (n_each, 3)) + np.array([50.0, 0.0, 0.0])
@@ -221,7 +231,7 @@ def test_two_separated_clusters_two_patches_each_level():
     pts, feats = two_cluster_scene(rng)
     for lambdas in [(0.05, 0.2, 1.0), (0.2, 1.0, 4.0)]:
         # standardized live channels have unit variance: factors = strengths
-        part = hierarchical_partition(pts, feats=feats, lambda_factors=lambdas)
+        part = hierarchy(pts, feats=feats, lambda_factors=lambdas)
         for level in (1, 2, 3):
             assert len(part.patches(level)) == 2
 
@@ -230,7 +240,7 @@ def test_uniform_features_single_patch():
     rng = np.random.default_rng(12)
     pts = rng.uniform(0, 5, (80, 3))
     feats = np.full((80, 3), 0.7)
-    part = hierarchical_partition(pts, feats=feats)
+    part = hierarchy(pts, feats=feats)
     for level in (1, 2, 3):
         assert len(part.patches(level)) == 1
         assert len(part.patches(level)[0]) == 80
@@ -240,8 +250,7 @@ def test_lambdas_must_increase():
     rng = np.random.default_rng(13)
     pts = rng.uniform(0, 5, (40, 3))
     with pytest.raises(InvalidParams):
-        hierarchical_partition(pts, feats=np.ones((40, 2)),
-                               lambda_factors=(1.0, 1.0, 2.0))
+        hierarchy(pts, feats=np.ones((40, 2)), lambda_factors=(1.0, 1.0, 2.0))
 
 
 def test_monotone_coarsening_on_clustered_scene():
@@ -251,7 +260,7 @@ def test_monotone_coarsening_on_clustered_scene():
     centers = rng.uniform(0, 60, (8, 2))
     cl = np.linalg.norm(pts[:, None, :2] - centers[None], axis=2).argmin(axis=1)
     feats = rng.uniform(0, 1, (8, 3))[cl] + rng.normal(0, 0.05, (2000, 3))
-    part = hierarchical_partition(pts, feats=feats)
+    part = hierarchy(pts, feats=feats)
     n1 = len(part.patches(1))
     n3 = len(part.patches(3))
     assert n1 >= n3
@@ -262,7 +271,7 @@ def test_levels_disjoint_and_labels_consistent():
     rng = np.random.default_rng(15)
     pts = rng.uniform(0, 30, (600, 3))
     feats = rng.uniform(0, 1, (600, 3))
-    part = hierarchical_partition(pts, feats=feats)
+    part = hierarchy(pts, feats=feats)
     for level in (1, 2, 3):
         lab = part.labels(level)
         seen = np.zeros(len(pts), dtype=int)
@@ -304,10 +313,10 @@ def test_rigid_motion_invariance_of_memberships():
     pts, feats = two_cluster_scene(rng, n_each=120)
     jitter = rng.normal(0, 0.2, pts.shape)
     pts = pts + jitter
-    part_a = hierarchical_partition(pts, feats=feats)
+    part_a = hierarchy(pts, feats=feats)
     t = RigidTransform(Rotation.from_euler("xyz", [5, -3, 30], degrees=True).as_matrix(),
                        [12.0, -7.0, 4.0])
-    part_b = hierarchical_partition(t.apply(pts), feats=feats)
+    part_b = hierarchy(t.apply(pts), feats=feats)
     for level in (1, 2, 3):
         assert np.array_equal(part_a.labels(level), part_b.labels(level))
 
@@ -555,9 +564,7 @@ def _ref_boundary_polish(f, edges, weights, labels, lam, sizes):
 
 
 def reference_cut_pursuit(features, edges, weights, lam, sizes=None):
-    f = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if f.shape[0] != int(np.asarray(features).shape[0]):
-        f = f.T
+    f = np.asarray(features, dtype=np.float64)
     n = f.shape[0]
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     weights = np.asarray(weights, dtype=np.float64).reshape(-1)
@@ -587,6 +594,13 @@ def reference_cut_pursuit(features, edges, weights, lam, sizes=None):
 # Solver vs reference
 
 
+def test_flat_features_are_rejected():
+    rng = np.random.default_rng(99)
+    pts, e, w = knn_graph(rng, 30)
+    with pytest.raises(InvalidParams, match="features must be"):
+        cut_pursuit(rng.normal(size=30), e, w, 0.4)
+
+
 def knn_graph(rng, n, k_adj=6):
     """Random k-NN graph over clustered points, with cluster features."""
     pts = rng.uniform(0, 30, (n, 3))
@@ -613,7 +627,7 @@ def test_same_labels_as_reference_on_knn_graphs(seed, dim):
     rng = np.random.default_rng(100 + seed)
     pts, e, w = knn_graph(rng, 300)
     f = clustered_features(rng, pts, dim)
-    assert_same_labels(f[:, 0] if dim == 1 else f, e, w)
+    assert_same_labels(f, e, w)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -661,9 +675,9 @@ def test_hierarchy_same_labels_as_reference(monkeypatch):
     from dvfusion.synth import SynthParams, synth_generate_scene
     scene = synth_generate_scene(SynthParams(n_points=3000, texture=False), seed=7)
     pts = scene.source.points
-    got = hierarchical_partition(pts)
+    got = hierarchy(pts)
     monkeypatch.setattr(partition, "cut_pursuit", reference_cut_pursuit)
-    want = hierarchical_partition(pts)
+    want = hierarchy(pts)
     for a, b in zip(got.level_labels, want.level_labels):
         assert np.array_equal(a, b)
 

@@ -6,21 +6,22 @@ one field piece per fitted patch. The outputs must be bit-identical."""
 import numpy as np
 import pytest
 
-from dvfusion.coarse import (
-    DEFAULT_MAX_DISPLACEMENT,
-    _cap_members,
-    match_patches_3d,
-    mutual_nn,
-)
+from dvfusion.coarse import _cap_members, match_patches_3d, mutual_nn
+from dvfusion.config import PipelineConfig
 from dvfusion.dvf import MODALITY_3D, DisplacementVectorField
 from dvfusion.errors import DegenerateSupport
-from dvfusion.features import aggregate_level_features, extract_point_features
+from dvfusion.features import (
+    adaptive_downsample,
+    aggregate_level_features,
+    extract_point_features,
+)
 from dvfusion.fine import estimate_patch_transform, level_field
 from dvfusion.geometry import PointCorrespondenceSet, mean_scan_resolution
 from dvfusion.partition import hierarchical_partition
 from dvfusion.synth import SynthParams, synth_generate_scene
 
 LEVELS = (1, 2, 3)
+CFG = PipelineConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +114,17 @@ def tile_pair():
     scene = synth_generate_scene(SynthParams(n_points=3000, texture=False), seed=3)
     src, tgt = scene.source.points, scene.target.points
     resolution = mean_scan_resolution(src)
-    return (src, tgt, hierarchical_partition(src), hierarchical_partition(tgt),
-            extract_point_features(src, resolution=resolution),
-            extract_point_features(tgt, resolution=resolution))
+
+    def partition(pts):
+        return hierarchical_partition(pts, lambda_factors=CFG.lambda_factors,
+                                      min_patch=CFG.min_patch, k_adj=CFG.k_adj)
+
+    def features(pts):
+        sample = adaptive_downsample(pts, CFG.voxel_factor, resolution)
+        return extract_point_features(pts, sample, resolution)
+
+    return (src, tgt, partition(src), partition(tgt), features(src),
+            features(tgt), resolution)
 
 
 def fields_equal(a, b):
@@ -126,7 +135,7 @@ def fields_equal(a, b):
 
 @pytest.mark.parametrize("level", LEVELS)
 def test_level_path_is_bit_identical_to_per_patch_reference(tile_pair, level):
-    src, tgt, part_src, part_tgt, feats_src, feats_tgt = tile_pair
+    src, tgt, part_src, part_tgt, feats_src, feats_tgt, resolution = tile_pair
     lab_s, lab_t = part_src.labels(level), part_tgt.labels(level)
     ref_s = reference_patches(lab_s, src)
     ref_t = reference_patches(lab_t, tgt)
@@ -140,11 +149,11 @@ def test_level_path_is_bit_identical_to_per_patch_reference(tile_pair, level):
         assert np.array_equal(desc, np.stack(ref_vecs))
 
     ms = match_patches_3d(level, agg_s, agg_t, feats_src, feats_tgt, lab_s, lab_t,
-                          src, tgt, max_displacement=DEFAULT_MAX_DISPLACEMENT)
+                          src, tgt, max_displacement=CFG.max_displacement)
     ref_ms = reference_match_3d(
         level, reference_aggregate(ref_s, feats_src),
         reference_aggregate(ref_t, feats_tgt), feats_src, feats_tgt,
-        ref_s, ref_t, src, tgt, DEFAULT_MAX_DISPLACEMENT)
+        ref_s, ref_t, src, tgt, CFG.max_displacement)
     assert len(ms) == len(ref_ms) > 0
     for m, (sid, tid, si, ti) in zip(ms.matches, ref_ms):
         assert (m.level, m.source_patch_id, m.target_patch_id, m.modality) == (
@@ -154,14 +163,16 @@ def test_level_path_is_bit_identical_to_per_patch_reference(tile_pair, level):
             assert np.array_equal(getattr(m.support, col), getattr(expect, col))
     # the bound is live here: without it the matches differ
     unbounded = match_patches_3d(level, agg_s, agg_t, feats_src, feats_tgt,
-                                 lab_s, lab_t, src, tgt)
+                                 lab_s, lab_t, src, tgt, max_displacement=np.inf)
     assert (unbounded.source_ids(), unbounded.target_ids()) != (
         ms.source_ids(), ms.target_ids())
 
     fits = []
     for m in reversed(ms.matches):        # fit order must not matter
         try:
-            fits.append((m.source_patch_id, estimate_patch_transform(m), m.modality))
+            t = estimate_patch_transform(m, CFG.icp_gate_factor * resolution,
+                                         CFG.icp_max_iter, CFG.icp_conv_tol)
+            fits.append((m.source_patch_id, t, m.modality))
         except DegenerateSupport:
             continue
     assert fits

@@ -3,6 +3,7 @@ invariance, image pairs matched once per run, checkpoint resume, imported
 descriptors, located input errors, and CLI smoke tests."""
 
 import csv
+import shutil
 import sys
 import threading
 import time
@@ -15,7 +16,7 @@ import dvfusion.pipeline
 from dvfusion.cli import main
 from dvfusion.config import PipelineConfig
 from dvfusion.errors import PipelineError
-from dvfusion.features import DEFAULT_RADIUS_FACTOR, pair_histogram_descriptors
+from dvfusion.features import RADIUS_FACTOR, pair_histogram_descriptors
 from dvfusion.geometry import mean_scan_resolution
 from dvfusion.io import (PointFeatureSet, load_dvf, load_point_cloud,
                          write_point_features)
@@ -244,10 +245,13 @@ def test_interrupted_checkpoint_write_leaves_no_file(tmp_path, monkeypatch):
 def builtin_feature_sets(src, tgt):
     """Builtin descriptors of every point of both clouds, keyed by point id,
     over the radius a run derives from the source resolution."""
-    radius = DEFAULT_RADIUS_FACTOR * mean_scan_resolution(src)
-    return tuple(PointFeatureSet(np.arange(len(pts)),
-                                 pair_histogram_descriptors(pts, radius))
-                 for pts in (src, tgt))
+    radius = RADIUS_FACTOR * mean_scan_resolution(src)
+    sets = []
+    for pts in (src, tgt):
+        every = np.arange(len(pts))
+        sets.append(PointFeatureSet(
+            every, pair_histogram_descriptors(pts, radius, every)))
+    return tuple(sets)
 
 
 def test_imported_builtin_descriptors_give_the_builtin_field():
@@ -323,3 +327,57 @@ def test_cli_run_on_imported_features(tmp_path):
     # one feature file without the other is a configuration error
     assert main(run + overrides[:2]) == 2
     assert main(run + overrides[2:]) == 2
+
+
+def image_run_args(scene_dir, run_dir, views):
+    """`run` on a synth scene with the image channel on, one image per view
+    and epoch."""
+    args = ["run", "--source", str(scene_dir / "source.xyz"),
+            "--target", str(scene_dir / "target.xyz"),
+            "--cameras", str(scene_dir / "cameras.csv"), "--use-images",
+            "--output-dir", str(run_dir), "--set", f"top_k_images={len(views)}"]
+    for view in views:
+        args += ["--source-image", str(scene_dir / "epoch0" / f"{view}.pgm"),
+                 "--target-image", str(scene_dir / "epoch1" / f"{view}.pgm")]
+    return args
+
+
+def synth_with_images(scene_dir):
+    assert main(["synth", "--out", str(scene_dir), "--points", "600",
+                 "--extent", "30", "--images", "2", "--width", "160",
+                 "--height", "120", "--seed", "1"]) == 0
+
+
+def test_cli_run_with_images_matches_every_selected_view(tmp_path, monkeypatch):
+    synth_with_images(tmp_path / "scene")
+    match_pixels = dvfusion.pipeline.match_pixels
+    select = dvfusion.pipeline.select_top_k_images
+    matched, selected = [], set()
+
+    def counting_match(img_a, img_b, **kwargs):
+        matched.append(img_a.image_id)
+        return match_pixels(img_a, img_b, **kwargs)
+
+    def recording_select(*args, **kwargs):
+        ids = select(*args, **kwargs)
+        selected.update(ids)
+        return ids
+
+    monkeypatch.setattr(dvfusion.pipeline, "match_pixels", counting_match)
+    monkeypatch.setattr(dvfusion.pipeline, "select_top_k_images",
+                        recording_select)
+    assert main(image_run_args(tmp_path / "scene", tmp_path / "run",
+                               ["view0", "view1"])) == 0
+    assert selected and sorted(matched) == sorted(selected)
+    assert len(load_dvf(tmp_path / "run" / "dvf.csv")) > 0
+
+
+def test_cli_image_named_after_no_camera_exits_2(tmp_path, capsys):
+    scene_dir = tmp_path / "scene"
+    synth_with_images(scene_dir)
+    for epoch in ("epoch0", "epoch1"):
+        shutil.copy(scene_dir / epoch / "view1.pgm", scene_dir / epoch / "side.pgm")
+    assert main(image_run_args(scene_dir, tmp_path / "run",
+                               ["view0", "side"])) == 2
+    err = capsys.readouterr().err
+    assert "'side'" in err and "'view1'" in err

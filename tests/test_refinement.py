@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from dvfusion.coarse import MatchSet, PatchMatch
+from dvfusion.config import PipelineConfig
 from dvfusion.dvf import MODALITY_3D
 from dvfusion.errors import DegenerateInput
 from dvfusion.geometry import PointCorrespondenceSet, RigidTransform
@@ -19,6 +20,8 @@ from dvfusion.refinement import (
     madd,
     refine,
 )
+
+CFG = PipelineConfig()
 
 
 def corrs_of(p, q):
@@ -107,7 +110,7 @@ def test_rigid_support_accepted():
     rng = np.random.default_rng(6)
     p = rng.uniform(-4, 4, (25, 3))
     q = random_rigid(rng).apply(p)
-    rep = evaluate_match(match_of(corrs_of(p, q)))
+    rep = evaluate_match(match_of(corrs_of(p, q)), CFG.delta1, CFG.delta2)
     assert rep.accepted
     assert rep.madd <= 1e-9
     assert rep.pass_fraction == 1.0
@@ -117,7 +120,7 @@ def test_madd_above_delta1_rejected():
     # two points, single pair: source distance 1, target distance 2.6
     c = corrs_of([(0, 0, 0), (1, 0, 0)], [(0, 0, 0), (2.6, 0, 0)])
     assert abs(madd(c) - 1.6) < 1e-12
-    rep = evaluate_match(match_of(c), delta1=1.5)
+    rep = evaluate_match(match_of(c), delta1=1.5, delta2=CFG.delta2)
     assert not rep.accepted
 
 
@@ -145,7 +148,7 @@ def test_small_mean_but_few_passing_pairs_rejected():
 
 def test_tiny_support_auto_rejected():
     c = corrs_of([(0, 0, 0)], [(0, 0, 0)])
-    rep = evaluate_match(match_of(c))
+    rep = evaluate_match(match_of(c), CFG.delta1, CFG.delta2)
     assert not rep.accepted
     assert rep.madd == float("inf")
 
@@ -154,7 +157,7 @@ def test_boundary_is_strict():
     # madd exactly delta1 -> rejected (strict <)
     c = corrs_of([(0, 0, 0), (1, 0, 0)], [(0, 0, 0), (2.5, 0, 0)])
     assert abs(madd(c) - 1.5) < 1e-12
-    assert not evaluate_match(match_of(c), delta1=1.5).accepted
+    assert not evaluate_match(match_of(c), delta1=1.5, delta2=CFG.delta2).accepted
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +175,7 @@ def rigid_matches(rng, n_matches, n_support=15):
 
 def test_all_rigid_set_unchanged():
     ms = rigid_matches(np.random.default_rng(7), 6)
-    kept, reports = refine(ms)
+    kept, reports = refine(ms, CFG.delta1, CFG.delta2)
     assert len(kept) == 6
     assert all(r.accepted for r in reports)
 
@@ -191,7 +194,7 @@ def test_shuffled_targets_all_rejected():
 
 
 def test_empty_set_refines_to_empty():
-    kept, reports = refine(MatchSet(2, []))
+    kept, reports = refine(MatchSet(2, []), CFG.delta1, CFG.delta2)
     assert len(kept) == 0 and reports == []
     assert kept.level == 2
 
@@ -202,7 +205,7 @@ def test_refine_reports_cover_inputs_in_order():
     # corrupt match 2 by stretching targets
     bad = ms.matches[2].support
     ms.matches[2] = match_of(corrs_of(bad.source, bad.target * 3.0), sid=2, tid=2)
-    kept, reports = refine(ms)
+    kept, reports = refine(ms, CFG.delta1, CFG.delta2)
     assert [r.source_patch_id for r in reports] == [0, 1, 2, 3]
     assert [r.accepted for r in reports] == [True, True, False, True]
     assert [m.source_patch_id for m in kept.matches] == [0, 1, 3]

@@ -69,13 +69,14 @@ def test_margin_threshold_inclusion():
 
 def test_empty_cloud_rejected():
     with pytest.raises(DegenerateInput):
-        tile_pair(np.zeros((0, 3)), np.zeros((5, 3)))
+        tile_pair(np.zeros((0, 3)), np.zeros((5, 3)), max_points=1000,
+                  overlap_margin=0.0)
 
 
 def test_max_points_floor_enforced():
     pts = np.zeros((10, 3))
     with pytest.raises(InvalidParams):
-        tile_pair(pts, pts, max_points=10)
+        tile_pair(pts, pts, max_points=10, overlap_margin=0.0)
 
 
 @settings(deadline=None, max_examples=20)
@@ -116,7 +117,7 @@ def test_tiling_deterministic():
 
 def test_coincident_points_do_not_recurse_forever():
     pts = np.zeros((2000, 3))   # everything at the origin
-    pairs = tile_pair(pts, pts, max_points=1000)
+    pairs = tile_pair(pts, pts, max_points=1000, overlap_margin=0.0)
     assert len(pairs) == 1
     assert len(pairs[0].source) == 2000
 
