@@ -7,10 +7,13 @@ of each, and the stage functions take their settings as required
 arguments. What the inputs decide is no key: descriptors are imported when
 both feature files are given (the two paths go together) and builtin
 otherwise, and a target tile's margin is `max_displacement`. Values are
-checked, not cast, list elements included; a ``--set`` value of a string
-key (a path) is taken verbatim.
+checked, not cast, list elements included: a number is a finite YAML
+number, never a quoted string, NaN or infinity. A ``--set`` value of a
+string key (a path) is taken verbatim.
 """
 
+import math
+import re
 from dataclasses import asdict, dataclass, fields, replace
 
 import yaml
@@ -68,11 +71,16 @@ class PipelineConfig:
     checkpoint_dir: str = ""           # resume coarse matches from here
 
     def validate(self) -> None:
+        for name, f in _FIELDS.items():
+            value = getattr(self, name)
+            if isinstance(f.default, float) and not _is_finite_number(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.max_points < MIN_MAX_POINTS:
             raise ConfigError(f"max_points must be >= {MIN_MAX_POINTS}, "
                               f"got {self.max_points}")
         lf = tuple(self.lambda_factors)
-        if len(lf) != 3 or not (0 < lf[0] < lf[1] < lf[2]):
+        if (len(lf) != 3 or not all(map(_is_finite_number, lf))
+                or not 0 < lf[0] < lf[1] < lf[2]):
             raise ConfigError(
                 f"lambda_factors must be 3 increasing positive values, got {lf}")
         if self.min_patch < 1:
@@ -103,6 +111,22 @@ class PipelineConfig:
 _FIELDS = {f.name: f for f in fields(PipelineConfig)}
 
 
+def _is_finite_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+class _Loader(yaml.SafeLoader):
+    """Safe YAML loading in which ``1e-7`` is a number, as in YAML 1.2 (YAML
+    1.1 reads an exponent without a decimal point as a string)."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+
+
 def _coerce(name: str, value):
     """Check a parsed YAML value against the declared field type."""
     default = _FIELDS[name].default
@@ -123,21 +147,19 @@ def _coerce(name: str, value):
             return value
         raise ConfigError(f"{name}: expected an integer, got {value!r}")
     if isinstance(default, float):
-        if not isinstance(value, bool):
-            try:
-                return float(value)
-            except (TypeError, ValueError):
-                pass
-        raise ConfigError(f"{name}: expected a number, got {value!r}")
+        if _is_finite_number(value):
+            return float(value)
+        raise ConfigError(f"{name}: expected a finite number, got {value!r}")
     if isinstance(default, tuple):
         # lambda_factors holds numbers, the image path lists hold strings
         numbers = bool(default)
         if isinstance(value, (list, tuple)) and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool)
-                if numbers else isinstance(v, str) for v in value):
+                _is_finite_number(v) if numbers else isinstance(v, str)
+                for v in value):
             return tuple(value)
         raise ConfigError(f"{name}: expected a list of "
-                          f"{'numbers' if numbers else 'strings'}, got {value!r}")
+                          f"{'finite numbers' if numbers else 'strings'}, "
+                          f"got {value!r}")
     if isinstance(value, str):
         return value
     raise ConfigError(f"{name}: expected a string, got {value!r}")
@@ -157,7 +179,7 @@ def load_config(path) -> PipelineConfig:
     """Parse a YAML config file; unknown keys are an error, not a warning."""
     with open(path) as fh:
         try:
-            raw = yaml.safe_load(fh) or {}
+            raw = yaml.load(fh, Loader=_Loader) or {}
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
     return config_from_mapping(raw)
@@ -176,7 +198,7 @@ def apply_overrides(cfg: PipelineConfig, pairs) -> PipelineConfig:
             raise ConfigError(f"unknown config key: {key}")
         try:
             value = (raw if isinstance(_FIELDS[key].default, str)
-                     else yaml.safe_load(raw))
+                     else yaml.load(raw, Loader=_Loader))
         except yaml.YAMLError:
             value = raw
         updates[key] = _coerce(key, value)

@@ -9,16 +9,25 @@ the center one and the result L2-normalized. Normals are oriented to the
 upper hemisphere — the natural convention for ground-based scans — which
 makes the signed angles consistent across epochs and keeps the descriptor
 sensitive to chirality (a folded variant would match mirror images).
+
+The normals come from the tile's k-NN covariance features, the pass the
+partition features are derived from, so a tile epoch computes its
+neighbourhood covariance once. One radius search (`query_pairs`) serves
+both passes: its pairs fill the histograms, and as one sparse matrix of
+1/d weights they pool them. The sum order is that of a per-query loop over
+sorted ball-search neighbours (see `pair_histogram_descriptors`), so the
+descriptors keep their bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 from .errors import ImportKeyMismatch, InvalidParams
-from .geometry import (NORMAL_NEIGHBOURS, as_points, bincount_rows,
-                       local_covariance_features, mean_scan_resolution)
+from .geometry import (LocalGeomFeatures, as_points, bincount_rows,
+                       mean_scan_resolution)
 from .io import PointFeatureSet
 
 RADIUS_FACTOR = 5.0     # descriptor radius = factor x mean scan resolution
@@ -82,8 +91,7 @@ def _pair_angles(p_src, n_src, p_tgt, n_tgt):
     d = p_tgt - p_src
     dist = np.linalg.norm(d, axis=1)
     ok = dist > 1e-12
-    d_hat = np.zeros_like(d)
-    d_hat[ok] = d[ok] / dist[ok, None]
+    d_hat = np.divide(d, dist[:, None], out=np.zeros_like(d), where=ok[:, None])
 
     cos1 = np.einsum("ij,ij->i", n_src, d_hat)
     cos2 = np.einsum("ij,ij->i", n_tgt, d_hat)
@@ -97,7 +105,7 @@ def _pair_angles(p_src, n_src, p_tgt, n_tgt):
     v = np.cross(d_signed, u)
     v_norm = np.linalg.norm(v, axis=1)
     ok &= v_norm > 1e-12
-    v[ok] = v[ok] / v_norm[ok, None]
+    np.divide(v, v_norm[:, None], out=v, where=ok[:, None])
     w = np.cross(u, v)
     alpha = np.einsum("ij,ij->i", v, n_other)
     theta = np.arctan2(np.einsum("ij,ij->i", w, n_other),
@@ -113,7 +121,7 @@ def _bin_triplets(alpha, phi, theta):
     return bins(alpha), bins(phi), bins(theta)
 
 
-def pair_histogram_descriptors(points, radius: float,
+def pair_histogram_descriptors(points, geo: LocalGeomFeatures, radius: float,
                                query_indices) -> np.ndarray:
     """33-bin descriptors for the query points, rows in `query_indices` order.
 
@@ -121,45 +129,56 @@ def pair_histogram_descriptors(points, radius: float,
     whole cloud first, then distance-weighted pooling of neighbor histograms
     into each query. Using every cloud point as context — not only the
     queries — keeps the histograms well-populated even when queries are a
-    sparse downsample. Rows are L2-normalized; isolated points get a uniform
-    histogram so the norm invariant still holds.
+    sparse downsample. The normals are those of `geo`, the cloud's k-NN
+    covariance features (invalid rows read as +Z). Rows are L2-normalized;
+    isolated points get a uniform histogram so the norm invariant still
+    holds.
+
+    Pooling is one sparse product. Row q of a CSR matrix holds the weights
+    1/d of q's neighbors: the points other than q within `radius`, by the
+    same `<=` test a ball query uses, at sorted column ids. scipy's CSR x
+    dense product adds each weighted neighbor row in turn, in column order,
+    just as summing the rows of a sorted ball query does, so the result
+    has the bits of that per-query loop. Repeated query ids share one row.
     """
     pts = as_points(points)
     n = len(pts)
     query = np.asarray(query_indices, dtype=np.int64)
-    geo = local_covariance_features(pts, k=NORMAL_NEIGHBOURS)
     normals = geo.normals.copy()
     normals[~geo.valid] = np.array([0.0, 0.0, 1.0])
     # Consistent upward orientation: ground-based scans see upper surfaces,
     # so +Z disambiguates the eigenvector sign the same way in both epochs.
     normals[normals[:, 2] < 0.0] *= -1.0
 
-    tree = cKDTree(pts)
-    pairs = tree.query_pairs(radius, output_type="ndarray")
-    spfh = np.zeros((n, DESCRIPTOR_DIM))
-    if len(pairs):
-        i, j = pairs[:, 0], pairs[:, 1]
-        # evaluate the asymmetric frame once, accumulate into both endpoints
-        alpha, phi, theta, ok = _pair_angles(pts[i], normals[i], pts[j], normals[j])
-        i, j = i[ok], j[ok]
-        ba, bp, bt = (b[ok] for b in _bin_triplets(alpha, phi, theta))
-        cells = [ends * DESCRIPTOR_DIM + k * N_ANGLE_BINS + b
-                 for ends in (i, j) for k, b in enumerate((ba, bp, bt))]
-        spfh = np.bincount(np.concatenate(cells), minlength=n * DESCRIPTOR_DIM
-                           ).astype(np.float64).reshape(n, DESCRIPTOR_DIM)
+    pairs = cKDTree(pts).query_pairs(radius, output_type="ndarray")
+    i, j = pairs[:, 0], pairs[:, 1]
+    p_i, p_j = pts[i], pts[j]
+    # evaluate the asymmetric frame once, accumulate into both endpoints
+    alpha, phi, theta, ok = _pair_angles(p_i, normals[i], p_j, normals[j])
+    cells = [ends[ok] * DESCRIPTOR_DIM + k * N_ANGLE_BINS + b[ok]
+             for ends in (i, j)
+             for k, b in enumerate(_bin_triplets(alpha, phi, theta))]
+    spfh = np.bincount(np.concatenate(cells), minlength=n * DESCRIPTOR_DIM
+                       ).astype(np.float64).reshape(n, DESCRIPTOR_DIM)
 
-    # Distance-weighted pooling of neighbor histograms into the queries.
-    desc = spfh[query].copy()
-    if len(pairs):
-        nbrs = tree.query_ball_point(pts[query], radius)
-        for row, (q, nb) in enumerate(zip(query, nbrs)):
-            nb = np.asarray(nb, dtype=np.int64)
-            nb = nb[nb != q]
-            if len(nb) == 0:
-                continue
-            dist = np.linalg.norm(pts[nb] - pts[q], axis=1)
-            wgt = 1.0 / np.maximum(dist, 1e-9)
-            desc[row] += (wgt[:, None] * spfh[nb]).sum(axis=0) / len(nb)
+    # Distance-weighted pooling of neighbor histograms into the queries, one
+    # row per distinct query: each end of a pair pools the other.
+    uq, row_of = np.unique(query, return_inverse=True)
+    pos = np.full(n, -1, dtype=np.int64)
+    pos[uq] = np.arange(len(uq))
+    rows = np.concatenate([pos[i], pos[j]])
+    nbrs = np.concatenate([j, i])
+    wgt = np.tile(1.0 / np.maximum(np.linalg.norm(p_j - p_i, axis=1), 1e-9), 2)
+    keep = rows >= 0
+    rows, nbrs, wgt = rows[keep], nbrs[keep], wgt[keep]
+    order = np.argsort(rows * n + nbrs)     # by row, then ascending neighbor id
+    counts = np.bincount(rows, minlength=len(uq))
+    pool = csr_matrix((wgt[order], nbrs[order], np.r_[0, np.cumsum(counts)]),
+                      shape=(len(uq), n))
+    pooled = pool @ spfh
+    has = counts > 0
+    pooled[has] /= counts[has, None]
+    desc = spfh[query] + pooled[row_of]
 
     norms = np.linalg.norm(desc, axis=1)
     flat = norms <= 1e-12
@@ -167,13 +186,14 @@ def pair_histogram_descriptors(points, radius: float,
     return desc / np.linalg.norm(desc, axis=1)[:, None]
 
 
-def extract_point_features(points, sample_indices,
+def extract_point_features(points, geo: LocalGeomFeatures, sample_indices,
                            resolution: float) -> PointFeatureSet:
     """Builtin descriptors for the downsampled points of a tile: pair-angle
     histograms over radius `RADIUS_FACTOR` x the mean scan resolution, with
-    the full tile as neighborhood context."""
+    the full tile as neighborhood context and the normals of `geo`, the
+    tile's k-NN covariance features."""
     sample_indices = np.asarray(sample_indices, dtype=np.int64)
-    desc = pair_histogram_descriptors(points, RADIUS_FACTOR * resolution,
+    desc = pair_histogram_descriptors(points, geo, RADIUS_FACTOR * resolution,
                                       query_indices=sample_indices)
     return PointFeatureSet(sample_indices, desc)
 

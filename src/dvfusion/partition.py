@@ -35,8 +35,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import InvalidParams
-from .geometry import (NORMAL_NEIGHBOURS, as_points, bincount_rows,
-                       local_covariance_features)
+from .geometry import LocalGeomFeatures, as_points, bincount_rows
 from scipy.spatial import cKDTree
 
 _EPS_DECREASE = 1e-12          # strict-improvement threshold for accepting moves
@@ -521,16 +520,14 @@ def standardize_features(feats) -> np.ndarray:
     return out
 
 
-def partition_features(points) -> np.ndarray:
-    """Default per-point feature vector: [linearity, planarity, curvature,
-    verticality] from the k-NN covariance.
+def partition_features(geo: LocalGeomFeatures) -> np.ndarray:
+    """Per-point feature vector: [linearity, planarity, curvature,
+    verticality] from the k-NN covariance features `geo` of the tile.
 
     Verticality (1 - |n_z|) is what usually tells an object's flanks from
     the ground around it; the eigenvalue shape measures alone are too noisy
     on natural surfaces to support that distinction.
     """
-    pts = as_points(points)
-    geo = local_covariance_features(pts, k=NORMAL_NEIGHBOURS)
     verticality = 1.0 - np.abs(geo.normals[:, 2])
     return np.stack([geo.linearity, geo.planarity, geo.curvature, verticality],
                     axis=1)
@@ -573,12 +570,12 @@ def _contract_graph(f, edges, weights, labels, sizes=None):
     return means, counts, sup_edges, w
 
 
-def hierarchical_partition(points, lambda_factors, min_patch: int, k_adj: int,
-                           feats=None) -> HierarchicalPartition:
+def hierarchical_partition(points, feats, lambda_factors, min_patch: int,
+                           k_adj: int) -> HierarchicalPartition:
     """Build the three-level patch hierarchy of a tile.
 
-    Features (`feats`, by default `partition_features` of the points) are
-    standardized per tile; the three strengths are
+    Per-point features (`feats`, one row per point; a run passes
+    `partition_features`) are standardized per tile; the three strengths are
     `lambda_factors` x the mean channel variance of the standardized
     features (1 when every channel is live). Level 1 solves on the
     full graph; levels 2 and 3 re-solve on the previous level's
@@ -586,8 +583,6 @@ def hierarchical_partition(points, lambda_factors, min_patch: int, k_adj: int,
     hierarchy is nested coarse-over-fine by construction.
     """
     pts = as_points(points)
-    if feats is None:
-        feats = partition_features(pts)
     f = standardize_features(feats)
     graph = build_adjacency_graph(pts, k_adj=k_adj)
     base = float(f.var(axis=0).mean())

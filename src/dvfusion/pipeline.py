@@ -50,10 +50,11 @@ from .features import (
     lookup_descriptors,
 )
 from .fine import estimate_patch_transform, integrate_levels, level_field
-from .geometry import PointCorrespondenceSet, as_points, mean_scan_resolution
+from .geometry import (NORMAL_NEIGHBOURS, PointCorrespondenceSet, as_points,
+                       local_covariance_features, mean_scan_resolution)
 from .io import PointFeatureSet
 from .imaging import match_pixels, project_to_image, select_top_k_images
-from .partition import hierarchical_partition
+from .partition import hierarchical_partition, partition_features
 from .refinement import refine
 from .tiling import tile_pair
 
@@ -218,10 +219,11 @@ def load_coarse_checkpoint(path, src_points, tgt_points, key: str):
 # Per-tile processing
 
 
-def _tile_features(sub_pts, global_ids, cfg: PipelineConfig,
+def _tile_features(sub_pts, geo, global_ids, cfg: PipelineConfig,
                    resolution: float, imported) -> PointFeatureSet:
     """Descriptors for the downsampled points of one tile: imported ones
-    when a feature set is given, the builtin ones otherwise.
+    when a feature set is given, the builtin ones (normals from `geo`, the
+    tile's k-NN covariance features) otherwise.
 
     Imported feature files are keyed by point ids of the *full* cloud, so the
     tile-local sample is translated to global ids for the lookup and the
@@ -232,7 +234,7 @@ def _tile_features(sub_pts, global_ids, cfg: PipelineConfig,
     if imported is not None:
         return PointFeatureSet(sample,
                                lookup_descriptors(imported, global_ids[sample]))
-    return extract_point_features(sub_pts, sample_indices=sample,
+    return extract_point_features(sub_pts, geo, sample_indices=sample,
                                   resolution=resolution)
 
 
@@ -305,12 +307,18 @@ def _process_tile(pair, source_points, target_points, cfg: PipelineConfig,
 
     t0 = time.perf_counter()
     try:
+        # One neighbourhood pass per epoch: the partition features and the
+        # builtin descriptors' normals both come from this covariance.
+        geo_src = local_covariance_features(sub_src, k=NORMAL_NEIGHBOURS)
+        geo_tgt = local_covariance_features(sub_tgt, k=NORMAL_NEIGHBOURS)
         part_src = hierarchical_partition(
-            sub_src, lambda_factors=cfg.lambda_factors,
-            min_patch=cfg.min_patch, k_adj=cfg.k_adj)
+            sub_src, feats=partition_features(geo_src),
+            lambda_factors=cfg.lambda_factors, min_patch=cfg.min_patch,
+            k_adj=cfg.k_adj)
         part_tgt = hierarchical_partition(
-            sub_tgt, lambda_factors=cfg.lambda_factors,
-            min_patch=cfg.min_patch, k_adj=cfg.k_adj)
+            sub_tgt, feats=partition_features(geo_tgt),
+            lambda_factors=cfg.lambda_factors, min_patch=cfg.min_patch,
+            k_adj=cfg.k_adj)
     except DvfError as exc:
         raise _fail("partition", pid, exc) from exc
     t0 = _tick(timings, "partition", t0)
@@ -326,10 +334,12 @@ def _process_tile(pair, source_points, target_points, cfg: PipelineConfig,
     else:
         imp_src, imp_tgt = imported_features or (None, None)
         try:
-            src_feats = _tile_features(sub_src, pair.source.point_indices,
-                                       cfg, resolution, imp_src)
-            tgt_feats = _tile_features(sub_tgt, pair.target.point_indices,
-                                       cfg, resolution, imp_tgt)
+            src_feats = _tile_features(sub_src, geo_src,
+                                       pair.source.point_indices, cfg,
+                                       resolution, imp_src)
+            tgt_feats = _tile_features(sub_tgt, geo_tgt,
+                                       pair.target.point_indices, cfg,
+                                       resolution, imp_tgt)
             table = (
                 _coarse_2d_table(sub_src, sub_tgt, cameras, src_rasters,
                                  tgt_rasters, cfg, pixel_memo)

@@ -101,6 +101,45 @@ def test_values_are_checked_not_cast(tmp_path):
             load_config(path)
 
 
+NON_FINITE_OR_QUOTED = ["delta1=nan", "voxel_factor=.nan",
+                        "max_displacement=.inf", "icp_gate_factor=-.inf",
+                        'min_conf="0.7"', "lambda_factors=[0.1, 0.5, .inf]"]
+
+
+@pytest.mark.parametrize("pair", NON_FINITE_OR_QUOTED)
+def test_override_of_a_non_finite_or_quoted_number_fails_by_name(pair):
+    key = pair.partition("=")[0]
+    with pytest.raises(ConfigError, match=key):
+        apply_overrides(PipelineConfig(), [pair])
+
+
+@pytest.mark.parametrize("pair", NON_FINITE_OR_QUOTED)
+def test_config_file_with_a_non_finite_or_quoted_number_fails_by_name(
+        tmp_path, pair):
+    key, _, value = pair.partition("=")
+    path = tmp_path / "bad.yaml"
+    path.write_text(f"{key}: {value}\n")
+    with pytest.raises(ConfigError, match=key):
+        load_config(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("delta1", float("nan")), ("voxel_factor", float("nan")),
+    ("max_displacement", float("inf")), ("min_conf", "0.7"),
+    ("lambda_factors", (0.1, 0.5, float("inf")))])
+def test_validate_rejects_a_non_finite_or_string_number(key, value):
+    with pytest.raises(ConfigError, match=key):
+        replace(PipelineConfig(), **{key: value}).validate()
+
+
+def test_exponent_numbers_load_from_a_config_file(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text("icp_conv_tol: 1e-7\nlambda_factors: [1e-1, 5E-1, 2]\n")
+    cfg = load_config(path)
+    assert cfg.icp_conv_tol == 1e-7
+    assert cfg.lambda_factors == (0.1, 0.5, 2)
+
+
 def test_madd_threshold_ranges():
     PipelineConfig(delta1=1e-9, delta2=0.0).validate()
     PipelineConfig(delta2=0.999).validate()

@@ -1,22 +1,30 @@
 """Descriptor pipeline: adaptive downsampling, pair-angle histograms and
-their rotation robustness, imported descriptor lookup, patch aggregation."""
+their rotation robustness, sparse-product pooling against the per-query
+loop it replaced, imported descriptor lookup, patch aggregation."""
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
 from dvfusion.config import PipelineConfig
 from dvfusion.errors import ImportKeyMismatch, InvalidParams
 from dvfusion.features import (
     DESCRIPTOR_DIM,
+    N_ANGLE_BINS,
+    RADIUS_FACTOR,
+    _bin_triplets,
+    _pair_angles,
     adaptive_downsample,
     aggregate_level_features,
     extract_point_features,
     lookup_descriptors,
     pair_histogram_descriptors,
 )
-from dvfusion.geometry import mean_scan_resolution
+from dvfusion.geometry import (NORMAL_NEIGHBOURS, as_points,
+                               local_covariance_features, mean_scan_resolution)
 from dvfusion.io import PointFeatureSet
+from dvfusion.synth import SynthParams, synth_generate_scene
 
 VOXEL_FACTOR = PipelineConfig().voxel_factor
 
@@ -72,10 +80,20 @@ def test_downsample_rejects_bad_factor():
 # Descriptors
 
 
+def covariance(pts):
+    """The k-NN covariance features a run computes once per tile epoch."""
+    return local_covariance_features(pts, k=NORMAL_NEIGHBOURS)
+
+
+def descriptors(pts, radius, query_indices):
+    return pair_histogram_descriptors(pts, covariance(pts), radius,
+                                      query_indices)
+
+
 def test_descriptors_unit_norm_and_shape():
     rng = np.random.default_rng(5)
     pts = rng.uniform(0, 4, (80, 3))
-    desc = pair_histogram_descriptors(pts, radius=1.5, query_indices=np.arange(80))
+    desc = descriptors(pts, radius=1.5, query_indices=np.arange(80))
     assert desc.shape == (80, DESCRIPTOR_DIM)
     assert np.allclose(np.linalg.norm(desc, axis=1), 1.0, atol=1e-9)
 
@@ -85,8 +103,7 @@ def test_duplicate_neighborhoods_nearly_identical_descriptors():
     blob = bumpy_blob(rng)
     far = blob + np.array([100.0, 0.0, 0.0])
     pts = np.vstack([blob, far])
-    desc = pair_histogram_descriptors(pts, radius=1.2,
-                                      query_indices=np.arange(len(pts)))
+    desc = descriptors(pts, radius=1.2, query_indices=np.arange(len(pts)))
     sims = np.einsum("ij,ij->i", desc[:60], desc[60:])
     assert np.all(sims > 0.99)
 
@@ -102,8 +119,8 @@ def test_rotated_copy_descriptor_stability():
     rot = Rotation.from_euler("xyz", [8, -5, 110], degrees=True).as_matrix()
     moved = blob @ rot.T + np.array([5.0, -3.0, 2.0])
     every = np.arange(len(blob))
-    d_a = pair_histogram_descriptors(blob, radius=1.2, query_indices=every)
-    d_b = pair_histogram_descriptors(moved, radius=1.2, query_indices=every)
+    d_a = descriptors(blob, radius=1.2, query_indices=every)
+    d_b = descriptors(moved, radius=1.2, query_indices=every)
     cos_dist = 1.0 - np.einsum("ij,ij->i", d_a, d_b)
     assert np.median(cos_dist) < 0.02
     assert np.quantile(cos_dist, 0.95) < 0.05
@@ -113,9 +130,118 @@ def test_extract_builtin_provider():
     rng = np.random.default_rng(8)
     pts = rng.uniform(0, 10, (400, 3))
     sample = adaptive_downsample(pts, VOXEL_FACTOR)
-    feats = extract_point_features(pts, sample, mean_scan_resolution(pts))
+    feats = extract_point_features(pts, covariance(pts), sample,
+                                   mean_scan_resolution(pts))
     assert np.array_equal(feats.point_indices, sample) and len(sample) <= 400
     assert feats.descriptors.shape[1] == DESCRIPTOR_DIM
+
+
+# ---------------------------------------------------------------------------
+# Pooling: the sparse product against the per-query loop it replaced
+
+
+def reference_pair_histogram_descriptors(points, radius: float,
+                                         query_indices) -> np.ndarray:
+    """The descriptors as computed before pooling became one sparse product:
+    a `query_ball_point` search per query and one weighted sum per query."""
+    pts = as_points(points)
+    n = len(pts)
+    query = np.asarray(query_indices, dtype=np.int64)
+    geo = local_covariance_features(pts, k=NORMAL_NEIGHBOURS)
+    normals = geo.normals.copy()
+    normals[~geo.valid] = np.array([0.0, 0.0, 1.0])
+    # Consistent upward orientation: ground-based scans see upper surfaces,
+    # so +Z disambiguates the eigenvector sign the same way in both epochs.
+    normals[normals[:, 2] < 0.0] *= -1.0
+
+    tree = cKDTree(pts)
+    pairs = tree.query_pairs(radius, output_type="ndarray")
+    spfh = np.zeros((n, DESCRIPTOR_DIM))
+    if len(pairs):
+        i, j = pairs[:, 0], pairs[:, 1]
+        # evaluate the asymmetric frame once, accumulate into both endpoints
+        alpha, phi, theta, ok = _pair_angles(pts[i], normals[i], pts[j], normals[j])
+        i, j = i[ok], j[ok]
+        ba, bp, bt = (b[ok] for b in _bin_triplets(alpha, phi, theta))
+        cells = [ends * DESCRIPTOR_DIM + k * N_ANGLE_BINS + b
+                 for ends in (i, j) for k, b in enumerate((ba, bp, bt))]
+        spfh = np.bincount(np.concatenate(cells), minlength=n * DESCRIPTOR_DIM
+                           ).astype(np.float64).reshape(n, DESCRIPTOR_DIM)
+
+    # Distance-weighted pooling of neighbor histograms into the queries.
+    desc = spfh[query].copy()
+    if len(pairs):
+        nbrs = tree.query_ball_point(pts[query], radius)
+        for row, (q, nb) in enumerate(zip(query, nbrs)):
+            nb = np.asarray(nb, dtype=np.int64)
+            nb = nb[nb != q]
+            if len(nb) == 0:
+                continue
+            dist = np.linalg.norm(pts[nb] - pts[q], axis=1)
+            wgt = 1.0 / np.maximum(dist, 1e-9)
+            desc[row] += (wgt[:, None] * spfh[nb]).sum(axis=0) / len(nb)
+
+    norms = np.linalg.norm(desc, axis=1)
+    flat = norms <= 1e-12
+    desc[flat] = 1.0 / np.sqrt(DESCRIPTOR_DIM)
+    return desc / np.linalg.norm(desc, axis=1)[:, None]
+
+
+def assert_pooling_bit_equal(pts, radius, query):
+    got = descriptors(pts, radius, query)
+    want = reference_pair_histogram_descriptors(pts, radius, query)
+    assert got.shape == (len(query), DESCRIPTOR_DIM)
+    assert np.array_equal(got, want)
+
+
+def test_pooling_with_isolated_points():
+    rng = np.random.default_rng(20)
+    # a dense blob, a sparse scatter, and points far from everything
+    pts = np.vstack([rng.uniform(0, 3, (150, 3)), rng.uniform(0, 40, (40, 3)),
+                     [[100.0, 100.0, 100.0], [-80.0, 0.0, 5.0]]])
+    assert_pooling_bit_equal(pts, 1.0, np.arange(len(pts)))
+
+
+def test_pooling_with_duplicated_points():
+    rng = np.random.default_rng(21)
+    base = rng.uniform(0, 4, (120, 3))
+    # exact copies pool each other at the 1e-9 distance floor
+    pts = np.vstack([base, base[:30], base[5:10]])
+    assert_pooling_bit_equal(pts, 1.2, np.arange(len(pts)))
+
+
+@pytest.mark.parametrize("radius", [1.0, 2.0])
+def test_pooling_with_neighbors_exactly_at_the_radius(radius):
+    # integer grid: many pair distances equal the radius, where the pair
+    # search and a ball query must make the same `<=` decision
+    xs, ys, zs = np.meshgrid(np.arange(8.0), np.arange(8.0), np.arange(3.0))
+    pts = np.stack([xs.ravel(), ys.ravel(), zs.ravel()], axis=1)
+    assert_pooling_bit_equal(pts, radius, np.arange(len(pts)))
+
+
+def test_pooling_with_unsorted_and_repeated_queries():
+    rng = np.random.default_rng(22)
+    pts = rng.uniform(0, 5, (200, 3))
+    query = np.array([57, 3, 199, 3, 120, 0, 57, 57, 88, 1])
+    assert_pooling_bit_equal(pts, 1.3, query)
+    assert_pooling_bit_equal(pts, 1.3, rng.permutation(200))
+
+
+def test_pooling_with_a_radius_that_forms_no_pair():
+    rng = np.random.default_rng(23)
+    pts = rng.uniform(0, 10, (60, 3))
+    desc = descriptors(pts, 1e-6, np.arange(60))
+    assert np.all(desc == 1.0 / np.sqrt(DESCRIPTOR_DIM))
+    assert_pooling_bit_equal(pts, 1e-6, np.array([4, 2, 4]))
+
+
+def test_pooling_on_a_synth_epoch():
+    scene = synth_generate_scene(SynthParams(n_points=20_000, texture=False),
+                                 seed=0)
+    pts = scene.target.points
+    resolution = mean_scan_resolution(scene.source.points)
+    sample = adaptive_downsample(pts, VOXEL_FACTOR, resolution)
+    assert_pooling_bit_equal(pts, RADIUS_FACTOR * resolution, sample)
 
 
 def test_extract_import_provider():

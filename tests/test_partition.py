@@ -10,13 +10,15 @@ from hypothesis import given, settings, strategies as st
 from dvfusion.config import PipelineConfig
 from dvfusion.errors import InvalidParams
 from dvfusion import partition
-from dvfusion.geometry import RigidTransform
+from dvfusion.geometry import (NORMAL_NEIGHBOURS, RigidTransform,
+                               local_covariance_features)
 from dvfusion.partition import (
     build_adjacency_graph,
     cut_pursuit,
     filter_small_patches,
     hierarchical_partition,
     partition_energy,
+    partition_features,
     patch_members,
     standardize_features,
 )
@@ -207,13 +209,17 @@ def test_solver_regions_are_connected():
 # Hierarchy
 
 
-def hierarchy(points, **kw):
+def hierarchy(points, feats=None, **kw):
     """`hierarchical_partition` with the configured settings, `kw`
-    overriding them."""
+    overriding them; without `feats`, on the partition features a run
+    derives from the points' k-NN covariance."""
+    if feats is None:
+        feats = partition_features(
+            local_covariance_features(points, k=NORMAL_NEIGHBOURS))
     cfg = PipelineConfig()
     settings = dict(lambda_factors=cfg.lambda_factors, min_patch=cfg.min_patch,
                     k_adj=cfg.k_adj)
-    return hierarchical_partition(points, **{**settings, **kw})
+    return hierarchical_partition(points, feats, **{**settings, **kw})
 
 
 def two_cluster_scene(rng, n_each=60):

@@ -16,8 +16,9 @@ from dvfusion.features import (
     extract_point_features,
 )
 from dvfusion.fine import estimate_patch_transform, level_field
-from dvfusion.geometry import PointCorrespondenceSet, mean_scan_resolution
-from dvfusion.partition import hierarchical_partition
+from dvfusion.geometry import (NORMAL_NEIGHBOURS, PointCorrespondenceSet,
+                               local_covariance_features, mean_scan_resolution)
+from dvfusion.partition import hierarchical_partition, partition_features
 from dvfusion.synth import SynthParams, synth_generate_scene
 
 LEVELS = (1, 2, 3)
@@ -115,16 +116,18 @@ def tile_pair():
     src, tgt = scene.source.points, scene.target.points
     resolution = mean_scan_resolution(src)
 
-    def partition(pts):
-        return hierarchical_partition(pts, lambda_factors=CFG.lambda_factors,
+    def describe(pts):
+        """Patch hierarchy and descriptors from one k-NN covariance, as a
+        run computes them."""
+        geo = local_covariance_features(pts, k=NORMAL_NEIGHBOURS)
+        part = hierarchical_partition(pts, partition_features(geo),
+                                      lambda_factors=CFG.lambda_factors,
                                       min_patch=CFG.min_patch, k_adj=CFG.k_adj)
-
-    def features(pts):
         sample = adaptive_downsample(pts, CFG.voxel_factor, resolution)
-        return extract_point_features(pts, sample, resolution)
+        return part, extract_point_features(pts, geo, sample, resolution)
 
-    return (src, tgt, partition(src), partition(tgt), features(src),
-            features(tgt), resolution)
+    (part_src, feats_src), (part_tgt, feats_tgt) = describe(src), describe(tgt)
+    return (src, tgt, part_src, part_tgt, feats_src, feats_tgt, resolution)
 
 
 def fields_equal(a, b):

@@ -1,6 +1,7 @@
 """End-to-end runs: the output contract of `run_pipeline`, thread-count
-invariance, image pairs matched once per run, checkpoint resume, imported
-descriptors, located input errors, and CLI smoke tests."""
+invariance, image pairs matched once per run, one neighbourhood covariance
+per tile epoch, checkpoint resume, imported descriptors, located input
+errors, and CLI smoke tests."""
 
 import csv
 import shutil
@@ -17,7 +18,8 @@ from dvfusion.cli import main
 from dvfusion.config import PipelineConfig
 from dvfusion.errors import PipelineError
 from dvfusion.features import RADIUS_FACTOR, pair_histogram_descriptors
-from dvfusion.geometry import mean_scan_resolution
+from dvfusion.geometry import (NORMAL_NEIGHBOURS, local_covariance_features,
+                               mean_scan_resolution)
 from dvfusion.io import (PointFeatureSet, load_dvf, load_point_cloud,
                          write_point_features)
 from dvfusion.pipeline import run_pipeline, save_coarse_checkpoint
@@ -96,6 +98,51 @@ def test_each_image_pair_is_matched_once_per_run(monkeypatch):
         assert sorted(matched) == sorted(set(selected[0]) | set(selected[1]))
         fields.append(result.field)
     assert_same_field(*fields)
+
+
+@pytest.mark.parametrize("case", ["one tile", "two tiles", "imported"])
+def test_covariance_is_computed_once_per_tile_epoch(monkeypatch, case):
+    if case == "two tiles":
+        scene = tiny_scene(n_points=1050, seed=2)
+        cfg = PipelineConfig(max_points=1000, n_workers=2)
+    else:
+        scene = tiny_scene()
+        cfg = PipelineConfig()
+    src, tgt = scene.source.points, scene.target.points
+    imported = builtin_feature_sets(src, tgt) if case == "imported" else None
+
+    covariance = dvfusion.pipeline.local_covariance_features
+    extract = dvfusion.pipeline.extract_point_features
+    computed, described = [], []
+
+    def counting_covariance(points, **kwargs):
+        geo = covariance(points, **kwargs)
+        computed.append((len(points), geo))
+        return geo
+
+    def recording_extract(points, geo, *args, **kwargs):
+        described.append(geo)
+        return extract(points, geo, *args, **kwargs)
+
+    # every module of the package that could call it
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("dvfusion.")
+                and hasattr(module, "local_covariance_features")):
+            monkeypatch.setattr(module, "local_covariance_features",
+                                counting_covariance)
+    monkeypatch.setattr(dvfusion.pipeline, "extract_point_features",
+                        recording_extract)
+    result = run_pipeline(src, tgt, cfg, imported_features=imported)
+
+    pairs = result.tile_pairs
+    assert len(pairs) == (2 if case == "two tiles" else 1)
+    assert sorted(n for n, _ in computed) == sorted(
+        len(tile) for p in pairs for tile in (p.source, p.target))
+    if case == "imported":
+        assert described == []          # only the partition reads it
+    else:
+        # the descriptors read the very covariance the partition read
+        assert sorted(map(id, described)) == sorted(id(g) for _, g in computed)
 
 
 def test_pixel_match_memo_under_contention(monkeypatch):
@@ -249,8 +296,9 @@ def builtin_feature_sets(src, tgt):
     sets = []
     for pts in (src, tgt):
         every = np.arange(len(pts))
+        geo = local_covariance_features(pts, k=NORMAL_NEIGHBOURS)
         sets.append(PointFeatureSet(
-            every, pair_histogram_descriptors(pts, radius, every)))
+            every, pair_histogram_descriptors(pts, geo, radius, every)))
     return tuple(sets)
 
 
