@@ -50,11 +50,6 @@ class MatchSet:
     def target_ids(self) -> list:
         return [m.target_patch_id for m in self.matches]
 
-    def is_injective(self) -> bool:
-        n = len(self.matches)
-        return (len(set(self.source_ids())) == n
-                and len(set(self.target_ids())) == n)
-
 
 @dataclass
 class CorrTable:

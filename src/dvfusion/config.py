@@ -8,7 +8,8 @@ arguments. What the inputs decide is no key: descriptors are imported when
 both feature files are given (the two paths go together) and builtin
 otherwise, and a target tile's margin is `max_displacement`. Values are
 checked, not cast, list elements included: a number is a finite YAML
-number, never a quoted string, NaN or infinity. A ``--set`` value of a
+number, never a quoted string, NaN or infinity, and a boolean is a YAML
+boolean, never a quoted string. A ``--set`` value of a
 string key (a path) is taken verbatim.
 """
 
@@ -133,12 +134,6 @@ def _coerce(name: str, value):
     if isinstance(default, bool):
         if isinstance(value, bool):
             return value
-        if isinstance(value, str):
-            low = value.strip().lower()
-            if low in ("true", "yes", "1", "on"):
-                return True
-            if low in ("false", "no", "0", "off"):
-                return False
         raise ConfigError(f"{name}: expected a boolean, got {value!r}")
     if isinstance(default, int):
         if isinstance(value, float) and value.is_integer():

@@ -23,6 +23,7 @@ from .errors import (
     InvalidParams,
     NoEstimateNearObservation,
 )
+from .features import adaptive_downsample
 from .geometry import (
     as_points,
     icp_point_to_point,
@@ -30,7 +31,6 @@ from .geometry import (
     mean_scan_resolution,
 )
 
-DEFAULT_COMPARE_RADIUS = 15.0
 M3C2_CORE_VOXEL_FACTOR = 2.0    # core point spacing, x mean scan resolution
 
 
@@ -120,7 +120,7 @@ def compare_nn(dvf: DisplacementVectorField, observations,
 
 
 def compare_mean_radius(dvf: DisplacementVectorField, observations,
-                        radius: float = DEFAULT_COMPARE_RADIUS) -> EvaluationReport:
+                        radius: float) -> EvaluationReport:
     """Compare each observation against the mean estimate within a radius.
 
     `member_mad` holds the mean absolute deviation of member components (and
@@ -217,26 +217,22 @@ class M3C2Result:
 
 def baseline_m3c2(source_points, target_points,
                   normal_radius: float, cylinder_radius: float,
-                  max_depth: float = 10.0,
-                  core_indices=None) -> M3C2Result:
+                  max_depth: float = 10.0) -> M3C2Result:
     """Distance along the local surface normal between the epochs.
 
     Per core point: PCA normal over `normal_radius` neighbours in the source;
     both epochs' points inside the normal-aligned cylinder (radius
     `cylinder_radius`, half-depth `max_depth`) are averaged and the mean
     difference is projected on the normal. Blind to motion tangential to the
-    surface by construction. Core points default to an adaptive downsample
-    of the source, one per voxel of `M3C2_CORE_VOXEL_FACTOR` x its mean scan
+    surface by construction. Core points are an adaptive downsample of the
+    source, one per voxel of `M3C2_CORE_VOXEL_FACTOR` x its mean scan
     resolution.
     """
     if normal_radius <= 0 or cylinder_radius <= 0:
         raise InvalidParams("radii must be positive")
     src = as_points(source_points)
     tgt = as_points(target_points)
-    if core_indices is None:
-        from .features import adaptive_downsample
-        core_indices = adaptive_downsample(src, voxel_factor=M3C2_CORE_VOXEL_FACTOR)
-    core_indices = np.asarray(core_indices, dtype=np.int64)
+    core_indices = adaptive_downsample(src, voxel_factor=M3C2_CORE_VOXEL_FACTOR)
     cores = src[core_indices]
     geo = local_covariance_features(src, radius=normal_radius)
     normals = geo.normals[core_indices]

@@ -7,7 +7,7 @@ Points are plain float64 ndarrays: a single point has shape (3,), a cloud
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -68,25 +68,11 @@ class RigidTransform:
         pts = as_points(pts)
         return pts @ self.rotation.T + self.translation
 
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """Transform equal to applying `other` first, then `self`."""
-        return RigidTransform(self.rotation @ other.rotation,
-                              self.rotation @ other.translation + self.translation)
-
-    def inverse(self) -> "RigidTransform":
-        rt = self.rotation.T
-        return RigidTransform(rt, -rt @ self.translation)
-
     def as_matrix(self) -> np.ndarray:
         m = np.eye(4)
         m[:3, :3] = self.rotation
         m[:3, 3] = self.translation
         return m
-
-    @classmethod
-    def from_matrix(cls, m) -> "RigidTransform":
-        m = np.asarray(m, dtype=np.float64).reshape(4, 4)
-        return cls(m[:3, :3], m[:3, 3])
 
 
 @dataclass
@@ -169,7 +155,6 @@ class IcpResult:
     transform: RigidTransform
     rmse: float
     iterations: int
-    rmse_history: list = field(default_factory=list)
 
 
 def icp_point_to_point(source, target, init: RigidTransform | None = None,
@@ -194,7 +179,6 @@ def icp_point_to_point(source, target, init: RigidTransform | None = None,
         max_pair_dist = 5.0 * mean_scan_resolution(tgt) if len(tgt) >= 2 else np.inf
     t = RigidTransform.identity() if init is None else init
     tree = cKDTree(tgt)
-    history: list[float] = []
     rmse = np.inf
     iterations = 0
     for _ in range(max_iter):
@@ -212,11 +196,10 @@ def icp_point_to_point(source, target, init: RigidTransform | None = None,
         q_mean = pairs_tgt.mean(axis=0)
         t = _kabsch_solve(pairs_src - p_mean, pairs_tgt - q_mean, p_mean, q_mean)
         rmse = alignment_rmse(t, pairs_src, pairs_tgt)
-        history.append(rmse)
         iterations += 1
         if rmse_before - rmse < conv_tol:
             break
-    return IcpResult(t, rmse, iterations, history)
+    return IcpResult(t, rmse, iterations)
 
 
 @dataclass

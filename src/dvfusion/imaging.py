@@ -93,8 +93,8 @@ def _peak_offsets(c_minus, c0, c_plus, ok) -> np.ndarray:
 
 
 def match_pixels(img_a: Raster, img_b: Raster, stride: int,
-                 template_radius: int, search_window: int, min_conf: float,
-                 subpixel: bool = True) -> PixelMatchSet:
+                 template_radius: int, search_window: int,
+                 min_conf: float) -> PixelMatchSet:
     """Grid-keypoint NCC matching from `img_a` into `img_b`.
 
     Keypoints sit on a regular grid (spacing `stride`). Each (2r+1)^2 template
@@ -178,14 +178,13 @@ def match_pixels(img_a: Raster, img_b: Raster, stride: int,
         mv = (y_lo + iy).astype(np.float64)
         mu = (x0[k] + ix).astype(np.float64)
         # a perfect integer peak cannot be improved by interpolation
-        if subpixel:
-            fine = score < 1.0 - 1e-9
-            xm, xp = np.maximum(ix - 1, 0), np.minimum(ix + 1, nx - 1)
-            ym, yp = np.maximum(iy - 1, 0), np.minimum(iy + 1, ny - 1)
-            mu += _peak_offsets(ncc[j, iy, xm], score, ncc[j, iy, xp],
-                                fine & (mu > x_lo[k]) & (mu < x_hi[k]))
-            mv += _peak_offsets(ncc[j, ym, ix], score, ncc[j, yp, ix],
-                                fine & (iy > 0) & (iy < ny - 1))
+        fine = score < 1.0 - 1e-9
+        xm, xp = np.maximum(ix - 1, 0), np.minimum(ix + 1, nx - 1)
+        ym, yp = np.maximum(iy - 1, 0), np.minimum(iy + 1, ny - 1)
+        mu += _peak_offsets(ncc[j, iy, xm], score, ncc[j, iy, xp],
+                            fine & (mu > x_lo[k]) & (mu < x_hi[k]))
+        mv += _peak_offsets(ncc[j, ym, ix], score, ncc[j, yp, ix],
+                            fine & (iy > 0) & (iy < ny - 1))
         keep = conf >= min_conf
         rows.append(np.column_stack([us[k], np.full(len(k), v), mu, mv,
                                      conf])[keep])

@@ -1,6 +1,11 @@
 """File formats: ASCII PLY / XYZ point clouds, PGM/PPM rasters, camera tables,
 observation and point-feature CSVs, and DVF CSV export and import.
 
+A point cloud is its coordinates. An XYZ row holds 3 or 6 numbers, the same
+count on every row; the last three of a 6-column row (XYZRGB) are checked but
+not kept. A PLY vertex is read for `x`, `y` and `z`; its other properties
+(colour, intensity, normals) are ignored.
+
 Every loader either returns a fully validated structure or raises a located
 error (`ParseError` with a line number, `SchemaError` naming the field); there
 are no partial silent results.
@@ -35,17 +40,14 @@ DVF_FIELDS = ("point_id", "x", "y", "z", "dx", "dy", "dz", "level", "patch_id",
 
 @dataclass
 class PointCloud:
-    """One epoch of points, optionally colored."""
+    """One epoch of points."""
 
     points: np.ndarray
-    color: np.ndarray | None = None
 
     def __post_init__(self):
         self.points = as_points(self.points)
         if len(self.points) < 1:
             raise ValueError("point cloud must hold at least one point")
-        if self.color is not None:
-            self.color = np.asarray(self.color, dtype=np.uint8).reshape(len(self.points), 3)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -163,15 +165,18 @@ class PointFeatureSet:
 
 
 def load_point_cloud(path) -> PointCloud:
+    """Coordinates from an ASCII PLY (`x`, `y`, `z` of each vertex, other
+    properties ignored) or an XYZ file (3 or 6 numeric columns, the same
+    count on every row, only the first three kept)."""
     path = Path(path)
     suffix = path.suffix.lower()
     if suffix == ".ply":
-        pts, color = _load_ply(path)
+        pts = _load_ply(path)
     elif suffix in (".xyz", ".txt", ".csv"):
-        pts, color = _load_xyz(path)
+        pts = _load_xyz(path)
     else:
         raise UnsupportedFormat(f"unknown point-cloud extension {suffix!r} ({path})")
-    return PointCloud(pts, color)
+    return PointCloud(pts)
 
 
 def write_point_cloud(path, cloud: PointCloud) -> None:
@@ -186,7 +191,7 @@ def write_point_cloud(path, cloud: PointCloud) -> None:
 
 
 def _load_xyz(path: Path):
-    pts, colors = [], []
+    pts = []
     width = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -206,21 +211,15 @@ def _load_xyz(path: Path):
             except ValueError:
                 raise ParseError(str(path), lineno, f"not a number in {line!r}") from None
             pts.append(vals[:3])
-            if width == 6:
-                colors.append(vals[3:])
     if not pts:
         raise ParseError(str(path), 1, "no points in file")
-    color = np.asarray(colors, dtype=np.uint8) if colors else None
-    return np.asarray(pts), color
+    return np.asarray(pts)
 
 
 def _write_xyz(path: Path, cloud: PointCloud) -> None:
     with open(path, "w") as fh:
-        for i, p in enumerate(cloud.points):
-            row = " ".join(COORD_FMT % v for v in p)
-            if cloud.color is not None:
-                row += " " + " ".join(str(int(v)) for v in cloud.color[i])
-            fh.write(row + "\n")
+        for p in cloud.points:
+            fh.write(" ".join(COORD_FMT % v for v in p) + "\n")
 
 
 def _load_ply(path: Path):
@@ -271,10 +270,8 @@ def _load_ply(path: Path):
         if want not in props:
             raise SchemaError(want, f"vertex element lacks property {want!r} ({path})")
 
-    has_color = all(c in props for c in ("red", "green", "blue"))
-    col = {name: props.index(name) for name in props}
+    col = [props.index(name) for name in ("x", "y", "z")]
     pts = np.empty((n_vertex, 3))
-    color = np.empty((n_vertex, 3), dtype=np.uint8) if has_color else None
     body = lines[header_end:]
     if len(body) < n_vertex:
         raise ParseError(str(path), len(lines), f"expected {n_vertex} vertex rows, got {len(body)}")
@@ -285,28 +282,20 @@ def _load_ply(path: Path):
             raise ParseError(str(path), lineno,
                              f"expected {len(props)} values, got {len(toks)}")
         try:
-            pts[i] = [float(toks[col["x"]]), float(toks[col["y"]]), float(toks[col["z"]])]
-            if has_color:
-                color[i] = [int(toks[col["red"]]), int(toks[col["green"]]), int(toks[col["blue"]])]
+            pts[i] = [float(toks[c]) for c in col]
         except ValueError:
             raise ParseError(str(path), lineno, f"bad vertex row {body[i]!r}") from None
-    return pts, color
+    return pts
 
 
 def _write_ply(path: Path, cloud: PointCloud) -> None:
-    has_color = cloud.color is not None
     with open(path, "w") as fh:
         fh.write("ply\nformat ascii 1.0\n")
         fh.write(f"element vertex {len(cloud)}\n")
         fh.write("property float x\nproperty float y\nproperty float z\n")
-        if has_color:
-            fh.write("property uchar red\nproperty uchar green\nproperty uchar blue\n")
         fh.write("end_header\n")
-        for i, p in enumerate(cloud.points):
-            row = " ".join(COORD_FMT % v for v in p)
-            if has_color:
-                row += " " + " ".join(str(int(v)) for v in cloud.color[i])
-            fh.write(row + "\n")
+        for p in cloud.points:
+            fh.write(" ".join(COORD_FMT % v for v in p) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -53,10 +53,8 @@ _MAX_OUTER = 10                # split/merge/polish rounds per solve
 class AdjacencyGraph:
     """Symmetric k-NN graph; `edges` holds each undirected edge once (i < j)."""
 
-    n_vertices: int
     edges: np.ndarray            # (E, 2) int64, i < j
     weights: np.ndarray          # (E,) float64
-    mean_edge_length: float
 
 
 def build_adjacency_graph(points, k_adj: int) -> AdjacencyGraph:
@@ -70,7 +68,7 @@ def build_adjacency_graph(points, k_adj: int) -> AdjacencyGraph:
     if k_adj < 3:
         raise InvalidParams(f"k_adj must be >= 3, got {k_adj}")
     if n < 2:
-        return AdjacencyGraph(n, np.zeros((0, 2), dtype=np.int64), np.zeros(0), 0.0)
+        return AdjacencyGraph(np.zeros((0, 2), dtype=np.int64), np.zeros(0))
     kk = min(k_adj + 1, n)
     tree = cKDTree(pts)
     dist, idx = tree.query(pts, k=kk)
@@ -84,7 +82,7 @@ def build_adjacency_graph(points, k_adj: int) -> AdjacencyGraph:
     lengths = np.linalg.norm(pts[edges[:, 0]] - pts[edges[:, 1]], axis=1)
     d_mean = float(lengths.mean()) if len(lengths) else 0.0
     weights = 1.0 / (1.0 + lengths / d_mean) if d_mean > 0 else np.ones(len(lengths))
-    return AdjacencyGraph(n, edges, weights, d_mean)
+    return AdjacencyGraph(edges, weights)
 
 
 # ---------------------------------------------------------------------------

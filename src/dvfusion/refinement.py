@@ -36,31 +36,21 @@ class MatchQualityReport:
     accepted: bool
 
 
-def _support_subset(corrs: PointCorrespondenceSet, cap: int):
-    if len(corrs) <= cap:
-        return corrs.source, corrs.target
-    keep = np.random.default_rng(_SUBSAMPLE_SEED).choice(len(corrs), size=cap,
-                                                         replace=False)
-    return corrs.source[keep], corrs.target[keep]
+def distance_deviations(corrs: PointCorrespondenceSet) -> np.ndarray:
+    """| ||p_i - p_j|| - ||q_i - q_j|| | over all unordered support pairs.
 
-
-def distance_deviations(corrs: PointCorrespondenceSet,
-                        cap: int = MAX_SUPPORT_POINTS) -> np.ndarray:
-    """| ||p_i - p_j|| - ||q_i - q_j|| | over all unordered support pairs."""
+    Their mean, the MADD, is zero exactly when the support moves rigidly and
+    grows with stretch, shear or mismatched points.
+    """
     if len(corrs) < 2:
         raise DegenerateInput(
             f"need at least 2 correspondences, got {len(corrs)}")
-    p, q = _support_subset(corrs, cap)
+    p, q = corrs.source, corrs.target
+    if len(corrs) > MAX_SUPPORT_POINTS:
+        keep = np.random.default_rng(_SUBSAMPLE_SEED).choice(
+            len(corrs), size=MAX_SUPPORT_POINTS, replace=False)
+        p, q = p[keep], q[keep]
     return np.abs(pdist(p) - pdist(q))
-
-
-def madd(corrs: PointCorrespondenceSet, cap: int = MAX_SUPPORT_POINTS) -> float:
-    """Mean absolute deviation of pairwise distances between the epochs.
-
-    Zero exactly when the support moves rigidly; grows with stretch, shear,
-    or mismatched points.
-    """
-    return float(distance_deviations(corrs, cap).mean())
 
 
 def evaluate_match(match: PatchMatch, delta1: float,

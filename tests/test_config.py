@@ -132,6 +132,29 @@ def test_validate_rejects_a_non_finite_or_string_number(key, value):
         replace(PipelineConfig(), **{key: value}).validate()
 
 
+def load_one(tmp_path, via, key, text):
+    """Read one `key: text` setting from a YAML file or through --set."""
+    if via == "set":
+        return apply_overrides(PipelineConfig(), [f"{key}={text}"])
+    path = tmp_path / "cfg.yaml"
+    path.write_text(f"{key}: {text}\n")
+    return load_config(path)
+
+
+@pytest.mark.parametrize("via", ["file", "set"])
+@pytest.mark.parametrize("text", ['"1"', '"yes"', '"off"'])
+def test_quoted_boolean_fails_by_name(tmp_path, via, text):
+    with pytest.raises(ConfigError, match="use_images"):
+        load_one(tmp_path, via, "use_images", text)
+
+
+@pytest.mark.parametrize("via", ["file", "set"])
+@pytest.mark.parametrize("text, want", [("true", True), ("yes", True),
+                                        ("off", False)])
+def test_yaml_booleans_load(tmp_path, via, text, want):
+    assert load_one(tmp_path, via, "use_images", text).use_images is want
+
+
 def test_exponent_numbers_load_from_a_config_file(tmp_path):
     path = tmp_path / "cfg.yaml"
     path.write_text("icp_conv_tol: 1e-7\nlambda_factors: [1e-1, 5E-1, 2]\n")

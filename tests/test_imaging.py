@@ -1,9 +1,13 @@
 """Pinhole projection, view selection, and normalized cross-correlation
 pixel matching."""
 
+from contextlib import nullcontext
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from dvfusion import imaging
 from dvfusion.config import PipelineConfig
 from dvfusion.errors import ImageTooSmall, NoVisibleImage
 from dvfusion.geometry import RigidTransform
@@ -253,12 +257,21 @@ def reference_matches(surfaces, min_conf, subpixel):
     return np.asarray(rows, dtype=np.float64).reshape(-1, 5)
 
 
+def integer_peaks():
+    """Take the matcher's sub-pixel step out: every offset becomes 0."""
+    return mock.patch.object(imaging, "_peak_offsets", lambda *args: 0.0)
+
+
 def assert_matches_reference(img_a, img_b, stride=8, template_radius=7,
                              search_window=64, min_conf=0.5, subpixel=True):
+    """Check `match_pixels` against the per-keypoint reference; with
+    `subpixel` unset both take integer peaks. Returns the matches."""
     kw = dict(stride=stride, template_radius=template_radius,
               search_window=search_window, min_conf=min_conf)
-    got = match_pixels(img_a, img_b, subpixel=subpixel, **kw).matches
-    peaks = match_pixels(img_a, img_b, subpixel=False, **kw).matches
+    with nullcontext() if subpixel else integer_peaks():
+        got = match_pixels(img_a, img_b, **kw).matches
+    with integer_peaks():
+        peaks = match_pixels(img_a, img_b, **kw).matches
     surfaces = reference_surfaces(img_a, img_b, stride, template_radius,
                                   search_window)
     want = reference_matches(surfaces, min_conf, subpixel)
@@ -295,7 +308,7 @@ def shifted_pair(rng, shape_a, shape_b, shift=(3, -2)):
     ((120, 64), (72, 90), {"stride": 5}),                # a taller
     ((64, 48), (50, 60), {"search_window": 200}),        # window beyond image
     ((96, 96), (96, 96), {"search_window": 21}),         # odd window
-    ((96, 80), (96, 80), {"subpixel": False}),
+    ((96, 80), (96, 80), {"subpixel": False}),           # integer peaks
     ((70, 90), (90, 70), {"template_radius": 4, "min_conf": 0.0}),
 ])
 def test_matches_equal_per_keypoint_reference(shape_a, shape_b, kw):

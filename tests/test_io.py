@@ -36,15 +36,13 @@ def test_xyz_three_lines(tmp_path):
     cloud = load_point_cloud(p)
     assert len(cloud) == 3
     assert np.allclose(cloud.points[1], [1.5, 2.0, 3.0])
-    assert cloud.color is None
 
 
 def test_xyz_with_rgb_and_comments(tmp_path):
     p = tmp_path / "b.xyz"
     p.write_text("# comment line\n0 0 0 255 0 0\n1 1 1 0 255 0\n")
     cloud = load_point_cloud(p)
-    assert cloud.color is not None
-    assert cloud.color[0].tolist() == [255, 0, 0]
+    assert cloud.points.tolist() == [[0, 0, 0], [1, 1, 1]]
 
 
 def test_xyz_bad_token_reports_line(tmp_path):
@@ -62,6 +60,14 @@ def test_xyz_wrong_column_count(tmp_path):
         load_point_cloud(p)
 
 
+def test_xyzrgb_bad_colour_token_reports_line(tmp_path):
+    p = tmp_path / "bad.xyz"
+    p.write_text("0 0 0 1 2 3\n1 1 1 4 abc 6\n")
+    with pytest.raises(ParseError) as err:
+        load_point_cloud(p)
+    assert err.value.line == 2
+
+
 def test_ply_with_rgb(tmp_path):
     p = tmp_path / "c.ply"
     p.write_text(
@@ -70,8 +76,7 @@ def test_ply_with_rgb(tmp_path):
         "property uchar red\nproperty uchar green\nproperty uchar blue\n"
         "end_header\n0 0 0 10 20 30\n1 2 3 40 50 60\n")
     cloud = load_point_cloud(p)
-    assert len(cloud) == 2
-    assert cloud.color[1].tolist() == [40, 50, 60]
+    assert cloud.points.tolist() == [[0, 0, 0], [1, 2, 3]]
 
 
 def test_ply_binary_rejected(tmp_path):
@@ -102,13 +107,11 @@ def test_ply_truncated_body(tmp_path):
 @pytest.mark.parametrize("ext", ["xyz", "ply"])
 def test_cloud_round_trip_precision(tmp_path, ext):
     rng = np.random.default_rng(5)
-    cloud = PointCloud(rng.uniform(-1000, 1000, (10_000, 3)),
-                       rng.integers(0, 256, (10_000, 3)).astype(np.uint8))
+    cloud = PointCloud(rng.uniform(-1000, 1000, (10_000, 3)))
     p = tmp_path / f"r.{ext}"
     write_point_cloud(p, cloud)
     back = load_point_cloud(p)
     assert np.abs(back.points - cloud.points).max() < 1e-6
-    assert np.array_equal(back.color, cloud.color)
 
 
 def test_unknown_extension(tmp_path):

@@ -20,8 +20,8 @@ from dvfusion.errors import PipelineError
 from dvfusion.features import RADIUS_FACTOR, pair_histogram_descriptors
 from dvfusion.geometry import (NORMAL_NEIGHBOURS, local_covariance_features,
                                mean_scan_resolution)
-from dvfusion.io import (PointFeatureSet, load_dvf, load_point_cloud,
-                         write_point_features)
+from dvfusion.io import (COORD_FMT, DVF_FIELDS, PointFeatureSet, load_dvf,
+                         load_point_cloud, write_point_features)
 from dvfusion.pipeline import run_pipeline, save_coarse_checkpoint
 from dvfusion.synth import SynthParams, synth_generate_scene
 
@@ -354,6 +354,66 @@ def test_cli_synth_run_export_eval(tmp_path):
     assert main(["eval", "--dvf", str(dvf_csv), "--observations", str(obs),
                  "--source", str(scene_dir / "source.xyz"),
                  "--out", str(tmp_path / "eval.csv")]) == 0
+
+
+def cloud_text(points, fmt, rng):
+    """`points` as plain XYZ, as a PLY whose vertices also carry 16-bit
+    colour and an intensity, or as XYZRGB with a colour value beyond 8 bits."""
+    coords = [" ".join(COORD_FMT % v for v in p) for p in points]
+    n = len(coords)
+    if fmt == "xyz":
+        rows = coords
+    elif fmt == "ply":
+        rgb = rng.integers(0, 65536, (n, 3))
+        rgb[0, 0] = 65535
+        rows = ["ply", "format ascii 1.0", f"element vertex {n}",
+                *(f"property float {c}" for c in "xyz"),
+                *(f"property ushort {c}" for c in ("red", "green", "blue")),
+                "property float intensity", "end_header"]
+        rows += [f"{c} {r} {g} {b} {i:.3f}"
+                 for c, (r, g, b), i in zip(coords, rgb, rng.uniform(0, 1, n))]
+    else:
+        rows = [f"{coords[0]} 300 0 0"] + [f"{c} 10 20 30" for c in coords[1:]]
+    return "\n".join(rows) + "\n"
+
+
+def test_cli_run_ignores_point_colours(tmp_path):
+    """Per-point colours of any range, and other vertex properties, are
+    read past: the field equals the one from the bare coordinates."""
+    scene = tiny_scene()
+    rng = np.random.default_rng(0)
+    fields = {}
+    for fmt, ext in (("xyz", "xyz"), ("ply", "ply"), ("xyzrgb", "xyz")):
+        clouds = []
+        for epoch, cloud in (("source", scene.source), ("target", scene.target)):
+            path = tmp_path / f"{epoch}_{fmt}.{ext}"
+            path.write_text(cloud_text(cloud.points, fmt, rng))
+            clouds.append(str(path))
+        out = tmp_path / fmt
+        assert main(["run", "--source", clouds[0], "--target", clouds[1],
+                     "--output-dir", str(out)]) == 0
+        fields[fmt] = (out / "dvf.csv").read_text()
+    assert len(fields["xyz"].splitlines()) > 1
+    assert fields["ply"] == fields["xyz"]
+    assert fields["xyzrgb"] == fields["xyz"]
+
+
+@pytest.mark.parametrize("method, header, rows", [
+    ("icp", list(DVF_FIELDS), 400),      # every point gets an estimate here
+    ("m3c2", ["core_index", "nx", "ny", "nz", "distance", "valid"], 234),
+])
+def test_cli_baseline(tmp_path, method, header, rows):
+    scene_dir, out = tmp_path / "scene", tmp_path / f"{method}.csv"
+    assert main(["synth", "--out", str(scene_dir), "--points", "400",
+                 "--extent", "30", "--no-texture", "--seed", "0"]) == 0
+    assert main(["baseline", "--method", method,
+                 "--source", str(scene_dir / "source.xyz"),
+                 "--target", str(scene_dir / "target.xyz"),
+                 "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        table = list(csv.reader(fh))
+    assert table[0] == header
+    assert len(table) - 1 == rows
 
 
 def test_cli_run_on_imported_features(tmp_path):

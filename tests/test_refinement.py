@@ -13,11 +13,12 @@ from dvfusion.config import PipelineConfig
 from dvfusion.dvf import MODALITY_3D
 from dvfusion.errors import DegenerateInput
 from dvfusion.geometry import PointCorrespondenceSet, RigidTransform
+from dvfusion import refinement
 from dvfusion.refinement import (
     MatchQualityReport,
+    distance_deviations,
     dump_quality_reports,
     evaluate_match,
-    madd,
     refine,
 )
 
@@ -49,21 +50,21 @@ def test_rigid_motion_scores_zero(seed):
     rng = np.random.default_rng(seed)
     p = rng.uniform(-10, 10, (rng.integers(2, 40), 3))
     q = random_rigid(rng).apply(p)
-    assert madd(corrs_of(p, q)) <= 1e-9
+    assert distance_deviations(corrs_of(p, q)).mean() <= 1e-9
 
 
 def test_hand_worked_three_point_example():
     p = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
     q = [(0, 0, 0), (2, 0, 0), (0, 1, 0)]
     expect = (abs(1 - 2) + abs(1 - 1) + abs(np.sqrt(2) - np.sqrt(5))) / 3
-    assert abs(madd(corrs_of(p, q)) - expect) < 1e-12
+    assert abs(distance_deviations(corrs_of(p, q)).mean() - expect) < 1e-12
 
 
 def test_uniform_scaling_closed_form():
     rng = np.random.default_rng(3)
     p = rng.uniform(-5, 5, (30, 3))
     for s in (1.5, 2.0, 3.7):
-        got = madd(corrs_of(p, s * p))
+        got = distance_deviations(corrs_of(p, s * p)).mean()
         from scipy.spatial.distance import pdist
         expect = (s - 1.0) * pdist(p).mean()
         assert abs(got - expect) < 1e-9
@@ -71,7 +72,7 @@ def test_uniform_scaling_closed_form():
 
 def test_single_pair_rejected():
     with pytest.raises(DegenerateInput):
-        madd(corrs_of([(0, 0, 0)], [(1, 1, 1)]))
+        distance_deviations(corrs_of([(0, 0, 0)], [(1, 1, 1)]))
 
 
 @given(st.integers(0, 10 ** 6))
@@ -80,8 +81,9 @@ def test_independent_rigid_motions_leave_madd_unchanged(seed):
     rng = np.random.default_rng(seed)
     p = rng.uniform(-10, 10, (20, 3))
     q = rng.uniform(-10, 10, (20, 3))
-    base = madd(corrs_of(p, q))
-    moved = madd(corrs_of(random_rigid(rng).apply(p), random_rigid(rng).apply(q)))
+    base = distance_deviations(corrs_of(p, q)).mean()
+    moved = distance_deviations(corrs_of(random_rigid(rng).apply(p),
+                                         random_rigid(rng).apply(q))).mean()
     assert abs(base - moved) < 1e-9
 
 
@@ -89,17 +91,22 @@ def test_madd_symmetric_under_swap():
     rng = np.random.default_rng(4)
     p = rng.uniform(0, 5, (15, 3))
     q = rng.uniform(0, 5, (15, 3))
-    assert abs(madd(corrs_of(p, q)) - madd(corrs_of(q, p))) < 1e-15
+    assert abs(distance_deviations(corrs_of(p, q)).mean()
+               - distance_deviations(corrs_of(q, p)).mean()) < 1e-15
 
 
-def test_large_support_subsampled_deterministically():
+def test_large_support_subsampled_deterministically(monkeypatch):
     rng = np.random.default_rng(5)
     p = rng.uniform(0, 100, (2000, 3))
     q = p + rng.normal(0, 0.1, p.shape)
     c = corrs_of(p, q)
-    assert madd(c) == madd(c)
+    sub = distance_deviations(c).mean()
+    assert sub == distance_deviations(c).mean()
     # the subsample estimate stays close to the full computation
-    assert abs(madd(c) - madd(c, cap=4000)) < 0.02
+    monkeypatch.setattr(refinement, "MAX_SUPPORT_POINTS", 4000)
+    full = distance_deviations(c)
+    assert len(full) == 2000 * 1999 // 2
+    assert abs(sub - full.mean()) < 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +126,7 @@ def test_rigid_support_accepted():
 def test_madd_above_delta1_rejected():
     # two points, single pair: source distance 1, target distance 2.6
     c = corrs_of([(0, 0, 0), (1, 0, 0)], [(0, 0, 0), (2.6, 0, 0)])
-    assert abs(madd(c) - 1.6) < 1e-12
+    assert abs(distance_deviations(c).mean() - 1.6) < 1e-12
     rep = evaluate_match(match_of(c), delta1=1.5, delta2=CFG.delta2)
     assert not rep.accepted
 
@@ -156,7 +163,7 @@ def test_tiny_support_auto_rejected():
 def test_boundary_is_strict():
     # madd exactly delta1 -> rejected (strict <)
     c = corrs_of([(0, 0, 0), (1, 0, 0)], [(0, 0, 0), (2.5, 0, 0)])
-    assert abs(madd(c) - 1.5) < 1e-12
+    assert abs(distance_deviations(c).mean() - 1.5) < 1e-12
     assert not evaluate_match(match_of(c), delta1=1.5, delta2=CFG.delta2).accepted
 
 
