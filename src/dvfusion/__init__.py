@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .geometry import (  # noqa: F401
     RigidTransform,
-    PointCorrespondenceSet,
     kabsch,
     icp_point_to_point,
     local_covariance_features,

@@ -3,9 +3,10 @@
 Candidate matches come from two independent channels per hierarchy level:
 mutual nearest-neighbour matching of aggregated patch descriptors (the 3D
 channel) and pixel matches lifted through the cameras onto tile points (the
-2D channel). Both carry point-level support pairs; the merge step prefers
-the geometric channel where the two disagree and enforces an injective
-source-to-target patch mapping.
+2D channel). Both carry point-level support: index pairs into the tile's
+source and target points, which stay the only record of a coordinate. The
+merge step prefers the geometric channel where the two disagree and
+enforces an injective source-to-target patch mapping.
 
 Patches are the ids of one level's label arrays (see `partition`): a
 patch's members, centroid, radius and featured points are all derived from
@@ -21,19 +22,25 @@ from scipy.spatial import cKDTree
 
 from .dvf import MODALITY_2D, MODALITY_3D
 from .errors import InvalidParams
-from .geometry import PointCorrespondenceSet, as_points, bincount_rows
+from .geometry import as_points, bincount_rows
 from .partition import patch_members
 
 
 @dataclass
 class PatchMatch:
-    """One matched patch pair with the point pairs that support it."""
+    """One matched patch pair with its support: pair i joins tile source
+    point `source_indices[i]` to tile target point `target_indices[i]`, and
+    no point appears in two pairs."""
 
     level: int
     source_patch_id: int
     target_patch_id: int
     modality: str
-    support: PointCorrespondenceSet
+    source_indices: np.ndarray
+    target_indices: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.source_indices)
 
 
 @dataclass
@@ -53,38 +60,25 @@ class MatchSet:
 
 @dataclass
 class CorrTable:
-    """Flat point-pair table that, unlike PointCorrespondenceSet, may be
-    empty and carries a per-pair confidence. Lifted 2D matches live here
-    until they are grouped into patch support sets."""
+    """Lifted 2D matches of one tile: index pairs into the tile's source and
+    target points with a per-pair confidence, until they are voted into
+    patch supports."""
 
     source_indices: np.ndarray
     target_indices: np.ndarray
-    source: np.ndarray
-    target: np.ndarray
     confidence: np.ndarray
-
-    def __post_init__(self):
-        self.source_indices = np.asarray(self.source_indices, dtype=np.int64).reshape(-1)
-        self.target_indices = np.asarray(self.target_indices, dtype=np.int64).reshape(-1)
-        self.source = np.asarray(self.source, dtype=np.float64).reshape(-1, 3)
-        self.target = np.asarray(self.target, dtype=np.float64).reshape(-1, 3)
-        self.confidence = np.asarray(self.confidence, dtype=np.float64).reshape(-1)
 
     def __len__(self) -> int:
         return len(self.source_indices)
 
     @classmethod
     def empty(cls) -> "CorrTable":
-        z = np.zeros(0)
-        return cls(z, z, np.zeros((0, 3)), np.zeros((0, 3)), z)
+        none = np.zeros(0, dtype=np.int64)
+        return cls(none, none, np.zeros(0))
 
     def take(self, sel) -> "CorrTable":
         return CorrTable(self.source_indices[sel], self.target_indices[sel],
-                         self.source[sel], self.target[sel], self.confidence[sel])
-
-    def to_correspondences(self) -> PointCorrespondenceSet:
-        return PointCorrespondenceSet(self.source, self.target,
-                                      self.source_indices, self.target_indices)
+                         self.confidence[sel])
 
 
 _MUTUAL_NN_BLOCK = 2 ** 22  # similarity-matrix entries held at once
@@ -171,8 +165,9 @@ def match_patches_3d(level, src_patch_feats, tgt_patch_feats,
     descriptors from pairing patches across the scene.
 
     Support pairs are mutual nearest neighbours between the two patches'
-    featured (downsampled) points; a patch pair without any supporting point
-    pair is dropped, since nothing downstream could estimate motion from it.
+    featured (downsampled) points, as indices into `src_points`/`tgt_points`;
+    a patch pair without any supporting point pair is dropped, since nothing
+    downstream could estimate motion from it.
     """
     src_ids, fa = src_patch_feats
     tgt_ids, fb = tgt_patch_feats
@@ -202,10 +197,9 @@ def match_patches_3d(level, src_patch_feats, tgt_patch_feats,
                            tgt_point_feats.descriptors[pos_b])
         if len(pa) == 0:
             continue
-        si = src_point_feats.point_indices[pos_a[pa]]
-        ti = tgt_point_feats.point_indices[pos_b[pb]]
-        support = PointCorrespondenceSet.from_indices(src_points, tgt_points, si, ti)
-        matches.append(PatchMatch(level, sid, tid, MODALITY_3D, support))
+        matches.append(PatchMatch(level, sid, tid, MODALITY_3D,
+                                  src_point_feats.point_indices[pos_a[pa]],
+                                  tgt_point_feats.point_indices[pos_b[pb]]))
     return MatchSet(level, matches)
 
 
@@ -218,9 +212,8 @@ def _dedup_keep_best(key, conf):
 
 
 def lift_matches(pixmatch_sets, src_projections, tgt_projections,
-                 src_points, tgt_points,
                  r_px: float) -> CorrTable:
-    """Turn pixel matches into 3D point pairs via nearest projected points.
+    """Turn pixel matches into tile point pairs via nearest projected points.
 
     Each match end snaps to the closest validly-projected tile point within
     `r_px` pixels; matches with a bare end are dropped. Within an image pair,
@@ -228,8 +221,6 @@ def lift_matches(pixmatch_sets, src_projections, tgt_projections,
     pairs, the pair with the most surviving matches is taken first and later
     pairs only contribute points not matched yet.
     """
-    src_points = as_points(src_points)
-    tgt_points = as_points(tgt_points)
     per_pair = []
     for pm in pixmatch_sets:
         img_s, img_t = pm.image_pair
@@ -256,38 +247,33 @@ def lift_matches(pixmatch_sets, src_projections, tgt_projections,
         si, ti, conf = si[keep], ti[keep], conf[keep]
         per_pair.append((len(si), pm.image_pair, si, ti, conf))
 
+    # Within one image pair both ends are unique, so a row only competes
+    # with the rows of image pairs taken before its own.
     per_pair.sort(key=lambda t: (-t[0], t[1]))
-    seen_src: set = set()
-    seen_tgt: set = set()
-    rows_s, rows_t, rows_c = [], [], []
+    taken = []
     for _, _, si, ti, conf in per_pair:
-        for s, t, c in zip(si, ti, conf):
-            if s in seen_src or t in seen_tgt:
-                continue
-            seen_src.add(s)
-            seen_tgt.add(t)
-            rows_s.append(s)
-            rows_t.append(t)
-            rows_c.append(c)
-    if not rows_s:
+        if taken:
+            fresh = (~np.isin(si, np.concatenate([t[0] for t in taken]))
+                     & ~np.isin(ti, np.concatenate([t[1] for t in taken])))
+            si, ti, conf = si[fresh], ti[fresh], conf[fresh]
+        taken.append((si, ti, conf))
+    if not taken:
         return CorrTable.empty()
-    si = np.asarray(rows_s, dtype=np.int64)
-    ti = np.asarray(rows_t, dtype=np.int64)
-    conf = np.asarray(rows_c)
+    si, ti, conf = (np.concatenate(col) for col in zip(*taken))
     order = np.argsort(si)
-    si, ti, conf = si[order], ti[order], conf[order]
-    return CorrTable(si, ti, src_points[si], tgt_points[ti], conf)
+    return CorrTable(si[order], ti[order], conf[order])
 
 
-def filter_by_max_displacement(table: CorrTable, d_max: float) -> CorrTable:
+def filter_by_max_displacement(table: CorrTable, src_points, tgt_points,
+                               d_max: float) -> CorrTable:
     """Drop pairs whose implied displacement magnitude exceeds `d_max`."""
-    if len(table) == 0:
-        return table
-    d = np.linalg.norm(table.target - table.source, axis=1)
+    d = np.linalg.norm(tgt_points[table.target_indices]
+                       - src_points[table.source_indices], axis=1)
     return table.take(d <= d_max)
 
 
-def gate_match_set(ms: MatchSet, d_max: float, min_support: int) -> MatchSet:
+def gate_match_set(ms: MatchSet, src_points, tgt_points, d_max: float,
+                   min_support: int) -> MatchSet:
     """Apply the plausible-displacement bound to patch-match supports.
 
     Support pairs implying a displacement above `d_max` are dropped, and a
@@ -299,16 +285,16 @@ def gate_match_set(ms: MatchSet, d_max: float, min_support: int) -> MatchSet:
     min_support = max(int(min_support), 3)
     out = []
     for m in ms.matches:
-        d = np.linalg.norm(m.support.target - m.support.source, axis=1)
+        d = np.linalg.norm(tgt_points[m.target_indices]
+                           - src_points[m.source_indices], axis=1)
         keep = d <= d_max
         if keep.sum() < min_support:
             continue
         if keep.all():
             out.append(m)
             continue
-        out.append(replace(m, support=PointCorrespondenceSet(
-            m.support.source[keep], m.support.target[keep],
-            m.support.source_indices[keep], m.support.target_indices[keep])))
+        out.append(replace(m, source_indices=m.source_indices[keep],
+                           target_indices=m.target_indices[keep]))
     return MatchSet(ms.level, out)
 
 
@@ -337,23 +323,23 @@ def match_patches_2d(level, table: CorrTable, src_labels, tgt_labels) -> MatchSe
         present = np.flatnonzero(counts)
         best = min(present, key=lambda t: (-counts[t], -conf_sum[t], t))
         votes = rows & (tp == best)
-        support = table.take(votes).to_correspondences()
-        matches.append(PatchMatch(level, int(sid), int(best), MODALITY_2D, support))
+        matches.append(PatchMatch(level, int(sid), int(best), MODALITY_2D,
+                                  table.source_indices[votes],
+                                  table.target_indices[votes]))
     return MatchSet(level, matches)
 
 
-def _extend_support(base: PointCorrespondenceSet,
-                    extra: PointCorrespondenceSet) -> PointCorrespondenceSet:
-    """Append pairs from `extra` that do not reuse a point of `base`."""
+def _extend_support(base: PatchMatch, extra: PatchMatch) -> PatchMatch:
+    """`base` with the pairs of `extra` that do not reuse a point of `base`
+    appended to its support."""
     fresh = (~np.isin(extra.source_indices, base.source_indices)
              & ~np.isin(extra.target_indices, base.target_indices))
-    if not fresh.any():
-        return base
-    return PointCorrespondenceSet(
-        np.vstack([base.source, extra.source[fresh]]),
-        np.vstack([base.target, extra.target[fresh]]),
-        np.concatenate([base.source_indices, extra.source_indices[fresh]]),
-        np.concatenate([base.target_indices, extra.target_indices[fresh]]))
+    return replace(
+        base,
+        source_indices=np.concatenate([base.source_indices,
+                                       extra.source_indices[fresh]]),
+        target_indices=np.concatenate([base.target_indices,
+                                       extra.target_indices[fresh]]))
 
 
 def merge_match_sets(m3d: MatchSet, m2d: MatchSet) -> MatchSet:
@@ -374,13 +360,12 @@ def merge_match_sets(m3d: MatchSet, m2d: MatchSet) -> MatchSet:
         if held is None:
             merged[m.source_patch_id] = m
         elif held.target_patch_id == m.target_patch_id:
-            merged[m.source_patch_id] = replace(
-                held, support=_extend_support(held.support, m.support))
+            merged[m.source_patch_id] = _extend_support(held, m)
     by_target: dict = {}
     for sid in sorted(merged):
         m = merged[sid]
         rival = by_target.get(m.target_patch_id)
-        if rival is None or len(m.support) > len(rival.support):
+        if rival is None or len(m) > len(rival):
             by_target[m.target_patch_id] = m
     matches = sorted(by_target.values(), key=lambda m: m.source_patch_id)
     return MatchSet(m3d.level, matches)

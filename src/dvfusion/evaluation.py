@@ -94,7 +94,7 @@ def spatial_coverage(dvf: DisplacementVectorField, source_points,
 
 
 def compare_nn(dvf: DisplacementVectorField, observations,
-               max_dist: float = np.inf) -> EvaluationReport:
+               max_dist: float) -> EvaluationReport:
     """Compare each observation against the estimate at the nearest covered
     source point.
 
@@ -217,7 +217,7 @@ class M3C2Result:
 
 def baseline_m3c2(source_points, target_points,
                   normal_radius: float, cylinder_radius: float,
-                  max_depth: float = 10.0) -> M3C2Result:
+                  max_depth: float) -> M3C2Result:
     """Distance along the local surface normal between the epochs.
 
     Per core point: PCA normal over `normal_radius` neighbours in the source;

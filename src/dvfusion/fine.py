@@ -1,7 +1,8 @@
 """Per-match rigid motion estimation and hierarchy integration.
 
 Each surviving patch match yields one rigid transform, fit on its support
-pairs (closed-form first, then ICP on the same points). Applying the
+(index pairs into the tile's points; closed-form first, then ICP on the same
+points). Applying the
 transform to every full-resolution point of the source patch gives that
 patch's displacement vectors; the three hierarchy levels are then collapsed
 into a single field, finer levels taking precedence.
@@ -21,28 +22,30 @@ from .errors import DegenerateInput, DegenerateSupport
 from .geometry import RigidTransform, alignment_rmse, icp_point_to_point, kabsch
 
 
-def estimate_patch_transform(match: PatchMatch, gate: float, max_iter: int,
+def estimate_patch_transform(match: PatchMatch, src_points, tgt_points,
+                             gate: float, max_iter: int,
                              conv_tol: float) -> RigidTransform:
-    """Closed-form fit on the support pairs, then ICP polish on the same
-    points (never the whole patch), pairing only points within `gate`.
-    Falls back to the closed-form result if ICP cannot improve its residual.
+    """Closed-form fit on the support pairs, looked up in the tile's
+    `src_points` and `tgt_points`, then ICP polish on the same points (never
+    the whole patch), pairing only points within `gate`. Falls back to the
+    closed-form result if ICP cannot improve its residual.
 
     Raises:
         DegenerateSupport: fewer than 3 support pairs or (nearly) collinear
             support geometry.
     """
-    support = match.support
+    p = src_points[match.source_indices]
+    q = tgt_points[match.target_indices]
     try:
-        t0 = kabsch(support)
+        t0 = kabsch(p, q)
     except DegenerateInput as exc:
         raise DegenerateSupport(
             f"match {match.source_patch_id}->{match.target_patch_id}: {exc}"
         ) from exc
-    rmse0 = alignment_rmse(t0, support.source, support.target)
+    rmse0 = alignment_rmse(t0, p, q)
     try:
-        result = icp_point_to_point(support.source, support.target, init=t0,
-                                    max_iter=max_iter, conv_tol=conv_tol,
-                                    max_pair_dist=gate)
+        result = icp_point_to_point(p, q, init=t0, max_iter=max_iter,
+                                    conv_tol=conv_tol, max_pair_dist=gate)
     except DegenerateInput:
         return t0
     if result.rmse <= rmse0 + 1e-12:

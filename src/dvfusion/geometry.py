@@ -75,55 +75,24 @@ class RigidTransform:
         return m
 
 
-@dataclass
-class PointCorrespondenceSet:
-    """Paired source/target points with their indices into the parent clouds."""
-
-    source: np.ndarray
-    target: np.ndarray
-    source_indices: np.ndarray
-    target_indices: np.ndarray
-
-    def __post_init__(self):
-        self.source = as_points(self.source)
-        self.target = as_points(self.target)
-        self.source_indices = np.asarray(self.source_indices, dtype=np.int64).reshape(-1)
-        self.target_indices = np.asarray(self.target_indices, dtype=np.int64).reshape(-1)
-        n = len(self.source)
-        if n < 1:
-            raise ValueError("correspondence set must contain at least one pair")
-        if not (len(self.target) == len(self.source_indices) == len(self.target_indices) == n):
-            raise ValueError("source/target/index arrays must have equal length")
-        for name, idx in (("source", self.source_indices), ("target", self.target_indices)):
-            if len(np.unique(idx)) != n:
-                raise ValueError(f"{name} indices contain duplicates")
-
-    def __len__(self) -> int:
-        return len(self.source)
-
-    @classmethod
-    def from_indices(cls, source_cloud, target_cloud, src_idx, tgt_idx) -> "PointCorrespondenceSet":
-        src_idx = np.asarray(src_idx, dtype=np.int64)
-        tgt_idx = np.asarray(tgt_idx, dtype=np.int64)
-        return cls(as_points(source_cloud)[src_idx], as_points(target_cloud)[tgt_idx],
-                   src_idx, tgt_idx)
-
-
-def kabsch(corrs: PointCorrespondenceSet) -> RigidTransform:
-    """Least-squares rigid transform minimising sum ||R p_i + T - q_i||^2.
+def kabsch(source, target) -> RigidTransform:
+    """Least-squares rigid transform minimising sum ||R p_i + T - q_i||^2
+    over the paired rows p_i of `source` and q_i of `target`.
 
     Uses the SVD of the cross-covariance; a reflection solution is corrected by
     flipping the sign of the smallest singular direction, so the returned
     rotation is always proper.
 
     Raises:
+        ValueError: `source` and `target` hold different numbers of points.
         DegenerateInput: fewer than 3 pairs, or source points all (nearly)
             collinear (centred source covariance has rank < 2).
     """
-    n = len(corrs)
-    if n < 3:
-        raise DegenerateInput(f"kabsch needs >= 3 correspondences, got {n}")
-    p, q = corrs.source, corrs.target
+    p, q = as_points(source), as_points(target)
+    if len(p) != len(q):
+        raise ValueError(f"kabsch needs paired arrays, got {len(p)} and {len(q)} points")
+    if len(p) < 3:
+        raise DegenerateInput(f"kabsch needs >= 3 correspondences, got {len(p)}")
     p_mean = p.mean(axis=0)
     q_mean = q.mean(axis=0)
     pc = p - p_mean

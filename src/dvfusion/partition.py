@@ -9,8 +9,10 @@ partition energy
 (c_r = mean feature of region r) with a greedy scheme: parallel region
 2-means splits with regularized boundary sweeps, connected-component
 relabeling, strict-decrease acceptance, followed by region merges and a
-vertex-level boundary polish on small problems. Deterministic throughout:
-no RNG, fixed vertex orderings, ties broken toward lower index.
+vertex-level boundary polish on small problems. A solve that ends with at
+most 8 regions is finished by an exhaustive search over unions of their
+2-means pieces. Deterministic throughout: no RNG, fixed vertex orderings,
+ties broken toward lower index.
 
 Like cut pursuit (Landrieu & Obozinski 2017), split passes keep an active
 set: they retry only regions that changed since their split was last
@@ -42,6 +44,7 @@ _EPS_DECREASE = 1e-12          # strict-improvement threshold for accepting move
 _KMEANS_ITERS = 12
 _ICM_SWEEPS = 4
 _POLISH_LIMIT = 5000           # vertex-level polish only below this size
+_EXACT_REGIONS = 8             # exhaustive union search up to this many regions
 _MAX_OUTER = 10                # split/merge/polish rounds per solve
 
 
@@ -165,11 +168,12 @@ def _split_pass(f, edges, weights, labels, lam, sizes, stable):
     return _canonical_labels(out), stable, True
 
 
-def _split_regions(f, edges, weights, labels, lam, sizes):
+def _split_regions(f, edges, weights, labels, lam, sizes, sweeps=_ICM_SWEEPS):
     """Regularized 2-means split of each region; `edges` are internal edges.
 
     Returns each vertex's connected component after the split and whether
-    its region's split strictly lowers the energy.
+    its region's split strictly lowers the energy. `sweeps` caps the
+    regularized boundary sweeps that follow the plain 2-means iterations.
     """
     n, dim = f.shape
     nreg = labels.max() + 1
@@ -232,7 +236,7 @@ def _split_regions(f, edges, weights, labels, lam, sizes):
             break
         side = new_side
         c0, c1 = update_centers()
-    for _ in range(_ICM_SWEEPS):
+    for _ in range(sweeps):
         new_side = assign(with_cut=True)
         if np.array_equal(new_side, side):
             break
@@ -416,12 +420,74 @@ def _boundary_polish(f, edges, weights, labels, lam, sizes):
     return labels, changed_any
 
 
+def _set_partitions(k):
+    """Every partition of k items into blocks, one row each, as restricted
+    growth strings: item j joins one of the blocks opened before it or opens
+    the next one."""
+    parts = np.zeros((1, 1), dtype=np.int64)
+    for _ in range(1, k):
+        reps = parts.max(axis=1) + 2
+        choice = np.concatenate([np.arange(r) for r in reps.tolist()])
+        parts = np.column_stack([np.repeat(parts, reps, axis=0), choice])
+    return parts
+
+
+def _best_union(f, edges, weights, labels, lam, sizes):
+    """Lowest-energy labeling whose regions are unions of `labels`' regions.
+
+    Scores every partition of the (at most `_EXACT_REGIONS`) regions on the
+    region-contracted graph, whose energy differs from the full one by a
+    constant. A block that is not connected scores no lower than its
+    components, so splitting the winner into components loses nothing.
+    """
+    k = labels.max() + 1
+    means, counts, sup_edges, sup_w = _contract_graph(f, edges, weights,
+                                                      labels, sizes)
+    parts = _set_partitions(k)
+    b = len(parts)
+    key = (parts + k * np.arange(b)[:, None]).ravel()
+    _, _, data = _region_stats(np.tile(means, (b, 1)), key, b * k,
+                               np.tile(counts, b))
+    energy = data.reshape(b, k).sum(axis=1)
+    if len(sup_edges):
+        cut = parts[:, sup_edges[:, 0]] != parts[:, sup_edges[:, 1]]
+        energy = energy + lam * (cut * sup_w).sum(axis=1)
+    coarse = parts[int(np.argmin(energy))][labels]
+    same = coarse[edges[:, 0]] == coarse[edges[:, 1]]
+    return _canonical_labels(_components(len(f), edges[same]))
+
+
+def _finish_few_regions(f, edges, weights, labels, lam, sizes):
+    """Exhaustive finish for a labeling of at most `_EXACT_REGIONS` regions.
+
+    Greedy moves change one region or one pair at a time, so they stall
+    where only a joint change pays: three regions that merge together, or
+    a region that splits and sends a piece to its neighbour. Here every
+    region is bisected along its 2-means sides, again and again while the
+    pieces number at most `_EXACT_REGIONS`, and the best union of the pieces
+    is returned; `labels` is one of those unions. Cost grows with the number
+    of set partitions (4,140 for 8 pieces), not with the graph.
+    """
+    if labels.max() + 1 > _EXACT_REGIONS:
+        return labels
+    pieces = labels
+    while True:
+        inside = pieces[edges[:, 0]] == pieces[edges[:, 1]]
+        finer, _ = _split_regions(f, edges[inside], weights[inside], pieces,
+                                  lam, sizes, sweeps=0)
+        if finer.max() == pieces.max() or finer.max() >= _EXACT_REGIONS:
+            break
+        pieces = finer
+    return _best_union(f, edges, weights, pieces, lam, sizes)
+
+
 def cut_pursuit(features, edges, weights, lam: float, sizes=None) -> np.ndarray:
     """Greedy l0 minimal partition on an arbitrary weighted graph.
 
     Returns per-vertex region labels, 0..K-1, regions connected. The result
     never has higher energy than the single-region-per-component labeling or
-    the all-singletons labeling.
+    the all-singletons labeling. When the greedy moves stall at 8 regions or
+    fewer, the exhaustive finish (`_finish_few_regions`) takes over.
 
     `sizes` gives each vertex a multiplicity in the data term, so a solve on
     a region-contracted graph reproduces the energy of the full one; it
@@ -460,10 +526,11 @@ def cut_pursuit(features, edges, weights, lam: float, sizes=None) -> np.ndarray:
         if not (ch_split or ch_merge or ch_polish):
             break
         stable = _unchanged(stable, split, labels)
-    # Safety net: never return worse than the trivial labelings.
+    # Keep the finish, or a trivial labeling as a safety net, on strict decrease.
     best = labels
     best_e = partition_energy(f, edges, weights, labels, lam, sizes)
-    for cand in (components, np.arange(n)):
+    finished = _finish_few_regions(f, edges, weights, labels, lam, sizes)
+    for cand in (finished, components, np.arange(n)):
         e = partition_energy(f, edges, weights, cand, lam, sizes)
         if e < best_e - _EPS_DECREASE:
             best, best_e = cand, e
@@ -489,7 +556,9 @@ def patch_members(labels) -> list:
 
 @dataclass
 class HierarchicalPartition:
-    """Three independent segmentations of one tile, fine to coarse.
+    """Three nested segmentations of one tile, fine to coarse: level 2 is
+    solved on level 1's region-contracted graph and level 3 on level 2's, so
+    before the size floor every coarser region is a union of finer ones.
 
     `level_labels[l]` maps every tile point to a patch id at level l+1, or -1
     where the point belongs to no surviving patch. Patch ids of a level run

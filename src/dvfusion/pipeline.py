@@ -37,6 +37,7 @@ from .config import PipelineConfig
 from .dvf import DisplacementVectorField, concat_fields
 from .errors import (
     ConfigError,
+    DegenerateInput,
     DegenerateSupport,
     DvfError,
     ImageTooSmall,
@@ -50,8 +51,8 @@ from .features import (
     lookup_descriptors,
 )
 from .fine import estimate_patch_transform, integrate_levels, level_field
-from .geometry import (NORMAL_NEIGHBOURS, PointCorrespondenceSet, as_points,
-                       local_covariance_features, mean_scan_resolution)
+from .geometry import (NORMAL_NEIGHBOURS, as_points, local_covariance_features,
+                       mean_scan_resolution)
 from .io import PointFeatureSet
 from .imaging import match_pixels, project_to_image, select_top_k_images
 from .partition import hierarchical_partition, partition_features
@@ -166,16 +167,13 @@ def save_coarse_checkpoint(path, match_sets: list, key: str) -> None:
         arrays[f"l{l}_src"] = np.array(ms.source_ids(), dtype=np.int64)
         arrays[f"l{l}_tgt"] = np.array(ms.target_ids(), dtype=np.int64)
         arrays[f"l{l}_mod"] = np.array([m.modality for m in ms.matches], dtype="U2")
-        arrays[f"l{l}_count"] = np.array([len(m.support) for m in ms.matches],
+        arrays[f"l{l}_count"] = np.array([len(m) for m in ms.matches],
                                          dtype=np.int64)
-        if ms.matches:
-            arrays[f"l{l}_si"] = np.concatenate(
-                [m.support.source_indices for m in ms.matches])
-            arrays[f"l{l}_ti"] = np.concatenate(
-                [m.support.target_indices for m in ms.matches])
-        else:
-            arrays[f"l{l}_si"] = np.zeros(0, dtype=np.int64)
-            arrays[f"l{l}_ti"] = np.zeros(0, dtype=np.int64)
+        none = [np.zeros(0, dtype=np.int64)]      # a level may have no match
+        arrays[f"l{l}_si"] = np.concatenate(
+            none + [m.source_indices for m in ms.matches])
+        arrays[f"l{l}_ti"] = np.concatenate(
+            none + [m.target_indices for m in ms.matches])
     # Written whole or not at all: a run cut short mid-write leaves only a
     # stray temporary file, never a partial checkpoint.
     path = Path(path)
@@ -189,9 +187,10 @@ def save_coarse_checkpoint(path, match_sets: list, key: str) -> None:
         Path(tmp).unlink(missing_ok=True)
 
 
-def load_coarse_checkpoint(path, src_points, tgt_points, key: str):
-    """Rebuild per-level MatchSets from a checkpoint, or return None when it
-    is missing, unreadable, or was written under another key (other inputs
+def load_coarse_checkpoint(path, n_src: int, n_tgt: int, key: str):
+    """Rebuild per-level MatchSets from a checkpoint of a tile with `n_src`
+    source and `n_tgt` target points, or return None when it is missing,
+    unreadable, malformed, or was written under another key (other inputs
     or settings)."""
     try:
         with np.load(path) as npz:
@@ -200,19 +199,34 @@ def load_coarse_checkpoint(path, src_points, tgt_points, key: str):
         return None
     if "key" not in data or str(data["key"]) != key:
         return None
-    out = []
-    for l in LEVELS:
-        matches = []
-        offsets = np.concatenate([[0], np.cumsum(data[f"l{l}_count"])])
-        si, ti = data[f"l{l}_si"], data[f"l{l}_ti"]
-        for j, (sid, tid, mod) in enumerate(zip(
-                data[f"l{l}_src"], data[f"l{l}_tgt"], data[f"l{l}_mod"])):
-            lo, hi = offsets[j], offsets[j + 1]
-            support = PointCorrespondenceSet.from_indices(
-                src_points, tgt_points, si[lo:hi], ti[lo:hi])
-            matches.append(PatchMatch(l, int(sid), int(tid), str(mod), support))
-        out.append(MatchSet(l, matches))
-    return out
+    try:
+        return [_stored_match_set(data, l, n_src, n_tgt) for l in LEVELS]
+    except (KeyError, ValueError):
+        return None
+
+
+def _stored_match_set(data: dict, l: int, n_src: int, n_tgt: int) -> MatchSet:
+    """The matches of level `l`, each support a slice of the stored index
+    arrays. Raises ValueError unless every support is non-empty, pairs its
+    two index arrays row by row, stays inside the tile and uses each point
+    at most once."""
+    sids, tids, mods, counts = (data[f"l{l}_{c}"]
+                                for c in ("src", "tgt", "mod", "count"))
+    si, ti = data[f"l{l}_si"], data[f"l{l}_ti"]
+    if not (len(sids) == len(tids) == len(mods) == len(counts)
+            and len(si) == len(ti) == counts.sum() and np.all(counts > 0)):
+        raise ValueError("pair arrays of unequal length")
+    for idx, n in ((si, n_src), (ti, n_tgt)):
+        if len(idx) and (idx.min() < 0 or idx.max() >= n):
+            raise ValueError("indices outside the tile")
+    bounds = np.cumsum(counts)[:-1]
+    matches = []
+    for sid, tid, mod, s, t in zip(sids, tids, mods, np.split(si, bounds),
+                                   np.split(ti, bounds)):
+        if len(np.unique(s)) < len(s) or len(np.unique(t)) < len(t):
+            raise ValueError("a support uses a point twice")
+        matches.append(PatchMatch(l, int(sid), int(tid), str(mod), s, t))
+    return MatchSet(l, matches)
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +305,9 @@ def _coarse_2d_table(tile_src_pts, tile_tgt_pts, cameras,
         tgt_proj[image_id] = project_to_image(tile_tgt_pts, cam)
     if not pix_sets:
         return CorrTable.empty()
-    table = lift_matches(pix_sets, src_proj, tgt_proj,
-                         tile_src_pts, tile_tgt_pts, r_px=cfg.lift_radius_px)
-    return filter_by_max_displacement(table, cfg.max_displacement)
+    table = lift_matches(pix_sets, src_proj, tgt_proj, r_px=cfg.lift_radius_px)
+    return filter_by_max_displacement(table, tile_src_pts, tile_tgt_pts,
+                                      cfg.max_displacement)
 
 
 def _process_tile(pair, source_points, target_points, cfg: PipelineConfig,
@@ -328,7 +342,8 @@ def _process_tile(pair, source_points, target_points, cfg: PipelineConfig,
         checkpoint = _checkpoint_path(cfg.checkpoint_dir, pid)
         key = _coarse_key(cfg, resolution, sub_src, sub_tgt, part_src, part_tgt,
                           cameras, src_rasters, tgt_rasters, imported_features)
-        merged_sets = load_coarse_checkpoint(checkpoint, sub_src, sub_tgt, key)
+        merged_sets = load_coarse_checkpoint(checkpoint, len(sub_src),
+                                             len(sub_tgt), key)
     if merged_sets is not None:
         t0 = _tick(timings, "coarse", t0)
     else:
@@ -357,8 +372,8 @@ def _process_tile(pair, source_points, target_points, cfg: PipelineConfig,
                     max_displacement=cfg.max_displacement)
                 m2d = match_patches_2d(level, table, src_labels, tgt_labels)
                 merged_sets.append(gate_match_set(
-                    merge_match_sets(m3d, m2d), cfg.max_displacement,
-                    min_support=cfg.min_support))
+                    merge_match_sets(m3d, m2d), sub_src, sub_tgt,
+                    cfg.max_displacement, min_support=cfg.min_support))
         except DvfError as exc:
             raise _fail("coarse", pid, exc) from exc
         if checkpoint is not None:
@@ -368,7 +383,7 @@ def _process_tile(pair, source_points, target_points, cfg: PipelineConfig,
     kept_sets, reports = [], []
     try:
         for ms in merged_sets:
-            kept, reps = refine(ms, cfg.delta1, cfg.delta2)
+            kept, reps = refine(ms, sub_src, sub_tgt, cfg.delta1, cfg.delta2)
             kept_sets.append(kept)
             reports.extend(reps)
     except DvfError as exc:
@@ -383,8 +398,8 @@ def _process_tile(pair, source_points, target_points, cfg: PipelineConfig,
             for m in ms.matches:
                 try:
                     t = estimate_patch_transform(
-                        m, gate=gate, max_iter=cfg.icp_max_iter,
-                        conv_tol=cfg.icp_conv_tol)
+                        m, sub_src, sub_tgt, gate=gate,
+                        max_iter=cfg.icp_max_iter, conv_tol=cfg.icp_conv_tol)
                 except DegenerateSupport:
                     continue        # unusable support; the patch stays uncovered
                 fits.append((m.source_patch_id, t, m.modality))
@@ -439,6 +454,10 @@ def run_pipeline(source_points, target_points, cfg: PipelineConfig,
     t0 = time.perf_counter()
     try:
         resolution = mean_scan_resolution(source_points)
+        if resolution == 0.0:
+            raise DegenerateInput(
+                "source mean scan resolution is 0: every sampled point has "
+                "an exact duplicate")
         # target tiles reach wherever their cell's points may move to
         pairs = tile_pair(source_points, target_points,
                           max_points=cfg.max_points,

@@ -5,7 +5,8 @@ surface, so pairwise point distances must agree between the epochs. The mean
 absolute distance deviation over all support pairs (MADD) measures how far a
 match is from that ideal; matches are kept only when the mean is small *and*
 most individual pairs agree, which guards against a few wild pairs hiding
-behind a small mean or vice versa.
+behind a small mean or vice versa. A support is index pairs into the tile,
+so scoring looks its coordinates up in the tile's points.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from scipy.spatial.distance import pdist
 
 from .coarse import MatchSet, PatchMatch
 from .errors import DegenerateInput
-from .geometry import PointCorrespondenceSet
 
 # Support caps: scoring is O(N^2) in the support size, so very dense supports
 # are subsampled (fixed seed keeps every evaluation reproducible).
@@ -36,32 +36,33 @@ class MatchQualityReport:
     accepted: bool
 
 
-def distance_deviations(corrs: PointCorrespondenceSet) -> np.ndarray:
-    """| ||p_i - p_j|| - ||q_i - q_j|| | over all unordered support pairs.
+def distance_deviations(p, q) -> np.ndarray:
+    """| ||p_i - p_j|| - ||q_i - q_j|| | over all unordered pairs of rows of
+    the paired (N, 3) arrays `p` and `q`.
 
     Their mean, the MADD, is zero exactly when the support moves rigidly and
     grows with stretch, shear or mismatched points.
     """
-    if len(corrs) < 2:
-        raise DegenerateInput(
-            f"need at least 2 correspondences, got {len(corrs)}")
-    p, q = corrs.source, corrs.target
-    if len(corrs) > MAX_SUPPORT_POINTS:
+    if len(p) < 2:
+        raise DegenerateInput(f"need at least 2 correspondences, got {len(p)}")
+    if len(p) > MAX_SUPPORT_POINTS:
         keep = np.random.default_rng(_SUBSAMPLE_SEED).choice(
-            len(corrs), size=MAX_SUPPORT_POINTS, replace=False)
+            len(p), size=MAX_SUPPORT_POINTS, replace=False)
         p, q = p[keep], q[keep]
     return np.abs(pdist(p) - pdist(q))
 
 
-def evaluate_match(match: PatchMatch, delta1: float,
+def evaluate_match(match: PatchMatch, src_points, tgt_points, delta1: float,
                    delta2: float) -> MatchQualityReport:
-    """Score one match. It passes when its MADD is below `delta1` metres and
-    more than a `delta2` fraction of its pair deviations are; supports
-    smaller than 2 pairs are auto-rejected."""
-    if len(match.support) < 2:
+    """Score one match, whose support indexes the tile's `src_points` and
+    `tgt_points`. It passes when its MADD is below `delta1` metres and more
+    than a `delta2` fraction of its pair deviations are; supports smaller
+    than 2 pairs are auto-rejected."""
+    if len(match) < 2:
         return MatchQualityReport(match.level, match.source_patch_id,
                                   match.target_patch_id, float("inf"), 0.0, False)
-    dev = distance_deviations(match.support)
+    dev = distance_deviations(src_points[match.source_indices],
+                              tgt_points[match.target_indices])
     score = float(dev.mean())
     frac = float((dev < delta1).mean())
     accepted = score < delta1 and frac > delta2
@@ -69,13 +70,15 @@ def evaluate_match(match: PatchMatch, delta1: float,
                               match.target_patch_id, score, frac, accepted)
 
 
-def refine(matches: MatchSet, delta1: float, delta2: float):
+def refine(matches: MatchSet, src_points, tgt_points, delta1: float,
+           delta2: float):
     """Keep only matches passing the thresholds of `evaluate_match`.
 
     Returns the filtered MatchSet plus one report per *input* match, in
     input order.
     """
-    reports = [evaluate_match(m, delta1, delta2) for m in matches.matches]
+    reports = [evaluate_match(m, src_points, tgt_points, delta1, delta2)
+               for m in matches.matches]
     kept = [m for m, r in zip(matches.matches, reports) if r.accepted]
     return MatchSet(matches.level, kept), reports
 

@@ -21,7 +21,6 @@ from dvfusion.coarse import (
 from dvfusion.config import PipelineConfig
 from dvfusion.dvf import MODALITY_2D, MODALITY_3D
 from dvfusion.errors import InvalidParams
-from dvfusion.geometry import PointCorrespondenceSet
 from dvfusion.imaging import Projection
 from dvfusion.io import PixelMatchSet, PointFeatureSet
 
@@ -37,6 +36,12 @@ def is_injective(ms):
     """No patch of either epoch appears in two matches of `ms`."""
     n = len(ms.matches)
     return len(set(ms.source_ids())) == len(set(ms.target_ids())) == n
+
+
+def supports_use_points_once(ms):
+    """No support of `ms` pairs one point of either epoch twice."""
+    return all(len(np.unique(m.source_indices)) == len(m)
+               == len(np.unique(m.target_indices)) for m in ms.matches)
 
 
 def brute_force_mutual_nn(a, b):
@@ -95,7 +100,7 @@ def test_identical_feature_lists_match_identity():
     assert ms.source_ids() == ms.target_ids() == list(range(8))
     assert is_injective(ms)
     assert all(m.modality == MODALITY_3D for m in ms.matches)
-    assert all(len(m.support) >= 1 for m in ms.matches)
+    assert all(len(m) >= 1 for m in ms.matches)
 
 
 def test_non_mutual_pair_is_dropped():
@@ -159,6 +164,27 @@ def test_max_displacement_allows_gap_plus_both_radii(gap, matched):
     assert len(unbounded) == 1
 
 
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=20, deadline=None)
+def test_3d_supports_use_points_once(seed):
+    """Patches of many points whose descriptors repeat (tied candidates)
+    still get supports that pair each point at most once."""
+    rng = np.random.default_rng(seed)
+    n, k = 60, 5
+    pf = (np.arange(k), unit_rows(rng, k, 4))
+    world = []
+    for _ in range(2):
+        labels = rng.permutation(np.arange(n) % k)
+        desc = unit_rows(rng, 6, 4)[rng.integers(0, 6, n)]
+        world.append((PointFeatureSet(np.arange(n), desc), labels,
+                      rng.uniform(0, 10, (n, 3))))
+    (feats_s, labels_s, pts_s), (feats_t, labels_t, pts_t) = world
+    ms = match_patches_3d(1, pf, pf, feats_s, feats_t, labels_s, labels_t,
+                          pts_s, pts_t, np.inf)
+    assert len(ms) > 0
+    assert supports_use_points_once(ms)
+
+
 # ---------------------------------------------------------------------------
 # Lifting 2D matches
 
@@ -169,17 +195,11 @@ def line_projection(n, spacing=10.0, offset=0.0):
     return Projection(u, np.zeros(n), np.ones(n), np.ones(n, dtype=bool))
 
 
-def line_points(n):
-    return np.column_stack([np.arange(n, dtype=np.float64),
-                            np.zeros(n), np.zeros(n)])
-
-
 def test_exact_pixel_match_lifts_to_point_pair():
     src_proj = {"a": line_projection(5)}
     tgt_proj = {"b": line_projection(5)}
     pm = PixelMatchSet(("a", "b"), [[10.0, 0.0, 20.0, 0.0, 0.9]])
-    out = lift_matches([pm], src_proj, tgt_proj, line_points(5), line_points(5),
-                       R_PX)
+    out = lift_matches([pm], src_proj, tgt_proj, R_PX)
     assert out.source_indices.tolist() == [1]
     assert out.target_indices.tolist() == [2]
     assert out.confidence.tolist() == [0.9]
@@ -190,8 +210,7 @@ def test_match_beyond_radius_dropped():
     tgt_proj = {"b": line_projection(5)}
     # target end lands 3 px from the nearest projected point
     pm = PixelMatchSet(("a", "b"), [[10.0, 0.0, 23.0, 0.0, 0.9]])
-    out = lift_matches([pm], src_proj, tgt_proj, line_points(5), line_points(5),
-                       r_px=2.0)
+    out = lift_matches([pm], src_proj, tgt_proj, r_px=2.0)
     assert len(out) == 0
 
 
@@ -205,8 +224,7 @@ def test_lift_equals_projection_table_oracle():
     rows = [[7.0 * s, 0.0, 3.0 + 7.0 * t, 0.0, float(rng.uniform(0.5, 1.0))]
             for s, t in table]
     pm = PixelMatchSet(("a", "b"), rows)
-    out = lift_matches([pm], src_proj, tgt_proj, line_points(n), line_points(n),
-                       R_PX)
+    out = lift_matches([pm], src_proj, tgt_proj, R_PX)
     assert list(zip(out.source_indices, out.target_indices)) == table
 
 
@@ -217,8 +235,7 @@ def test_duplicate_source_keeps_highest_confidence():
         [10.0, 0.0, 10.0, 0.0, 0.6],
         [10.5, 0.0, 20.0, 0.0, 0.9],     # same source point, better match
     ])
-    out = lift_matches([pm], src_proj, tgt_proj, line_points(5), line_points(5),
-                       R_PX)
+    out = lift_matches([pm], src_proj, tgt_proj, R_PX)
     assert out.source_indices.tolist() == [1]
     assert out.target_indices.tolist() == [2]
     assert out.confidence.tolist() == [0.9]
@@ -233,90 +250,142 @@ def test_richest_image_pair_wins_conflicts():
         [20.0, 0.0, 20.0, 0.0, 0.7],
     ])
     poor = PixelMatchSet(("c", "d"), [[0.0, 0.0, 30.0, 0.0, 0.99]])
-    out = lift_matches([poor, rich], src_proj, tgt_proj,
-                       line_points(5), line_points(5), R_PX)
+    out = lift_matches([poor, rich], src_proj, tgt_proj, R_PX)
     # the 3-match pair is integrated first; the conflicting single match for
     # source point 0 arrives too late
     assert list(zip(out.source_indices, out.target_indices)) == [(0, 0), (1, 1), (2, 2)]
 
 
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=25, deadline=None)
+def test_lift_across_image_pairs_equals_row_by_row_merge(seed):
+    """Image pairs lifted together give what lifting each alone and merging
+    the rows one at a time, richest image pair first, gives."""
+    rng = np.random.default_rng(seed)
+    n = 30
+
+    def scattered():
+        return Projection(rng.uniform(0, 100, n), rng.uniform(0, 100, n),
+                          np.ones(n), np.ones(n, dtype=bool))
+
+    src_proj = {f"s{k}": scattered() for k in range(3)}
+    tgt_proj = {f"t{k}": scattered() for k in range(3)}
+    sets = []
+    for k in range(3):
+        m = int(rng.integers(5, 40))
+        rows = np.column_stack([rng.uniform(0, 100, (m, 4)),
+                                rng.uniform(0.5, 1.0, m)])
+        sets.append(PixelMatchSet((f"s{k}", f"t{k}"), rows))
+    alone = [(pm.image_pair, lift_matches([pm], src_proj, tgt_proj, 5.0))
+             for pm in sets]
+    alone.sort(key=lambda e: (-len(e[1]), e[0]))
+    seen_src, seen_tgt, expect = set(), set(), []
+    for _, t in alone:
+        for s, d, c in zip(t.source_indices, t.target_indices, t.confidence):
+            if s not in seen_src and d not in seen_tgt:
+                seen_src.add(s)
+                seen_tgt.add(d)
+                expect.append((s, d, c))
+    got = lift_matches(sets, src_proj, tgt_proj, 5.0)
+    assert list(zip(got.source_indices, got.target_indices,
+                    got.confidence)) == sorted(expect)
+
+
 def test_lift_without_projections_raises():
     pm = PixelMatchSet(("a", "b"), [[0.0, 0.0, 0.0, 0.0, 0.8]])
     with pytest.raises(InvalidParams):
-        lift_matches([pm], {}, {}, line_points(2), line_points(2), R_PX)
+        lift_matches([pm], {}, {}, R_PX)
 
 
 # ---------------------------------------------------------------------------
 # Displacement gate
 
 
-def table_from_displacements(mags):
+def displaced(mags):
+    """Tile points whose i-th pair moves by mags[i] along x: (table of the
+    pairs, source points, target points)."""
     n = len(mags)
     src = np.zeros((n, 3))
     src[:, 1] = np.arange(n) * 100.0       # keep pairs apart
     tgt = src.copy()
     tgt[:, 0] += np.asarray(mags, dtype=np.float64)
-    return CorrTable(np.arange(n), np.arange(n), src, tgt, np.full(n, 0.8))
+    return CorrTable(np.arange(n), np.arange(n), np.full(n, 0.8)), src, tgt
 
 
 def test_displacement_gate_boundary():
-    out = filter_by_max_displacement(table_from_displacements([9.9, 10.1, 0.0]),
-                                     10.0)
+    out = filter_by_max_displacement(*displaced([9.9, 10.1, 0.0]), 10.0)
     assert out.source_indices.tolist() == [0, 2]
 
 
 def test_all_outliers_filtered_to_empty():
-    out = filter_by_max_displacement(table_from_displacements([11.0, 250.0]),
-                                     10.0)
+    out = filter_by_max_displacement(*displaced([11.0, 250.0]), 10.0)
     assert len(out) == 0
 
 
 def test_gate_is_idempotent_and_subset():
     rng = np.random.default_rng(5)
-    table = table_from_displacements(rng.uniform(0, 20, 50))
-    once = filter_by_max_displacement(table, 10.0)
-    twice = filter_by_max_displacement(once, 10.0)
+    table, src, tgt = displaced(rng.uniform(0, 20, 50))
+    once = filter_by_max_displacement(table, src, tgt, 10.0)
+    twice = filter_by_max_displacement(once, src, tgt, 10.0)
     assert set(once.source_indices) <= set(table.source_indices)
     assert np.array_equal(once.source_indices, twice.source_indices)
 
 
-def gated_match(sid, mags):
-    """A match whose support pair i moves by mags[i] along x."""
-    n = len(mags)
-    src = np.column_stack([np.arange(n) * 100.0, np.zeros(n), np.zeros(n)])
-    tgt = src.copy()
-    tgt[:, 0] += np.asarray(mags, dtype=np.float64)
-    support = PointCorrespondenceSet(src, tgt, np.arange(n), np.arange(n))
-    return PatchMatch(2, sid, sid, MODALITY_3D, support)
+def gated(level, *mags):
+    """Matches 0, 1, ... of one tile, pair i of match k moving by
+    mags[k][i] along x: (MatchSet, source points, target points)."""
+    sizes = [len(m) for m in mags]
+    table, src, tgt = displaced(np.concatenate(mags))
+    supports = np.split(table.source_indices, np.cumsum(sizes)[:-1])
+    return MatchSet(level, [PatchMatch(level, k, k, MODALITY_3D, idx, idx)
+                            for k, idx in enumerate(supports)]), src, tgt
 
 
 def test_match_gate_drops_pairs_beyond_d_max():
-    out = gate_match_set(MatchSet(2, [gated_match(0, [1.0, 12.0, 3.0, 9.9, 4.0])]),
+    out = gate_match_set(*gated(2, [1.0, 12.0, 3.0, 9.9, 4.0]),
                          d_max=10.0, min_support=3)
     assert out.level == 2 and len(out) == 1
-    assert out.matches[0].support.source_indices.tolist() == [0, 2, 3, 4]
-    assert np.array_equal(out.matches[0].support.source,
-                          gated_match(0, [0.0] * 5).support.source[[0, 2, 3, 4]])
+    assert out.matches[0].source_indices.tolist() == [0, 2, 3, 4]
+    assert out.matches[0].target_indices.tolist() == [0, 2, 3, 4]
 
 
 def test_match_gate_drops_matches_left_below_min_support():
-    ms = MatchSet(1, [gated_match(0, [1.0, 2.0, 3.0, 11.0]),     # 3 kept
-                      gated_match(1, [1.0, 2.0, 11.0, 12.0])])   # 2 kept
+    gate_input = gated(1, [1.0, 2.0, 3.0, 11.0],      # 3 kept
+                       [1.0, 2.0, 11.0, 12.0])        # 2 kept
     assert [m.source_patch_id for m in
-            gate_match_set(ms, d_max=10.0, min_support=3).matches] == [0]
-    assert len(gate_match_set(ms, d_max=10.0, min_support=4)) == 0
+            gate_match_set(*gate_input, d_max=10.0, min_support=3).matches] == [0]
+    assert len(gate_match_set(*gate_input, d_max=10.0, min_support=4)) == 0
 
 
 def test_match_gate_returns_untouched_matches_unchanged():
-    m = gated_match(0, [1.0, 2.0, 3.0])
-    out = gate_match_set(MatchSet(1, [m]), d_max=10.0, min_support=3)
-    assert out.matches[0] is m
+    ms, src, tgt = gated(1, [1.0, 2.0, 3.0])
+    out = gate_match_set(ms, src, tgt, d_max=10.0, min_support=3)
+    assert out.matches[0] is ms.matches[0]
 
 
 def test_match_gate_keeps_the_rigid_fit_floor_of_three():
-    ms = MatchSet(1, [gated_match(0, [1.0, 2.0])])
+    gate_input = gated(1, [1.0, 2.0])
     for min_support in (0, 1, 2):
-        assert len(gate_match_set(ms, d_max=10.0, min_support=min_support)) == 0
+        assert len(gate_match_set(*gate_input, d_max=10.0,
+                                  min_support=min_support)) == 0
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=25, deadline=None)
+def test_gated_supports_use_points_once(seed):
+    rng = np.random.default_rng(seed)
+    n = 40
+    src = rng.uniform(0, 20, (n, 3))
+    tgt = rng.uniform(0, 20, (n, 3))
+    matches = [PatchMatch(1, k, k, MODALITY_3D, rng.permutation(n)[:12],
+                          rng.permutation(n)[:12]) for k in range(5)]
+    out = gate_match_set(MatchSet(1, matches), src, tgt, d_max=15.0,
+                         min_support=3)
+    assert supports_use_points_once(out)
+    for m in out.matches:
+        held = matches[m.source_patch_id]
+        assert set(zip(m.source_indices, m.target_indices)) <= set(
+            zip(held.source_indices, held.target_indices))
 
 
 # ---------------------------------------------------------------------------
@@ -324,12 +393,7 @@ def test_match_gate_keeps_the_rigid_fit_floor_of_three():
 
 
 def vote_table(src_idx, tgt_idx, conf):
-    src_idx = np.asarray(src_idx)
-    tgt_idx = np.asarray(tgt_idx)
-    rng = np.random.default_rng(99)
-    src_pts = rng.uniform(0, 50, (int(src_idx.max()) + 1, 3))
-    tgt_pts = rng.uniform(0, 50, (int(tgt_idx.max()) + 1, 3))
-    return CorrTable(src_idx, tgt_idx, src_pts[src_idx], tgt_pts[tgt_idx],
+    return CorrTable(np.asarray(src_idx), np.asarray(tgt_idx),
                      np.asarray(conf, dtype=np.float64))
 
 
@@ -340,7 +404,7 @@ def test_unanimous_votes_give_single_match():
     ms = match_patches_2d(2, table, src_labels, tgt_labels)
     assert [(m.source_patch_id, m.target_patch_id) for m in ms.matches] == [(4, 7)]
     assert ms.matches[0].modality == MODALITY_2D
-    assert len(ms.matches[0].support) == 3
+    assert len(ms.matches[0]) == 3
 
 
 def test_vote_tie_broken_by_summed_confidence():
@@ -352,7 +416,7 @@ def test_vote_tie_broken_by_summed_confidence():
     tgt_labels = np.array([0] * 5 + [1] * 5)
     ms = match_patches_2d(1, table, src_labels, tgt_labels)
     assert [(m.source_patch_id, m.target_patch_id) for m in ms.matches] == [(0, 0)]
-    assert len(ms.matches[0].support) == 5
+    assert len(ms.matches[0]) == 5
 
 
 def test_full_tie_prefers_lower_patch_id():
@@ -366,7 +430,7 @@ def test_unassigned_points_do_not_vote():
     ms = match_patches_2d(1, table, np.array([0, -1, 0]), np.array([1, 1, -1]))
     # only row 0 has both ends inside patches
     assert len(ms.matches) == 1
-    assert len(ms.matches[0].support) == 1
+    assert len(ms.matches[0]) == 1
 
 
 @given(st.integers(0, 10 ** 6))
@@ -394,6 +458,7 @@ def test_voting_equals_histogram_oracle(seed):
             expect[sid] = min(tally, key=lambda t: (-tally[t][0], -tally[t][1], t))
     got = {m.source_patch_id: m.target_patch_id for m in ms.matches}
     assert got == expect
+    assert supports_use_points_once(ms)
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +466,8 @@ def test_voting_equals_histogram_oracle(seed):
 
 
 def simple_match(level, sid, tid, modality, pairs):
-    src_idx = np.array([p[0] for p in pairs])
-    tgt_idx = np.array([p[1] for p in pairs])
-    grid = np.arange(300, dtype=np.float64).reshape(100, 3)
-    support = PointCorrespondenceSet.from_indices(grid, grid + 1000.0,
-                                                  src_idx, tgt_idx)
-    return PatchMatch(level, sid, tid, modality, support)
+    src_idx, tgt_idx = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return PatchMatch(level, sid, tid, modality, src_idx, tgt_idx)
 
 
 def test_merge_disjoint_sets_concatenates():
@@ -425,7 +486,7 @@ def test_merge_same_pair_unions_support():
     assert len(out.matches) == 1
     m = out.matches[0]
     assert m.modality == MODALITY_3D
-    assert sorted(zip(m.support.source_indices, m.support.target_indices)) \
+    assert sorted(zip(m.source_indices, m.target_indices)) \
         == [(0, 0), (1, 1), (2, 2)]
 
 
@@ -436,7 +497,7 @@ def test_merge_conflicting_targets_prefers_3d():
         out = merge_match_sets(m3, MatchSet(1, order[0]))
         assert [(m.source_patch_id, m.target_patch_id, m.modality)
                 for m in out.matches] == [(0, 0, MODALITY_3D)]
-        assert len(out.matches[0].support) == 1
+        assert len(out.matches[0]) == 1
 
 
 def test_merge_enforces_target_injectivity_by_support_size():
@@ -480,3 +541,21 @@ def test_merged_sets_always_injective(seed):
 
     out = merge_match_sets(random_set(MODALITY_3D, 6), random_set(MODALITY_2D, 6))
     assert is_injective(out)
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=25, deadline=None)
+def test_merged_supports_use_points_once(seed):
+    """Both channels pair points of the same patches independently; a
+    support the merge extends still uses each point at most once."""
+    rng = np.random.default_rng(seed)
+
+    def channel(modality):
+        return MatchSet(1, [PatchMatch(1, sid, sid, modality,
+                                       rng.permutation(12)[:6],
+                                       rng.permutation(12)[:6])
+                            for sid in range(4)])
+
+    out = merge_match_sets(channel(MODALITY_3D), channel(MODALITY_2D))
+    assert len(out) == 4
+    assert supports_use_points_once(out)

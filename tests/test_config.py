@@ -200,9 +200,20 @@ CONFIG_FED = (
 )
 
 
+# The evaluation and baseline functions the CLI calls, with the parameters
+# its options feed them.
+CLI_FED = (
+    (evaluation.compare_nn, ("max_dist",)),
+    (evaluation.compare_mean_radius, ("radius",)),
+    (evaluation.baseline_piecewise_icp, ("tile_size",)),
+    (evaluation.baseline_m3c2, ("normal_radius", "cylinder_radius",
+                                "max_depth")),
+)
+
+
 def test_no_stage_function_defaults_a_config_setting():
     defaulted = [f"{fn.__module__}.{fn.__name__}({name})"
-                 for fn, names in CONFIG_FED for name in names
+                 for fn, names in CONFIG_FED + CLI_FED for name in names
                  if inspect.signature(fn).parameters[name].default
                  is not inspect.Parameter.empty]
     assert defaulted == []

@@ -81,20 +81,20 @@ def test_coverage_voxel_validation():
 
 def test_exact_estimate_zero_deviation():
     dvf = field_at([(0, 0, 0)], [(1.0, 2.0, 2.0)])
-    rep = compare_nn(dvf, [obs((0.1, 0, 0), (1.0, 2.0, 2.0))])
+    rep = compare_nn(dvf, [obs((0.1, 0, 0), (1.0, 2.0, 2.0))], max_dist=np.inf)
     assert np.allclose(rep.rows[0].deviations, 0.0, atol=1e-12)
 
 
 def test_magnitude_equal_but_direction_off():
     dvf = field_at([(0, 0, 0)], [(1.0, 0.0, 0.0)])
-    rep = compare_nn(dvf, [obs((0, 0, 0), (0.0, 1.0, 0.0))])
+    rep = compare_nn(dvf, [obs((0, 0, 0), (0.0, 1.0, 0.0))], max_dist=np.inf)
     d = rep.rows[0].deviations
     assert d.tolist() == [1.0, 1.0, 0.0, 0.0]     # |dDS| = |1 - 1| = 0
 
 
 def test_nn_uses_nearest_source_point():
     dvf = field_at([(0, 0, 0), (10, 0, 0)], [(1, 0, 0), (5, 0, 0)])
-    rep = compare_nn(dvf, [obs((9, 0, 0), (5.0, 0.0, 0.0))])
+    rep = compare_nn(dvf, [obs((9, 0, 0), (5.0, 0.0, 0.0))], max_dist=np.inf)
     assert np.allclose(rep.rows[0].estimate, [5.0, 0.0, 0.0])
     assert np.allclose(rep.rows[0].deviations, 0.0)
 
@@ -104,7 +104,8 @@ def test_no_estimate_near_observation():
     with pytest.raises(NoEstimateNearObservation):
         compare_nn(dvf, [obs((500, 0, 0), (0, 0, 0))], max_dist=10.0)
     with pytest.raises(NoEstimateNearObservation):
-        compare_nn(DisplacementVectorField.empty(), [obs((0, 0, 0), (0, 0, 0))])
+        compare_nn(DisplacementVectorField.empty(), [obs((0, 0, 0), (0, 0, 0))],
+                   max_dist=np.inf)
 
 
 def test_planted_observation_table():
@@ -115,7 +116,7 @@ def test_planted_observation_table():
     picks = [5, 17, 60]
     refs = [(0.5, 0, 0), (0, 0, 0), (-1, 2, 0.5)]
     rep = compare_nn(dvf, [obs(pts[i], r, oid=str(i))
-                           for i, r in zip(picks, refs)])
+                           for i, r in zip(picks, refs)], max_dist=np.inf)
     for row, i, r in zip(rep.rows, picks, refs):
         expect_comp = np.abs(vecs[i] - np.asarray(r, dtype=float))
         expect_ds = abs(np.linalg.norm(vecs[i]) - np.linalg.norm(r))
@@ -130,7 +131,7 @@ def test_planted_observation_table():
 def test_single_member_equals_nn():
     dvf = field_at([(0, 0, 0)], [(1.5, -0.5, 0.0)])
     o = [obs((1, 0, 0), (1.0, 0.0, 0.0))]
-    a = compare_nn(dvf, o)
+    a = compare_nn(dvf, o, max_dist=np.inf)
     b = compare_mean_radius(dvf, o, radius=5.0)
     assert np.allclose(a.rows[0].deviations, b.rows[0].deviations, atol=1e-12)
     assert b.rows[0].n_members == 1
@@ -242,7 +243,8 @@ def test_empty_cylinder_absent():
 def test_m3c2_validates_radii():
     pts = np.zeros((10, 3))
     with pytest.raises(InvalidParams):
-        baseline_m3c2(pts, pts, normal_radius=0.0, cylinder_radius=1.0)
+        baseline_m3c2(pts, pts, normal_radius=0.0, cylinder_radius=1.0,
+                      max_depth=10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +254,8 @@ def test_m3c2_validates_radii():
 def test_report_dump_and_format(tmp_path):
     dvf = field_at([(0, 0, 0), (1, 0, 0)], [(1.0, 0, 0), (1.2, 0, 0)])
     rep = compare_nn(dvf, [obs((0, 0, 0), (1.0, 0.0, 0.0), oid="a"),
-                           obs((1, 0, 0), (1.0, 0.0, 0.0), oid="b")])
+                           obs((1, 0, 0), (1.0, 0.0, 0.0), oid="b")],
+                     max_dist=np.inf)
     rep.coverage = 0.87
     path = tmp_path / "report.csv"
     dump_report(path, rep)

@@ -12,7 +12,7 @@ from dvfusion.config import PipelineConfig
 from dvfusion.dvf import MODALITY_2D, MODALITY_3D, DisplacementVectorField
 from dvfusion.errors import DegenerateSupport
 from dvfusion.fine import estimate_patch_transform, integrate_levels, level_field
-from dvfusion.geometry import PointCorrespondenceSet, RigidTransform
+from dvfusion.geometry import RigidTransform
 
 CFG = PipelineConfig()
 
@@ -23,18 +23,16 @@ def random_rigid(rng):
         rng.uniform(-20, 20, 3))
 
 
-def support_match(p, q, level=1, sid=0, tid=0):
-    corrs = PointCorrespondenceSet(p, q, np.arange(len(p)), np.arange(len(q)))
-    return PatchMatch(level, sid, tid, MODALITY_3D, corrs)
-
-
 # ---------------------------------------------------------------------------
 # Transform estimation
 
 
-def fit(match, gate=np.inf):
-    """The fit with the configured ICP settings; no pair gate by default."""
-    return estimate_patch_transform(match, gate, CFG.icp_max_iter,
+def fit(p, q, gate=np.inf):
+    """The fit of a match whose support pairs row i of `p` and `q`, with the
+    configured ICP settings; no pair gate by default."""
+    idx = np.arange(len(p))
+    return estimate_patch_transform(PatchMatch(1, 0, 0, MODALITY_3D, idx, idx),
+                                    p, q, gate, CFG.icp_max_iter,
                                     CFG.icp_conv_tol)
 
 
@@ -44,7 +42,7 @@ def test_rigid_support_recovers_exact_transform(seed):
     rng = np.random.default_rng(seed)
     p = rng.uniform(-10, 10, (12, 3))
     truth = random_rigid(rng)
-    t = fit(support_match(p, truth.apply(p)))
+    t = fit(p, truth.apply(p))
     assert np.abs(t.apply(p) - truth.apply(p)).max() < 1e-9
 
 
@@ -54,7 +52,7 @@ def test_gross_outlier_recovered_by_gated_icp():
     truth = RigidTransform(np.eye(3), np.array([0.8, -0.3, 0.2]))
     q = truth.apply(p)
     q[0] += np.array([100.0, 100.0, 100.0])    # one wild pair
-    t = fit(support_match(p, q), gate=5.0)
+    t = fit(p, q, gate=5.0)
     extent = np.ptp(p, axis=0).max()
     err = np.linalg.norm(t.apply(p[1:]) - truth.apply(p[1:]), axis=1)
     assert err.max() < 0.1 * extent
@@ -63,13 +61,13 @@ def test_gross_outlier_recovered_by_gated_icp():
 def test_collinear_support_raises():
     p = np.array([[float(i), 0.0, 0.0] for i in range(6)])
     with pytest.raises(DegenerateSupport):
-        fit(support_match(p, p + 1.0))
+        fit(p, p + 1.0)
 
 
 def test_two_point_support_raises():
     p = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
     with pytest.raises(DegenerateSupport):
-        fit(support_match(p, p))
+        fit(p, p)
 
 
 def test_icp_never_worse_than_closed_form():
@@ -83,11 +81,10 @@ def test_icp_never_worse_than_closed_form():
     for _ in range(10):
         p = rng.uniform(-5, 5, (25, 3))
         q = random_rigid(rng).apply(p) + rng.normal(0, 0.3, p.shape)
-        m = support_match(p, q)
-        t = fit(m)
+        t = fit(p, q)
         dist, _ = cKDTree(q).query(t.apply(p), k=1)
         assert (float(np.sqrt((dist ** 2).mean()))
-                <= alignment_rmse(kabsch(m.support), p, q) + 1e-12)
+                <= alignment_rmse(kabsch(p, q), p, q) + 1e-12)
 
 
 # ---------------------------------------------------------------------------

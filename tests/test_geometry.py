@@ -10,7 +10,6 @@ from scipy.spatial.transform import Rotation
 from dvfusion.errors import DegenerateInput
 from dvfusion.geometry import (
     IcpResult,
-    PointCorrespondenceSet,
     RigidTransform,
     alignment_rmse,
     icp_point_to_point,
@@ -29,12 +28,6 @@ def rot_z(deg: float) -> np.ndarray:
 def random_rigid(rng) -> RigidTransform:
     rot = Rotation.random(random_state=np.random.RandomState(rng.integers(2**31))).as_matrix()
     return RigidTransform(rot, rng.uniform(-50, 50, 3))
-
-
-def corrs_from(source, target):
-    n = len(source)
-    idx = np.arange(n)
-    return PointCorrespondenceSet(source, target, idx, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -61,19 +54,13 @@ def test_apply_transform_identity_and_axis_cases():
     assert np.allclose(flipped, [[-1.0, 0.0, 0.0]], atol=1e-12)
 
 
-def test_correspondence_set_rejects_duplicate_indices():
-    pts = np.zeros((2, 3))
-    with pytest.raises(ValueError):
-        PointCorrespondenceSet(pts, pts, [0, 0], [0, 1])
-
-
 # ---------------------------------------------------------------------------
 # Kabsch
 
 
 def test_kabsch_identity_on_equal_clouds():
     src = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    t = kabsch(corrs_from(src, src))
+    t = kabsch(src, src)
     assert np.allclose(t.rotation, np.eye(3), atol=1e-12)
     assert np.allclose(t.translation, 0.0, atol=1e-12)
 
@@ -85,7 +72,7 @@ def test_kabsch_exact_rotation_translation():
     rot = rot_z(90.0)
     trans = np.array([1.0, 2.0, 3.0])
     tgt = src @ rot.T + trans
-    t = kabsch(corrs_from(src, tgt))
+    t = kabsch(src, tgt)
     assert np.allclose(t.rotation, rot, atol=1e-12)
     assert np.allclose(t.translation, trans, atol=1e-12)
     assert alignment_rmse(t, src, tgt) < 1e-12
@@ -99,7 +86,7 @@ def test_kabsch_noisy_residual_bounded_and_optimal():
     truth = random_rigid(rng)
     sigma = 0.01
     tgt = truth.apply(src) + rng.normal(0.0, sigma, (50, 3))
-    t = kabsch(corrs_from(src, tgt))
+    t = kabsch(src, tgt)
     rmse_fit = alignment_rmse(t, src, tgt)
     rmse_truth = alignment_rmse(truth, src, tgt)
     assert rmse_fit <= 3.0 * sigma
@@ -109,13 +96,19 @@ def test_kabsch_noisy_residual_bounded_and_optimal():
 def test_kabsch_too_few_points():
     src = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     with pytest.raises(DegenerateInput):
-        kabsch(corrs_from(src, src))
+        kabsch(src, src)
+
+
+def test_kabsch_rejects_unpaired_arrays():
+    src = np.arange(12, dtype=np.float64).reshape(4, 3)
+    with pytest.raises(ValueError, match="paired"):
+        kabsch(src, src[:3])
 
 
 def test_kabsch_collinear_source():
     src = np.array([[float(i), 0.0, 0.0] for i in range(5)])
     with pytest.raises(DegenerateInput):
-        kabsch(corrs_from(src, src + 1.0))
+        kabsch(src, src + 1.0)
 
 
 @settings(deadline=None, max_examples=40)
@@ -129,7 +122,7 @@ def test_kabsch_exact_on_noiseless_rigid_data(seed):
         return
     truth = random_rigid(rng)
     tgt = truth.apply(src)
-    t = kabsch(corrs_from(src, tgt))
+    t = kabsch(src, tgt)
     scale = float(np.abs(tgt).max()) + 1.0
     assert alignment_rmse(t, src, tgt) < 1e-9 * scale
 
@@ -142,7 +135,7 @@ def test_kabsch_rotation_always_proper(seed):
     rng = np.random.default_rng(seed)
     src = rng.uniform(-5, 5, (12, 3))
     tgt = src @ np.diag([1.0, 1.0, -1.0]) + rng.normal(0, 0.5, (12, 3))
-    t = kabsch(corrs_from(src, tgt))
+    t = kabsch(src, tgt)
     assert np.abs(t.rotation.T @ t.rotation - np.eye(3)).max() < 1e-9
     assert abs(np.linalg.det(t.rotation) - 1.0) < 1e-9
 
@@ -176,7 +169,7 @@ def test_icp_recovers_small_translation():
     shift = np.array([0.05, -0.05, 0.02])
     tgt = src + shift
     res = icp_point_to_point(src, tgt, RigidTransform.identity(), conv_tol=1e-9)
-    oracle = kabsch(corrs_from(src, tgt))
+    oracle = kabsch(src, tgt)
     assert np.allclose(res.transform.translation, oracle.translation, atol=1e-6)
     assert np.allclose(res.transform.rotation, oracle.rotation, atol=1e-6)
     assert res.rmse < 1e-6
@@ -219,7 +212,7 @@ def test_icp_step_is_kabsch_on_its_associations():
     tgt = RigidTransform(rot_z(0.5), np.array([0.03, -0.02, 0.01])).apply(src)
     res = icp_point_to_point(src, tgt, RigidTransform.identity(), max_iter=1,
                              max_pair_dist=np.inf)
-    t = kabsch(corrs_from(src, tgt))
+    t = kabsch(src, tgt)
     assert np.array_equal(res.transform.rotation, t.rotation)
     assert np.array_equal(res.transform.translation, t.translation)
 

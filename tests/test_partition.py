@@ -140,18 +140,82 @@ def test_staircase_boundaries_at_steps():
     assert abs(got - want) < 1e-12
 
 
-@settings(deadline=None, max_examples=30)
-@given(st.integers(0, 10**6))
-def test_staircase_chains_match_enumeration(seed):
+def staircase_chain(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(4, 13))
     f = staircase(rng, n)
-    lam = float(rng.uniform(0.01, 0.5))
-    e, w = chain(n)
+    return f, float(rng.uniform(0.01, 0.5))
+
+
+def assert_staircase_optimal(seed):
+    f, lam = staircase_chain(seed)
+    e, w = chain(len(f))
     lab = cut_pursuit(f.reshape(-1, 1), e, w, lam)
     got = oracle_energy(f, e, w, lab, lam)
     want, _ = brute_force_chain(f, lam)
     assert abs(got - want) < 1e-9
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(0, 10**6))
+def test_staircase_chains_match_enumeration(seed):
+    assert_staircase_optimal(seed)
+
+
+# Draws on which the greedy moves alone stall above the optimum, one per
+# kind of stall: a split that only pays once a piece merges back (650), a
+# 2-means split that misses the step (2401), a piece that belongs to the
+# neighbouring region (2889), three regions that only merge together (6781),
+# four pieces that only pay as two regions (24065). The others are further
+# draws on which the greedy moves alone miss the optimum.
+GREEDY_STALLS = [650, 2401, 2889, 6781, 24065]
+MORE_STALLS = [599, 1325, 1334, 1751, 33705, 339467]
+
+
+@pytest.mark.parametrize("seed", GREEDY_STALLS + MORE_STALLS)
+def test_staircase_chains_that_stall_greedy_moves(seed):
+    assert_staircase_optimal(seed)
+
+
+@pytest.mark.parametrize("seed", GREEDY_STALLS)
+def test_few_region_finish_lowers_greedy_stalls(monkeypatch, seed):
+    f, lam = staircase_chain(seed)
+    e, w = chain(len(f))
+    finished = cut_pursuit(f.reshape(-1, 1), e, w, lam)
+    monkeypatch.setattr(partition, "_EXACT_REGIONS", 0)
+    greedy = cut_pursuit(f.reshape(-1, 1), e, w, lam)
+    assert (oracle_energy(f, e, w, finished, lam)
+            < oracle_energy(f, e, w, greedy, lam) - 1e-9)
+
+
+@pytest.mark.parametrize("seed", [1, 3, 4])
+def test_best_union_is_the_lowest_union(seed):
+    """The exhaustive union search against every union of the pieces, each
+    scored by the oracle."""
+    rng = np.random.default_rng(700 + seed)
+    pts, e, w = knn_graph(rng, 60)
+    f = rng.normal(0, 1, (60, 2))
+    cells = np.digitize(pts[:, 0], [10.0, 20.0]) * 2 + (pts[:, 1] > 15.0)
+    keep = cells[e[:, 0]] == cells[e[:, 1]]
+    pieces = partition._canonical_labels(partition._components(60, e[keep]))
+    k = pieces.max() + 1
+    assert k <= partition._EXACT_REGIONS
+    got = partition._best_union(f, e, w, pieces, 0.6, np.ones(60))
+    # a union of the pieces, with connected regions
+    assert all(len(set(got[pieces == p].tolist())) == 1 for p in range(k))
+    comp = partition._components(60, e[got[e[:, 0]] == got[e[:, 1]]])
+    assert all(len(set(comp[got == r].tolist())) == 1 for r in range(got.max() + 1))
+    want = min(oracle_energy(f, e, w, np.asarray(rgs)[pieces], 0.6)
+               for rgs in _ref_set_partitions(k))
+    assert abs(oracle_energy(f, e, w, got, 0.6) - want) < 1e-9
+
+
+@pytest.mark.parametrize("seed", GREEDY_STALLS)
+def test_few_region_finish_same_labels_as_reference(seed):
+    f, lam = staircase_chain(seed)
+    e, w = chain(len(f))
+    got = cut_pursuit(f.reshape(-1, 1), e, w, lam)
+    assert np.array_equal(got, reference_cut_pursuit(f.reshape(-1, 1), e, w, lam))
 
 
 @settings(deadline=None, max_examples=20)
@@ -388,12 +452,11 @@ def _ref_energy(f, edges, weights, labels, lam, sizes):
     return float(per_region.sum()) + lam * cut
 
 
-def _ref_split_pass(f, edges, weights, labels, lam, sizes):
+def _ref_bisect(f, edges, weights, labels, lam, sizes, sweeps):
+    """Every region's connected pieces after its 2-means split."""
     n, dim = f.shape
     nreg = labels.max() + 1
-    counts, sums, data_old = _ref_region_stats(f, labels, nreg, sizes)
-    if not (np.bincount(labels, minlength=nreg) >= 2).any():
-        return labels, False
+    counts, sums, _ = _ref_region_stats(f, labels, nreg, sizes)
     means = np.zeros((nreg, dim))
     nz = counts > 0
     means[nz] = sums[nz] / counts[nz, None]
@@ -439,8 +502,7 @@ def _ref_split_pass(f, edges, weights, labels, lam, sizes):
         return (np.where(ok[0::2, None], sm[0::2], c0),
                 np.where(ok[1::2, None], sm[1::2], c1))
 
-    for iters, with_cut in ((partition._KMEANS_ITERS, False),
-                            (partition._ICM_SWEEPS, True)):
+    for iters, with_cut in ((partition._KMEANS_ITERS, False), (sweeps, True)):
         for _ in range(iters):
             new_side = assign(with_cut)
             if np.array_equal(new_side, side):
@@ -452,7 +514,16 @@ def _ref_split_pass(f, edges, weights, labels, lam, sizes):
         comp = _ref_components(n, edges[key[edges[:, 0]] == key[edges[:, 1]]])
     else:
         comp = np.arange(n)
-    comp = _ref_canonical(comp)
+    return _ref_canonical(comp)
+
+
+def _ref_split_pass(f, edges, weights, labels, lam, sizes):
+    nreg = labels.max() + 1
+    _, _, data_old = _ref_region_stats(f, labels, nreg, sizes)
+    if not (np.bincount(labels, minlength=nreg) >= 2).any():
+        return labels, False
+    comp = _ref_bisect(f, edges, weights, labels, lam, sizes,
+                       partition._ICM_SWEEPS)
     _, _, comp_data = _ref_region_stats(f, comp, comp.max() + 1, sizes)
     _, first_vertex = np.unique(comp, return_index=True)
     data_new = np.bincount(labels[first_vertex], weights=comp_data, minlength=nreg)
@@ -569,6 +640,38 @@ def _ref_boundary_polish(f, edges, weights, labels, lam, sizes):
     return labels, changed_any
 
 
+def _ref_set_partitions(k):
+    """Partitions of k items as restricted growth strings, in lexicographic
+    order."""
+    def grow(prefix):
+        if len(prefix) == k:
+            yield prefix
+            return
+        for block in range(max(prefix) + 2):
+            yield from grow(prefix + [block])
+    yield from grow([0])
+
+
+def _ref_finish_few_regions(f, edges, weights, labels, lam, sizes):
+    if labels.max() + 1 > partition._EXACT_REGIONS:
+        return labels
+    pieces = labels
+    while True:
+        finer = _ref_bisect(f, edges, weights, pieces, lam, sizes, sweeps=0)
+        if (finer.max() == pieces.max()
+                or finer.max() + 1 > partition._EXACT_REGIONS):
+            break
+        pieces = finer
+    best, best_e = None, np.inf
+    for rgs in _ref_set_partitions(pieces.max() + 1):
+        union = np.asarray(rgs)[pieces]
+        e = _ref_energy(f, edges, weights, union, lam, sizes)
+        if e < best_e:
+            best, best_e = union, e
+    same = best[edges[:, 0]] == best[edges[:, 1]]
+    return _ref_canonical(_ref_components(len(f), edges[same]))
+
+
 def reference_cut_pursuit(features, edges, weights, lam, sizes=None):
     f = np.asarray(features, dtype=np.float64)
     n = f.shape[0]
@@ -589,7 +692,8 @@ def reference_cut_pursuit(features, edges, weights, lam, sizes=None):
             break
     best = labels
     best_e = _ref_energy(f, edges, weights, labels, lam, sizes)
-    for cand in (_ref_canonical(_ref_components(n, edges)), np.arange(n)):
+    for cand in (_ref_finish_few_regions(f, edges, weights, labels, lam, sizes),
+                 _ref_canonical(_ref_components(n, edges)), np.arange(n)):
         e = _ref_energy(f, edges, weights, cand, lam, sizes)
         if e < best_e - partition._EPS_DECREASE:
             best, best_e = cand, e

@@ -16,8 +16,8 @@ from dvfusion.features import (
     extract_point_features,
 )
 from dvfusion.fine import estimate_patch_transform, level_field
-from dvfusion.geometry import (NORMAL_NEIGHBOURS, PointCorrespondenceSet,
-                               local_covariance_features, mean_scan_resolution)
+from dvfusion.geometry import (NORMAL_NEIGHBOURS, local_covariance_features,
+                               mean_scan_resolution)
 from dvfusion.partition import hierarchical_partition, partition_features
 from dvfusion.synth import SynthParams, synth_generate_scene
 
@@ -161,9 +161,8 @@ def test_level_path_is_bit_identical_to_per_patch_reference(tile_pair, level):
     for m, (sid, tid, si, ti) in zip(ms.matches, ref_ms):
         assert (m.level, m.source_patch_id, m.target_patch_id, m.modality) == (
             level, sid, tid, MODALITY_3D)
-        expect = PointCorrespondenceSet.from_indices(src, tgt, si, ti)
-        for col in ("source", "target", "source_indices", "target_indices"):
-            assert np.array_equal(getattr(m.support, col), getattr(expect, col))
+        assert np.array_equal(m.source_indices, si)
+        assert np.array_equal(m.target_indices, ti)
     # the bound is live here: without it the matches differ
     unbounded = match_patches_3d(level, agg_s, agg_t, feats_src, feats_tgt,
                                  lab_s, lab_t, src, tgt, max_displacement=np.inf)
@@ -173,7 +172,8 @@ def test_level_path_is_bit_identical_to_per_patch_reference(tile_pair, level):
     fits = []
     for m in reversed(ms.matches):        # fit order must not matter
         try:
-            t = estimate_patch_transform(m, CFG.icp_gate_factor * resolution,
+            t = estimate_patch_transform(m, src, tgt,
+                                         CFG.icp_gate_factor * resolution,
                                          CFG.icp_max_iter, CFG.icp_conv_tol)
             fits.append((m.source_patch_id, t, m.modality))
         except DegenerateSupport:

@@ -274,6 +274,46 @@ def test_truncated_checkpoint_is_recomputed(tmp_path, monkeypatch, keep):
     assert_same_field(run_pipeline(src, tgt, cfg).field, fresh.field)
 
 
+# Damage to the stored supports, applied to (source indices, target
+# indices, tile source size) of every level that has matches.
+SUPPORT_DAMAGE = {
+    "beyond the tile": lambda si, ti, n: (np.r_[n, si[1:]], ti),
+    "negative": lambda si, ti, n: (np.r_[-1, si[1:]], ti),
+    "unpaired": lambda si, ti, n: (si, ti[:-1]),
+    "point used twice": lambda si, ti, n: (np.r_[si[0], si[0], si[2:]], ti),
+}
+
+
+@pytest.mark.parametrize("damage", SUPPORT_DAMAGE)
+def test_malformed_checkpoint_is_recomputed(tmp_path, monkeypatch, damage):
+    scene = tiny_scene()
+    src, tgt = scene.source.points, scene.target.points
+    cfg = PipelineConfig(checkpoint_dir=str(tmp_path))
+    fresh = run_pipeline(src, tgt, cfg)
+    (path,) = tmp_path.iterdir()
+    with np.load(path) as npz:
+        data = {name: npz[name] for name in npz.files}
+    damaged = 0
+    for l in (1, 2, 3):
+        if len(data[f"l{l}_si"]):
+            data[f"l{l}_si"], data[f"l{l}_ti"] = SUPPORT_DAMAGE[damage](
+                data[f"l{l}_si"], data[f"l{l}_ti"], len(src))
+            damaged += 1
+    assert damaged
+    np.savez(path, **data)            # under the file's own key
+
+    calls = []
+    match_patches_3d = dvfusion.pipeline.match_patches_3d
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return match_patches_3d(*args, **kwargs)
+
+    monkeypatch.setattr(dvfusion.pipeline, "match_patches_3d", counted)
+    assert_same_field(run_pipeline(src, tgt, cfg).field, fresh.field)
+    assert calls == [1, 2, 3]
+
+
 def test_interrupted_checkpoint_write_leaves_no_file(tmp_path, monkeypatch):
     def cut_short(fh, **arrays):
         fh.write(b"PK\x03\x04")
@@ -329,6 +369,14 @@ def test_imported_set_missing_a_sampled_id_is_a_located_error():
 def test_bad_input_shape_is_a_located_error():
     with pytest.raises(PipelineError, match="stage 'input', source points"):
         run_pipeline(np.zeros((5, 2)), np.zeros((5, 3)), PipelineConfig())
+
+
+def test_cloud_of_duplicated_points_fails_in_tiling():
+    scene = tiny_scene()
+    doubled = np.repeat(scene.source.points, 2, axis=0)
+    with pytest.raises(PipelineError,
+                       match="stage 'tiling': source mean scan resolution is 0"):
+        run_pipeline(doubled, scene.target.points, PipelineConfig())
 
 
 def read_column(path, name):
