@@ -51,12 +51,6 @@ class MatchSet:
     def __len__(self) -> int:
         return len(self.matches)
 
-    def source_ids(self) -> list:
-        return [m.source_patch_id for m in self.matches]
-
-    def target_ids(self) -> list:
-        return [m.target_patch_id for m in self.matches]
-
 
 @dataclass
 class CorrTable:

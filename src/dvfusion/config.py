@@ -69,7 +69,6 @@ class PipelineConfig:
 
     # --- execution ----------------------------------------------------------
     n_workers: int = 1
-    checkpoint_dir: str = ""           # resume coarse matches from here
 
     def validate(self) -> None:
         for name, f in _FIELDS.items():

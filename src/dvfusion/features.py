@@ -67,9 +67,7 @@ def adaptive_downsample(points, voxel_factor: float,
 
     # Per-voxel centroid, then the member nearest to it.
     group = np.repeat(np.arange(len(starts)), counts)
-    sums = np.column_stack([np.bincount(group, weights=pts[order, c],
-                                        minlength=len(starts)) for c in range(3)])
-    centroids = sums / counts[:, None]
+    centroids = bincount_rows(group, pts[order], len(starts)) / counts[:, None]
     d2 = np.sum((pts[order] - centroids[group]) ** 2, axis=1)
     pick = np.lexsort((order, d2, group))
     first_of_group = np.searchsorted(group[pick], np.arange(len(starts)))

@@ -246,7 +246,7 @@ def _load_ply(path: Path):
                 raise UnsupportedFormat(f"only ASCII PLY supported, got {line!r} ({path})")
         elif line.startswith("element"):
             parts = line.split()
-            if len(parts) != 3:
+            if len(parts) != 3 or not parts[2].isdigit():
                 raise ParseError(str(path), lineno, f"malformed element line {line!r}")
             current_element = parts[1]
             count = int(parts[2])

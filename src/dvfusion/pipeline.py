@@ -10,22 +10,15 @@ whole-image pixel matches, computed once per image pair and run.
 
 from __future__ import annotations
 
-import hashlib
-import os
-import tempfile
 import threading
 import time
-import zipfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field as dc_field
-from pathlib import Path
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .coarse import (
     CorrTable,
-    MatchSet,
-    PatchMatch,
     filter_by_max_displacement,
     gate_match_set,
     lift_matches,
@@ -110,123 +103,6 @@ def _remap_to_global(f: DisplacementVectorField,
     return DisplacementVectorField(global_ids[f.point_ids], f.positions,
                                    f.vectors, f.levels, f.patch_ids,
                                    f.modalities).sorted_by_id()
-
-
-# ---------------------------------------------------------------------------
-# Coarse-match checkpointing
-
-# Config fields that cannot change the coarse matches: the stages after the
-# checkpoint, execution settings, and file locations (whose contents are
-# hashed instead). Every other field is part of the checkpoint key.
-_RESUMABLE_FIELDS = frozenset({
-    "delta1", "delta2", "icp_max_iter", "icp_conv_tol", "icp_gate_factor",
-    "coverage_voxel_factor", "n_workers", "checkpoint_dir", "output_dir",
-    "source_path", "target_path", "cameras_path", "source_image_paths",
-    "target_image_paths", "source_features_path", "target_features_path",
-})
-
-
-def _coarse_key(cfg: PipelineConfig, resolution: float, sub_src, sub_tgt,
-                part_src, part_tgt, cameras, src_rasters: dict,
-                tgt_rasters: dict, imported) -> str:
-    """SHA-256 of everything the coarse matches of one tile depend on: both
-    tiles' points and level labels (whose patch ids the matches name), the
-    coarse-stage settings, the cameras and images when the image channel is
-    on, and imported descriptors."""
-    keyed = {k: v for k, v in asdict(cfg).items() if k not in _RESUMABLE_FIELDS}
-    h = hashlib.sha256(repr((sorted(keyed.items()), resolution)).encode())
-    arrays = [sub_src, sub_tgt, *part_src.level_labels, *part_tgt.level_labels]
-    if cfg.use_images:
-        for cam in sorted(cameras, key=lambda c: c.image_id):
-            h.update(repr((cam.image_id, cam.width, cam.height, cam.fx, cam.fy,
-                           cam.cx, cam.cy)).encode())
-            arrays.append(cam.pose.as_matrix())
-        for rasters in (src_rasters, tgt_rasters):
-            h.update(repr(sorted(rasters)).encode())
-            arrays += [rasters[image_id].data for image_id in sorted(rasters)]
-    if imported is not None:
-        arrays += [a for feats in imported for a in (feats.point_indices,
-                                                     feats.descriptors)]
-    for a in arrays:
-        a = np.ascontiguousarray(a)
-        h.update(f"{a.dtype.str}{a.shape}".encode())
-        h.update(a.tobytes())
-    return h.hexdigest()
-
-
-def _checkpoint_path(directory, pair_id: int) -> Path:
-    return Path(directory) / f"coarse_tile{pair_id:04d}.npz"
-
-
-def save_coarse_checkpoint(path, match_sets: list, key: str) -> None:
-    """Persist the per-level coarse matches of one tile (tile-local indices)
-    under `key`, the hash of the inputs they were computed from."""
-    arrays = {"key": np.array(key)}
-    for ms in match_sets:
-        l = ms.level
-        arrays[f"l{l}_src"] = np.array(ms.source_ids(), dtype=np.int64)
-        arrays[f"l{l}_tgt"] = np.array(ms.target_ids(), dtype=np.int64)
-        arrays[f"l{l}_mod"] = np.array([m.modality for m in ms.matches], dtype="U2")
-        arrays[f"l{l}_count"] = np.array([len(m) for m in ms.matches],
-                                         dtype=np.int64)
-        none = [np.zeros(0, dtype=np.int64)]      # a level may have no match
-        arrays[f"l{l}_si"] = np.concatenate(
-            none + [m.source_indices for m in ms.matches])
-        arrays[f"l{l}_ti"] = np.concatenate(
-            none + [m.target_indices for m in ms.matches])
-    # Written whole or not at all: a run cut short mid-write leaves only a
-    # stray temporary file, never a partial checkpoint.
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:      # a path would get ".npz" appended
-            np.savez(fh, **arrays)
-        os.replace(tmp, path)
-    finally:
-        Path(tmp).unlink(missing_ok=True)
-
-
-def load_coarse_checkpoint(path, n_src: int, n_tgt: int, key: str):
-    """Rebuild per-level MatchSets from a checkpoint of a tile with `n_src`
-    source and `n_tgt` target points, or return None when it is missing,
-    unreadable, malformed, or was written under another key (other inputs
-    or settings)."""
-    try:
-        with np.load(path) as npz:
-            data = {name: npz[name] for name in npz.files}
-    except (OSError, EOFError, ValueError, zipfile.BadZipFile):
-        return None
-    if "key" not in data or str(data["key"]) != key:
-        return None
-    try:
-        return [_stored_match_set(data, l, n_src, n_tgt) for l in LEVELS]
-    except (KeyError, ValueError):
-        return None
-
-
-def _stored_match_set(data: dict, l: int, n_src: int, n_tgt: int) -> MatchSet:
-    """The matches of level `l`, each support a slice of the stored index
-    arrays. Raises ValueError unless every support is non-empty, pairs its
-    two index arrays row by row, stays inside the tile and uses each point
-    at most once."""
-    sids, tids, mods, counts = (data[f"l{l}_{c}"]
-                                for c in ("src", "tgt", "mod", "count"))
-    si, ti = data[f"l{l}_si"], data[f"l{l}_ti"]
-    if not (len(sids) == len(tids) == len(mods) == len(counts)
-            and len(si) == len(ti) == counts.sum() and np.all(counts > 0)):
-        raise ValueError("pair arrays of unequal length")
-    for idx, n in ((si, n_src), (ti, n_tgt)):
-        if len(idx) and (idx.min() < 0 or idx.max() >= n):
-            raise ValueError("indices outside the tile")
-    bounds = np.cumsum(counts)[:-1]
-    matches = []
-    for sid, tid, mod, s, t in zip(sids, tids, mods, np.split(si, bounds),
-                                   np.split(ti, bounds)):
-        if len(np.unique(s)) < len(s) or len(np.unique(t)) < len(t):
-            raise ValueError("a support uses a point twice")
-        matches.append(PatchMatch(l, int(sid), int(tid), str(mod), s, t))
-    return MatchSet(l, matches)
 
 
 # ---------------------------------------------------------------------------
@@ -337,48 +213,34 @@ def _process_tile(pair, source_points, target_points, cfg: PipelineConfig,
         raise _fail("partition", pid, exc) from exc
     t0 = _tick(timings, "partition", t0)
 
-    checkpoint, key, merged_sets = None, "", None
-    if cfg.checkpoint_dir:
-        checkpoint = _checkpoint_path(cfg.checkpoint_dir, pid)
-        key = _coarse_key(cfg, resolution, sub_src, sub_tgt, part_src, part_tgt,
-                          cameras, src_rasters, tgt_rasters, imported_features)
-        merged_sets = load_coarse_checkpoint(checkpoint, len(sub_src),
-                                             len(sub_tgt), key)
-    if merged_sets is not None:
-        t0 = _tick(timings, "coarse", t0)
-    else:
-        imp_src, imp_tgt = imported_features or (None, None)
-        try:
-            src_feats = _tile_features(sub_src, geo_src,
-                                       pair.source.point_indices, cfg,
-                                       resolution, imp_src)
-            tgt_feats = _tile_features(sub_tgt, geo_tgt,
-                                       pair.target.point_indices, cfg,
-                                       resolution, imp_tgt)
-            table = (
-                _coarse_2d_table(sub_src, sub_tgt, cameras, src_rasters,
-                                 tgt_rasters, cfg, pixel_memo)
-                if cfg.use_images else CorrTable.empty())
-            merged_sets = []
-            for level in LEVELS:
-                src_labels = part_src.labels(level)
-                tgt_labels = part_tgt.labels(level)
-                m3d = match_patches_3d(
-                    level,
-                    aggregate_level_features(src_labels, src_feats),
-                    aggregate_level_features(tgt_labels, tgt_feats),
-                    src_feats, tgt_feats, src_labels, tgt_labels,
-                    sub_src, sub_tgt,
-                    max_displacement=cfg.max_displacement)
-                m2d = match_patches_2d(level, table, src_labels, tgt_labels)
-                merged_sets.append(gate_match_set(
-                    merge_match_sets(m3d, m2d), sub_src, sub_tgt,
-                    cfg.max_displacement, min_support=cfg.min_support))
-        except DvfError as exc:
-            raise _fail("coarse", pid, exc) from exc
-        if checkpoint is not None:
-            save_coarse_checkpoint(checkpoint, merged_sets, key)
-        t0 = _tick(timings, "coarse", t0)
+    imp_src, imp_tgt = imported_features or (None, None)
+    try:
+        src_feats = _tile_features(sub_src, geo_src, pair.source.point_indices,
+                                   cfg, resolution, imp_src)
+        tgt_feats = _tile_features(sub_tgt, geo_tgt, pair.target.point_indices,
+                                   cfg, resolution, imp_tgt)
+        table = (
+            _coarse_2d_table(sub_src, sub_tgt, cameras, src_rasters,
+                             tgt_rasters, cfg, pixel_memo)
+            if cfg.use_images else CorrTable.empty())
+        merged_sets = []
+        for level in LEVELS:
+            src_labels = part_src.labels(level)
+            tgt_labels = part_tgt.labels(level)
+            m3d = match_patches_3d(
+                level,
+                aggregate_level_features(src_labels, src_feats),
+                aggregate_level_features(tgt_labels, tgt_feats),
+                src_feats, tgt_feats, src_labels, tgt_labels,
+                sub_src, sub_tgt,
+                max_displacement=cfg.max_displacement)
+            m2d = match_patches_2d(level, table, src_labels, tgt_labels)
+            merged_sets.append(gate_match_set(
+                merge_match_sets(m3d, m2d), sub_src, sub_tgt,
+                cfg.max_displacement, min_support=cfg.min_support))
+    except DvfError as exc:
+        raise _fail("coarse", pid, exc) from exc
+    t0 = _tick(timings, "coarse", t0)
 
     kept_sets, reports = [], []
     try:
@@ -453,11 +315,14 @@ def run_pipeline(source_points, target_points, cfg: PipelineConfig,
     timings: dict = {}
     t0 = time.perf_counter()
     try:
-        resolution = mean_scan_resolution(source_points)
-        if resolution == 0.0:
-            raise DegenerateInput(
-                "source mean scan resolution is 0: every sampled point has "
-                "an exact duplicate")
+        resolutions = {epoch: mean_scan_resolution(pts)
+                       for epoch, pts in clouds.items()}
+        for epoch, res in resolutions.items():
+            if res == 0.0:
+                raise DegenerateInput(
+                    f"{epoch} mean scan resolution is 0: every sampled point "
+                    "has an exact duplicate")
+        resolution = resolutions["source"]
         # target tiles reach wherever their cell's points may move to
         pairs = tile_pair(source_points, target_points,
                           max_points=cfg.max_points,

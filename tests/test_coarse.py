@@ -32,10 +32,16 @@ def unit_rows(rng, n, d):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def patch_ids(ms):
+    """(source patch ids, target patch ids) of the matches of `ms`, in order."""
+    return ([m.source_patch_id for m in ms.matches],
+            [m.target_patch_id for m in ms.matches])
+
+
 def is_injective(ms):
     """No patch of either epoch appears in two matches of `ms`."""
-    n = len(ms.matches)
-    return len(set(ms.source_ids())) == len(set(ms.target_ids())) == n
+    src, tgt = patch_ids(ms)
+    return len(set(src)) == len(set(tgt)) == len(ms.matches)
 
 
 def supports_use_points_once(ms):
@@ -97,7 +103,7 @@ def test_identical_feature_lists_match_identity():
     pf_t, feats_t, labels_t, pts_t = patch_world(vecs)
     ms = match_patches_3d(1, pf_s, pf_t, feats_s, feats_t,
                           labels_s, labels_t, pts_s, pts_t, np.inf)
-    assert ms.source_ids() == ms.target_ids() == list(range(8))
+    assert patch_ids(ms) == (list(range(8)), list(range(8)))
     assert is_injective(ms)
     assert all(m.modality == MODALITY_3D for m in ms.matches)
     assert all(len(m) >= 1 for m in ms.matches)
@@ -114,8 +120,7 @@ def test_non_mutual_pair_is_dropped():
     ms = match_patches_3d(1, pf_s, pf_t, feats_s, feats_t,
                           labels_s, labels_t, pts_s, pts_t, np.inf)
     # X's nearest source is B (exact), so A stays unmatched
-    assert ms.source_ids() == [1]
-    assert ms.target_ids() == [0]
+    assert patch_ids(ms) == ([1], [0])
 
 
 @given(st.integers(0, 10 ** 6))
@@ -128,7 +133,7 @@ def test_patch_matching_equals_brute_force_oracle(seed):
     pf_t, feats_t, labels_t, pts_t = patch_world(vb)
     ms = match_patches_3d(1, pf_s, pf_t, feats_s, feats_t,
                           labels_s, labels_t, pts_s, pts_t, np.inf)
-    got = list(zip(ms.source_ids(), ms.target_ids()))
+    got = list(zip(*patch_ids(ms)))
     assert got == brute_force_mutual_nn(va, vb)
 
 
@@ -142,8 +147,8 @@ def test_role_swap_transposes_matches():
                            labels_s, labels_t, pts_s, pts_t, np.inf)
     rev = match_patches_3d(1, pf_t, pf_s, feats_t, feats_s,
                            labels_t, labels_s, pts_t, pts_s, np.inf)
-    assert (sorted(zip(fwd.source_ids(), fwd.target_ids()))
-            == sorted((t, s) for s, t in zip(rev.source_ids(), rev.target_ids())))
+    assert (sorted(zip(*patch_ids(fwd)))
+            == sorted((t, s) for s, t in zip(*patch_ids(rev))))
 
 
 @pytest.mark.parametrize("gap,matched", [(7.9, True), (8.1, False)])

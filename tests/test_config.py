@@ -33,7 +33,8 @@ def test_every_config_field_is_read():
 
 @pytest.mark.parametrize("key", ["feature_k", "p2p_threshold_factor",
                                  "eval_radius", "observations_path", "seed",
-                                 "overlap_margin", "feature_provider"])
+                                 "overlap_margin", "feature_provider",
+                                 "checkpoint_dir"])
 def test_removed_key_fails_to_load(tmp_path, key):
     path = tmp_path / "old.yaml"
     path.write_text(f"min_patch: 12\n{key}: 1\n")
@@ -41,11 +42,19 @@ def test_removed_key_fails_to_load(tmp_path, key):
         load_config(path)
 
 
+def test_cli_run_with_a_removed_key_exits_2(capsys):
+    from dvfusion.cli import main
+
+    assert main(["run", "--source", "a.xyz", "--target", "b.xyz",
+                 "--set", "checkpoint_dir=x"]) == 2
+    assert "checkpoint_dir" in capsys.readouterr().err
+
+
 def test_dump_then_load_round_trips(tmp_path):
     cfg = PipelineConfig(source_image_paths=("a.pgm", "b.pgm"),
                          lambda_factors=(0.2, 0.7, 3.0), min_patch=25,
                          max_displacement=4.5, use_images=True,
-                         checkpoint_dir="ckpt")
+                         cameras_path="cams #1.csv")
     path = tmp_path / "cfg.yaml"
     dump_config(path, cfg)
     assert load_config(path) == cfg
@@ -87,13 +96,13 @@ def test_override_of_the_wrong_type_fails_by_name(pair):
 def test_values_are_checked_not_cast(tmp_path):
     cfg = apply_overrides(PipelineConfig(), [
         "min_patch=12.0", "delta1=2", "icp_conv_tol=1e-7",
-        "output_dir=on", "checkpoint_dir=ck #2"])
+        "output_dir=on", "cameras_path=ck #2"])
     assert cfg.min_patch == 12 and type(cfg.min_patch) is int
     assert cfg.delta1 == 2.0 and type(cfg.delta1) is float
     assert cfg.icp_conv_tol == 1e-7
     # string keys take the --set text verbatim, as the direct flags do
     assert cfg.output_dir == "on"
-    assert cfg.checkpoint_dir == "ck #2"
+    assert cfg.cameras_path == "ck #2"
     for text in ("min_patch: 3.7\n", "output_dir: on\n", "n_workers: true\n"):
         path = tmp_path / "bad.yaml"
         path.write_text(text)

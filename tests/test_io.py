@@ -96,6 +96,17 @@ def test_ply_missing_coordinate_property(tmp_path):
     assert err.value.field == "z"
 
 
+@pytest.mark.parametrize("count", ["3.5", "-2", "x"])
+def test_ply_bad_vertex_count_reports_the_element_line(tmp_path, count):
+    p = tmp_path / "g.ply"
+    p.write_text(f"ply\nformat ascii 1.0\nelement vertex {count}\n"
+                 "property float x\nproperty float y\nproperty float z\n"
+                 "end_header\n0 0 0\n")
+    with pytest.raises(ParseError) as err:
+        load_point_cloud(p)
+    assert err.value.line == 3
+
+
 def test_ply_truncated_body(tmp_path):
     p = tmp_path / "f.ply"
     p.write_text("ply\nformat ascii 1.0\nelement vertex 3\n"

@@ -166,8 +166,8 @@ def test_level_path_is_bit_identical_to_per_patch_reference(tile_pair, level):
     # the bound is live here: without it the matches differ
     unbounded = match_patches_3d(level, agg_s, agg_t, feats_src, feats_tgt,
                                  lab_s, lab_t, src, tgt, max_displacement=np.inf)
-    assert (unbounded.source_ids(), unbounded.target_ids()) != (
-        ms.source_ids(), ms.target_ids())
+    assert ([(m.source_patch_id, m.target_patch_id) for m in unbounded.matches]
+            != [(m.source_patch_id, m.target_patch_id) for m in ms.matches])
 
     fits = []
     for m in reversed(ms.matches):        # fit order must not matter

@@ -1,7 +1,7 @@
 """End-to-end runs: the output contract of `run_pipeline`, thread-count
 invariance, image pairs matched once per run, one neighbourhood covariance
-per tile epoch, checkpoint resume, imported descriptors, located input
-errors, and CLI smoke tests."""
+per tile epoch, imported descriptors, located input errors, and CLI smoke
+tests."""
 
 import csv
 import shutil
@@ -22,7 +22,7 @@ from dvfusion.geometry import (NORMAL_NEIGHBOURS, local_covariance_features,
                                mean_scan_resolution)
 from dvfusion.io import (COORD_FMT, DVF_FIELDS, PointFeatureSet, load_dvf,
                          load_point_cloud, write_point_features)
-from dvfusion.pipeline import run_pipeline, save_coarse_checkpoint
+from dvfusion.pipeline import run_pipeline
 from dvfusion.synth import SynthParams, synth_generate_scene
 
 
@@ -204,127 +204,6 @@ def test_pixel_match_memo_matches_different_images_at_once(monkeypatch):
     assert overlapped == [True, True]
 
 
-def test_checkpoint_is_recomputed_when_inputs_change(tmp_path, monkeypatch):
-    scene = tiny_scene()
-    src, tgt = scene.source.points, scene.target.points
-    cfg = PipelineConfig(checkpoint_dir=str(tmp_path / "ckpt"))
-    run_pipeline(src, tgt, cfg)
-
-    # Changed coarse setting: the stale matches must not be reused.
-    gated = replace(cfg, max_displacement=0.5)
-    resumed = run_pipeline(src, tgt, gated)
-    fresh = run_pipeline(src, tgt, replace(gated, checkpoint_dir=""))
-    assert_same_field(resumed.field, fresh.field)
-
-    # Changed target cloud under the settings the checkpoint now holds.
-    reordered = tgt[::-1]
-    resumed = run_pipeline(src, reordered, gated)
-    fresh = run_pipeline(src, reordered, replace(gated, checkpoint_dir=""))
-    assert_same_field(resumed.field, fresh.field)
-
-    # A refine setting is not part of the key: the checkpoint is reused.
-    def no_coarse(*args, **kwargs):
-        raise AssertionError("coarse matches recomputed despite a checkpoint")
-
-    monkeypatch.setattr(dvfusion.pipeline, "match_patches_3d", no_coarse)
-    run_pipeline(src, reordered, replace(gated, delta1=2.0))
-
-
-@pytest.mark.parametrize("min_patch", [5, 20])
-def test_checkpoint_is_recomputed_when_the_partition_changes(
-        tmp_path, monkeypatch, min_patch):
-    # Same points and settings, other patches (another solver, or library
-    # versions that break ties differently): stored patch ids are stale.
-    scene = tiny_scene(n_points=1200)
-    src, tgt = scene.source.points, scene.target.points
-    cfg = PipelineConfig(checkpoint_dir=str(tmp_path))
-    run_pipeline(src, tgt, cfg)
-
-    partition = dvfusion.pipeline.hierarchical_partition
-
-    def other_partition(points, **kwargs):
-        return partition(points, **{**kwargs, "min_patch": min_patch})
-
-    monkeypatch.setattr(dvfusion.pipeline, "hierarchical_partition",
-                        other_partition)
-    resumed = run_pipeline(src, tgt, cfg)
-    fresh = run_pipeline(src, tgt, replace(cfg, checkpoint_dir=""))
-    assert_same_field(resumed.field, fresh.field)
-
-
-@pytest.mark.parametrize("keep", [0.5, 0.0])
-def test_truncated_checkpoint_is_recomputed(tmp_path, monkeypatch, keep):
-    scene = tiny_scene()
-    src, tgt = scene.source.points, scene.target.points
-    cfg = PipelineConfig(checkpoint_dir=str(tmp_path))
-    run_pipeline(src, tgt, cfg)
-    (path,) = tmp_path.iterdir()
-    data = path.read_bytes()
-    path.write_bytes(data[:int(keep * len(data))])
-
-    resumed = run_pipeline(src, tgt, cfg)
-    fresh = run_pipeline(src, tgt, replace(cfg, checkpoint_dir=""))
-    assert_same_field(resumed.field, fresh.field)
-
-    # the damaged file was overwritten with a checkpoint that resumes
-    def no_coarse(*args, **kwargs):
-        raise AssertionError("coarse matches recomputed despite a checkpoint")
-
-    monkeypatch.setattr(dvfusion.pipeline, "match_patches_3d", no_coarse)
-    assert_same_field(run_pipeline(src, tgt, cfg).field, fresh.field)
-
-
-# Damage to the stored supports, applied to (source indices, target
-# indices, tile source size) of every level that has matches.
-SUPPORT_DAMAGE = {
-    "beyond the tile": lambda si, ti, n: (np.r_[n, si[1:]], ti),
-    "negative": lambda si, ti, n: (np.r_[-1, si[1:]], ti),
-    "unpaired": lambda si, ti, n: (si, ti[:-1]),
-    "point used twice": lambda si, ti, n: (np.r_[si[0], si[0], si[2:]], ti),
-}
-
-
-@pytest.mark.parametrize("damage", SUPPORT_DAMAGE)
-def test_malformed_checkpoint_is_recomputed(tmp_path, monkeypatch, damage):
-    scene = tiny_scene()
-    src, tgt = scene.source.points, scene.target.points
-    cfg = PipelineConfig(checkpoint_dir=str(tmp_path))
-    fresh = run_pipeline(src, tgt, cfg)
-    (path,) = tmp_path.iterdir()
-    with np.load(path) as npz:
-        data = {name: npz[name] for name in npz.files}
-    damaged = 0
-    for l in (1, 2, 3):
-        if len(data[f"l{l}_si"]):
-            data[f"l{l}_si"], data[f"l{l}_ti"] = SUPPORT_DAMAGE[damage](
-                data[f"l{l}_si"], data[f"l{l}_ti"], len(src))
-            damaged += 1
-    assert damaged
-    np.savez(path, **data)            # under the file's own key
-
-    calls = []
-    match_patches_3d = dvfusion.pipeline.match_patches_3d
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return match_patches_3d(*args, **kwargs)
-
-    monkeypatch.setattr(dvfusion.pipeline, "match_patches_3d", counted)
-    assert_same_field(run_pipeline(src, tgt, cfg).field, fresh.field)
-    assert calls == [1, 2, 3]
-
-
-def test_interrupted_checkpoint_write_leaves_no_file(tmp_path, monkeypatch):
-    def cut_short(fh, **arrays):
-        fh.write(b"PK\x03\x04")
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(np, "savez", cut_short)
-    with pytest.raises(KeyboardInterrupt):
-        save_coarse_checkpoint(tmp_path / "coarse_tile0000.npz", [], "key")
-    assert list(tmp_path.iterdir()) == []
-
-
 # ---------------------------------------------------------------------------
 # Imported descriptors
 
@@ -373,10 +252,12 @@ def test_bad_input_shape_is_a_located_error():
 
 def test_cloud_of_duplicated_points_fails_in_tiling():
     scene = tiny_scene()
-    doubled = np.repeat(scene.source.points, 2, axis=0)
-    with pytest.raises(PipelineError,
-                       match="stage 'tiling': source mean scan resolution is 0"):
-        run_pipeline(doubled, scene.target.points, PipelineConfig())
+    clouds = {"source": scene.source.points, "target": scene.target.points}
+    for epoch, pts in clouds.items():
+        doubled = {**clouds, epoch: np.repeat(pts, 2, axis=0)}
+        with pytest.raises(PipelineError, match=f"stage 'tiling': {epoch} "
+                                                "mean scan resolution is 0"):
+            run_pipeline(doubled["source"], doubled["target"], PipelineConfig())
 
 
 def read_column(path, name):
