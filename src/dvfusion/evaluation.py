@@ -79,18 +79,19 @@ def spatial_coverage(dvf: DisplacementVectorField, source_points,
         raise InvalidParams(f"voxel size must be positive, got {voxel}")
     src = as_points(source_points)
     origin = src.min(axis=0)
-
-    def keys(pts):
-        cell = np.floor((pts - origin) / voxel).astype(np.int64)
-        return {tuple(c) for c in cell}
-
-    occupied = keys(src)
-    if not occupied:
-        return 0.0
     if len(dvf) == 0:
         return 0.0
-    covered = keys(dvf.positions) & occupied
-    return len(covered) / len(occupied)
+    cells = np.floor((np.concatenate([src, dvf.positions]) - origin)
+                     / voxel).astype(np.int64)
+    order = np.lexsort(cells.T)
+    cells = cells[order]
+    # sorted, a voxel's rows lie together: number the distinct voxels
+    voxel_id = np.cumsum(np.r_[True, (cells[1:] != cells[:-1]).any(axis=1)]) - 1
+    n_voxels = voxel_id[-1] + 1
+    from_src = order < len(src)
+    occupied = np.bincount(voxel_id[from_src], minlength=n_voxels) > 0
+    estimated = np.bincount(voxel_id[~from_src], minlength=n_voxels) > 0
+    return int((occupied & estimated).sum()) / int(occupied.sum())
 
 
 def compare_nn(dvf: DisplacementVectorField, observations,

@@ -14,11 +14,22 @@ most 8 regions is finished by an exhaustive search over unions of their
 2-means pieces. Deterministic throughout: no RNG, fixed vertex orderings,
 ties broken toward lower index.
 
-Like cut pursuit (Landrieu & Obozinski 2017), split passes keep an active
-set: they retry only regions that changed since their split was last
-rejected. This is exact, not a heuristic: a region's split and its
-acceptance depend only on its own vertices, their features and sizes, its
-internal edges and lam, so an unchanged region would be rejected again.
+Every pass redoes only what changed since it last looked, and each
+shortcut is exact, not a heuristic; the labels are those of the full sweeps.
+
+- Like cut pursuit (Landrieu & Obozinski 2017), split passes keep an active
+  set: they retry only regions that changed since their split was last
+  rejected. A region's split and its acceptance depend only on its own
+  vertices, their features and sizes, its internal edges and lam, so an
+  unchanged region would be rejected again.
+- Merge rounds after the first score only pairs that touch a region merged
+  in the round before: the greedy would already have taken any positive
+  pair of two untouched regions, whose gain has not changed.
+- The boundary polish scores every boundary vertex at once and loops only
+  over the vertices that score a move or whose regions changed earlier in
+  the sweep: a vertex nothing touched scores as before.
+- Row sums over the feature columns add whole columns in numpy's order
+  (`_row_sums`), so they have the bits of `.sum(axis=1)`.
 
 Label convention: a level is one int array over the tile's points holding
 each point's patch id, or -1 where the point lies in no patch (its region
@@ -44,6 +55,7 @@ _EPS_DECREASE = 1e-12          # strict-improvement threshold for accepting move
 _KMEANS_ITERS = 12
 _ICM_SWEEPS = 4
 _POLISH_LIMIT = 5000           # vertex-level polish only below this size
+_SCREEN_DEGREE = 32            # polish re-evaluates wider vertices one by one
 _EXACT_REGIONS = 8             # exhaustive union search up to this many regions
 _MAX_OUTER = 10                # split/merge/polish rounds per solve
 
@@ -126,9 +138,9 @@ def _region_stats(f, labels, nreg, sizes=None):
         sizes = np.ones(len(f))
     counts = np.bincount(labels, weights=sizes, minlength=nreg)
     sums = bincount_rows(labels, sizes[:, None] * f, nreg)
-    sq = np.bincount(labels, weights=sizes * (f * f).sum(axis=1), minlength=nreg)
+    sq = np.bincount(labels, weights=sizes * _row_sums(f * f), minlength=nreg)
     with np.errstate(invalid="ignore", divide="ignore"):
-        data = sq - (sums * sums).sum(axis=1) / counts
+        data = sq - _row_sums(sums * sums) / counts
     data[counts == 0] = 0.0
     return counts, sums, data
 
@@ -207,8 +219,8 @@ def _split_regions(f, edges, weights, labels, lam, sizes, sweeps=_ICM_SWEEPS):
     ends = np.concatenate([edges[:, 0], edges[:, 1]])
 
     def assign(with_cut):
-        d0 = sizes * ((f - c0[labels]) ** 2).sum(axis=1)
-        d1 = sizes * ((f - c1[labels]) ** 2).sum(axis=1)
+        d0 = sizes * _row_sums((f - c0[labels]) ** 2)
+        d1 = sizes * _row_sums((f - c1[labels]) ** 2)
         if with_cut and len(edges):
             s_i, s_j = side[edges[:, 0]], side[edges[:, 1]]
             # disagreement cost a vertex would pay for picking each side
@@ -280,37 +292,49 @@ def _unchanged(stable, old, new):
 def _merge_pass(f, edges, weights, labels, lam, sizes):
     """Merge adjacent region pairs whenever it strictly lowers the energy.
 
-    Rounds of conflict-free greedy merges (best gain first); regions touched
-    in a round sit out until the next one.
+    Rounds of conflict-free greedy merges (best gain first, ties toward the
+    lower region pair); regions touched in a round sit out until the next
+    one. Rounds after the first score only the pairs with a region merged
+    in the round before, and recompute only those regions' stats. That is
+    exact: a pair of two untouched regions had the same gain in the round
+    before, and the greedy would have taken it then had the gain been
+    positive. An untouched region's stats keep their bits (its vertex set,
+    and so the order of its bincount sums, is unchanged), and a region keeps
+    its lowest vertex when another merges into it, so its id keeps its rank
+    and the ids are made canonical once, at the end of the pass.
     """
+    nreg = labels.max() + 1
+    if nreg <= 1 or len(edges) == 0:
+        return labels, False
+    counts, sums, data = _region_stats(f, labels, nreg, sizes)
+    cross = np.flatnonzero(labels[edges[:, 0]] != labels[edges[:, 1]])
+    merged = None               # regions merged in the last round; None: all
     changed_any = False
     while True:
-        nreg = labels.max() + 1
-        if nreg <= 1 or len(edges) == 0:
-            return labels, changed_any
-        counts, sums, data = _region_stats(f, labels, nreg, sizes)
-        la, lb = labels[edges[:, 0]], labels[edges[:, 1]]
-        cross = la != lb
-        if not cross.any():
-            return labels, changed_any
-        a = np.minimum(la[cross], lb[cross])
-        b = np.maximum(la[cross], lb[cross])
-        key = a.astype(np.int64) * nreg + b
+        la, lb = labels[edges[cross, 0]], labels[edges[cross, 1]]
+        keep = la != lb
+        cross, la, lb = cross[keep], la[keep], lb[keep]
+        near = cross
+        if merged is not None:
+            hit = merged[la] | merged[lb]
+            near, la, lb = cross[hit], la[hit], lb[hit]
+        if len(near) == 0:
+            break
+        key = np.minimum(la, lb) * np.int64(nreg) + np.maximum(la, lb)
         uniq, inv = np.unique(key, return_inverse=True)
-        wsum = np.bincount(inv, weights=weights[cross], minlength=len(uniq))
-        pa = (uniq // nreg).astype(np.int64)
-        pb = (uniq % nreg).astype(np.int64)
+        wsum = np.bincount(inv, weights=weights[near], minlength=len(uniq))
+        pa, pb = uniq // nreg, uniq % nreg
         nmerge = counts[pa] + counts[pb]
         smerge = sums[pa] + sums[pb]
         data_merged = (data[pa] + data[pb]
-                       + counts[pa] * ((sums[pa] / counts[pa, None]) ** 2).sum(1)
-                       + counts[pb] * ((sums[pb] / counts[pb, None]) ** 2).sum(1)
-                       - (smerge ** 2).sum(1) / nmerge)
+                       + counts[pa] * _row_sums((sums[pa] / counts[pa, None]) ** 2)
+                       + counts[pb] * _row_sums((sums[pb] / counts[pb, None]) ** 2)
+                       - _row_sums(smerge ** 2) / nmerge)
         # data_merged now holds sum||f-c||^2 of the union (parallel-axis form)
         gain = lam * wsum - (data_merged - data[pa] - data[pb])
         good = np.flatnonzero(gain > _EPS_DECREASE)
         if len(good) == 0:
-            return labels, changed_any
+            break
         order = good[np.lexsort((pb[good], pa[good], -gain[good]))]
         used = bytearray(nreg)
         mapping = np.arange(nreg)
@@ -319,23 +343,44 @@ def _merge_pass(f, edges, weights, labels, lam, sizes):
                 continue
             mapping[rb] = ra
             used[ra] = used[rb] = 1
-        labels = _canonical_labels(mapping[labels])
+        labels = mapping[labels]
+        merged = np.frombuffer(used, dtype=bool)
+        inside = np.flatnonzero(merged[labels])
+        c, sm, d = _region_stats(f[inside], labels[inside], nreg, sizes[inside])
+        counts[merged], sums[merged], data[merged] = c[merged], sm[merged], d[merged]
         changed_any = True
+    if changed_any:
+        labels = _canonical_labels(labels)
+    return labels, changed_any
+
+
+def _row_sums(a):
+    """`a.sum(axis=1)` for a 2-D float array, with the same bits, added
+    column by column; numpy's reduction along a short axis is several times
+    slower than whole-column additions."""
+    return _sum(list(a.T))
 
 
 def _sum(xs):
-    """Sum floats in the order of numpy's pairwise float64 reduction (blocks
-    of up to 128 added with 8 accumulators), so a Python sum of a short row
-    has the same bits as `np.sum` of that row."""
-    n = len(xs)
-    if n < 8:
+    """Sum in the order of numpy's pairwise float64 reduction, so a Python
+    sum of a short row has the same bits as `np.sum` of that row: fewer than
+    8 terms are added one by one to 0.0; longer runs go in blocks of up to
+    128 with 8 accumulators, the total added to 0.0. The terms may also be
+    equal-length arrays, summed element by element (`_row_sums`)."""
+    if len(xs) < 8:
         total = 0.0
         for x in xs:
             total += x
         return total
+    return 0.0 + _blocks(xs)
+
+
+def _blocks(xs):
+    """numpy's pairwise sum of 8 or more terms."""
+    n = len(xs)
     if n > 128:
         half = n // 2 - (n // 2) % 8
-        return _sum(xs[:half]) + _sum(xs[half:])
+        return _blocks(xs[:half]) + _blocks(xs[half:])
     acc, m = xs[:8], n - n % 8
     for i in range(8, m, 8):
         acc = [a + x for a, x in zip(acc, xs[i:i + 8])]
@@ -346,21 +391,104 @@ def _sum(xs):
     return total
 
 
-def _boundary_polish(f, edges, weights, labels, lam, sizes):
+@dataclass
+class _Neighbours:
+    """Each vertex's neighbours and edge weights in edge order: vertex v's
+    are `ids[start[v]:start[v + 1]]` and `w[...]`; `lists[v]` holds them as
+    (neighbour, weight) pairs for the per-vertex loop."""
+
+    start: np.ndarray
+    ids: np.ndarray
+    w: np.ndarray
+    lists: list
+
+    @classmethod
+    def of(cls, n, edges, weights):
+        ends = np.concatenate([edges[:, 0], edges[:, 1]])
+        order = np.lexsort((np.tile(np.arange(len(edges)), 2), ends))
+        ids = np.concatenate([edges[:, 1], edges[:, 0]])[order]
+        w = np.concatenate([weights, weights])[order]
+        start = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=n))])
+        pairs = list(zip(ids.tolist(), w.tolist()))
+        bounds = start.tolist()
+        return cls(start, ids, w, [pairs[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])])
+
+    def degree(self, vertices):
+        return self.start[vertices + 1] - self.start[vertices]
+
+    def entries(self, vertices):
+        """For every neighbour of `vertices`, in order: its index into `ids`
+        and `w`, the position in `vertices` it belongs to, and its rank in
+        that vertex's list."""
+        deg = self.degree(vertices)
+        owner = np.repeat(np.arange(len(vertices)), deg)
+        rank = np.arange(len(owner)) - (np.cumsum(deg) - deg)[owner]
+        return self.start[vertices][owner] + rank, owner, rank
+
+
+def _screen_moves(f, sizes, nbrs, lab, counts, sums, vertices_per, bnd, lam):
+    """The label the polish loop gives each vertex of `bnd` (its own when it
+    stays) if the state does not change before the loop reaches it, with the
+    loop's operations in its order; and every (position in `bnd`, region)
+    whose stats that label depends on."""
+    r = lab[bnd]
+    idx, owner, _ = nbrs.entries(bnd)
+    nreg = np.int64(len(counts))
+    key = np.unique(owner * nreg + lab[nbrs.ids[idx]])
+    row, s = key // nreg, key % nreg
+    depends = (np.concatenate([np.arange(len(bnd)), row]), np.concatenate([r, s]))
+    pair = (s != r[row]) & (vertices_per[r[row]] > 1)
+    row, s = row[pair], s[pair]         # candidates, ascending per vertex
+    v, rr = bnd[row], r[row]
+    sv = sizes[v]
+
+    def sq_dist(vert, reg):
+        d = f[vert] - sums[reg] / counts[reg, None]
+        return _row_sums(d * d)
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cr, sb = counts[r], sizes[bnd]
+        rem = -(cr * sb / (cr - sb)) * sq_dist(bnd, r)
+    add = (counts[s] * sv / (counts[s] + sv)) * sq_dist(v, s)
+    # dcut adds w * ((l_u != s) - (l_u != r)) over the neighbours u in
+    # order, from 0.0: a running sum along each row of a padded table
+    idx, prow, rank = nbrs.entries(v)
+    lu = lab[nbrs.ids[idx]]
+    steps = np.zeros((len(row), 2 + rank.max(initial=-1)))
+    steps[prow, rank + 1] = nbrs.w[idx] * np.subtract(lu != s[prow], lu != rr[prow],
+                                                       dtype=np.float64)
+    delta = rem[row] + add + lam * np.cumsum(steps, axis=1)[:, -1]
+    # the loop tries candidates in ascending order; each must beat the
+    # best so far by _EPS_DECREASE
+    best, pick = np.zeros(len(bnd)), r.copy()
+    nth = np.arange(len(row)) - np.searchsorted(row, row)
+    for j in range(nth.max(initial=-1) + 1):
+        at = np.flatnonzero(nth == j)
+        win = at[delta[at] < best[row[at]] - _EPS_DECREASE]
+        best[row[win]], pick[row[win]] = delta[win], s[win]
+    return pick, depends
+
+
+def _boundary_polish(f, edges, weights, labels, lam, sizes, nbrs):
     """Sequential single-vertex relabeling along region boundaries.
 
-    Only runs on small problems; each move is accepted on strict decrease of
-    the exact local energy delta, so the global energy keeps decreasing.
+    `cut_pursuit` runs it on graphs of at most `_POLISH_LIMIT` vertices and
+    builds `nbrs` once per solve. Each move is accepted on strict decrease
+    of the exact local energy delta, so the global energy keeps decreasing.
     The loop runs on Python lists and floats with numpy's operation order,
     so every delta has the bits the array arithmetic would give.
+
+    A sweep first scores every boundary vertex at once (`_screen_moves`,
+    the same operations in the same order). The loop then visits only the
+    vertices that score a move or whose regions (its own or a neighbour's)
+    changed earlier in the sweep, and re-evaluates the latter. That is
+    exact: a vertex's move depends only on its neighbours' labels, the edge
+    weights and the stats of those regions, and a neighbour that moves
+    changes the region it left, so a vertex nothing touched scores as the
+    screen did. Vertices of more than `_SCREEN_DEGREE` neighbours are always
+    re-evaluated, which keeps the screen's padded table small.
     """
     n = len(f)
-    if n > _POLISH_LIMIT or len(edges) == 0:
-        return labels, False
-    nbr: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for i, j, w in zip(edges[:, 0].tolist(), edges[:, 1].tolist(), weights.tolist()):
-        nbr[i].append((j, w))
-        nbr[j].append((i, w))
     nreg = labels.max() + 1
     counts, sums, _ = _region_stats(f, labels, nreg, sizes)
     counts, sums = counts.tolist(), sums.tolist()
@@ -371,36 +499,60 @@ def _boundary_polish(f, edges, weights, labels, lam, sizes):
         d = [x - m / counts[s] for x, m in zip(fv, sums[s])]
         return _sum([t * t for t in d])
 
+    def best_label(v):
+        r = lab[v]
+        if vertices_per[r] <= 1:
+            return r                # don't empty a region here; merges handle that
+        cand = {r}
+        for u, _w in nbrs.lists[v]:
+            cand.add(lab[u])
+        if len(cand) == 1:
+            return r
+        fv, sv = feats[v], sz[v]
+        best_lab, best_delta = r, 0.0
+        # removal cost from r: change in r's scatter when v leaves
+        rem = -(counts[r] * sv / (counts[r] - sv)) * sq_dist(fv, r)
+        for s in sorted(cand):
+            if s == r:
+                continue
+            add = (counts[s] * sv / (counts[s] + sv)) * sq_dist(fv, s)
+            dcut = 0.0
+            for u, w in nbrs.lists[v]:
+                lu = lab[u]
+                dcut += w * ((lu != s) - (lu != r))
+            delta = rem + add + lam * dcut
+            if delta < best_delta - _EPS_DECREASE:
+                best_delta, best_lab = delta, s
+        return best_lab
+
     changed_any = False
     for _ in range(6):
-        moved = False
         arr = np.array(lab)
         cut_mask = arr[edges[:, 0]] != arr[edges[:, 1]]
-        for v in np.unique(edges[cut_mask].ravel()).tolist():
+        bnd = np.unique(edges[cut_mask].ravel())
+        wide = nbrs.degree(bnd) > _SCREEN_DEGREE
+        narrow = np.flatnonzero(~wide)
+        screened, (at, reg) = _screen_moves(
+            f, sizes, nbrs, arr, np.array(counts), np.array(sums),
+            np.array(vertices_per), bnd[narrow], lam)
+        pick = arr[bnd]
+        pick[narrow] = screened
+        at = narrow[at]
+        by_region = np.argsort(reg, kind="stable")
+        reg_start = np.searchsorted(reg[by_region], np.arange(nreg + 1))
+        stale = wide.copy()         # to re-evaluate: the screen may be out of date
+        visit = stale | (pick != arr[bnd])
+        moved = False
+        p = 0
+        while p < len(bnd):
+            p += int(visit[p:].argmax())
+            if not visit[p]:
+                break
+            v = int(bnd[p])
             r = lab[v]
-            if vertices_per[r] <= 1:
-                continue            # don't empty a region here; merges handle that
-            cand = {r}
-            for u, _w in nbr[v]:
-                cand.add(lab[u])
-            if len(cand) == 1:
-                continue
-            fv, sv = feats[v], sz[v]
-            best_lab, best_delta = r, 0.0
-            # removal cost from r: change in r's scatter when v leaves
-            rem = -(counts[r] * sv / (counts[r] - sv)) * sq_dist(fv, r)
-            for s in sorted(cand):
-                if s == r:
-                    continue
-                add = (counts[s] * sv / (counts[s] + sv)) * sq_dist(fv, s)
-                dcut = 0.0
-                for u, w in nbr[v]:
-                    lu = lab[u]
-                    dcut += w * ((lu != s) - (lu != r))
-                delta = rem + add + lam * dcut
-                if delta < best_delta - _EPS_DECREASE:
-                    best_delta, best_lab = delta, s
+            best_lab = best_label(v) if stale[p] else int(pick[p])
             if best_lab != r:
+                fv, sv = feats[v], sz[v]
                 lab[v] = best_lab
                 counts[r] -= sv
                 sums[r] = [m - sv * x for m, x in zip(sums[r], fv)]
@@ -409,6 +561,11 @@ def _boundary_polish(f, edges, weights, labels, lam, sizes):
                 sums[best_lab] = [m + sv * x for m, x in zip(sums[best_lab], fv)]
                 vertices_per[best_lab] += 1
                 moved = True
+                for x in (r, best_lab):
+                    q = at[by_region[reg_start[x]:reg_start[x + 1]]]
+                    q = q[q > p]
+                    stale[q] = visit[q] = True
+            p += 1
         if not moved:
             break
         changed_any = True
@@ -493,11 +650,25 @@ def cut_pursuit(features, edges, weights, lam: float, sizes=None) -> np.ndarray:
     a region-contracted graph reproduces the energy of the full one; it
     defaults to 1 for every vertex.
 
-    Split passes only retry regions that changed: a region whose split was
-    rejected and whose vertex set has not changed since is skipped. That is
-    exact, because a region's split and its acceptance depend only on its own
-    vertices, their features and sizes, its internal edges and `lam`, so the
-    skipped split would be rejected again.
+    Each pass skips work whose outcome is already known, and gives the
+    labels of the full sweeps:
+
+    - Split passes only retry regions that changed: a region whose split was
+      rejected and whose vertex set has not changed since is skipped,
+      because a region's split and its acceptance depend only on its own
+      vertices, their features and sizes, its internal edges and `lam`.
+    - A merge round after the first scores only the pairs with a region
+      merged in the round before (`_merge_pass`): a positive pair of two
+      untouched regions had the same gain in that round and would have been
+      taken then.
+    - The polish re-evaluates a vertex one by one only when a region it
+      touches changed earlier in the sweep (`_boundary_polish`); every other
+      vertex keeps the score of one vectorised pass with the loop's
+      operation order.
+    - Row sums over the feature columns go column by column in numpy's
+      order (`_row_sums`), with the bits of `.sum(axis=1)`.
+
+    The polish's neighbour lists are built once per solve.
     """
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2:
@@ -511,6 +682,8 @@ def cut_pursuit(features, edges, weights, lam: float, sizes=None) -> np.ndarray:
         raise InvalidParams(f"regularization strength must be >= 0, got {lam}")
     components = _canonical_labels(_components(n, edges))
     labels = components
+    nbrs = (_Neighbours.of(n, edges, weights)
+            if len(edges) and n <= _POLISH_LIMIT else None)
     stable = np.zeros(n, dtype=bool)
     for _ in range(_MAX_OUTER):
         ch_split = False
@@ -522,7 +695,10 @@ def cut_pursuit(features, edges, weights, lam: float, sizes=None) -> np.ndarray:
                 break
         split = labels
         labels, ch_merge = _merge_pass(f, edges, weights, labels, lam, sizes)
-        labels, ch_polish = _boundary_polish(f, edges, weights, labels, lam, sizes)
+        ch_polish = False
+        if nbrs is not None:
+            labels, ch_polish = _boundary_polish(f, edges, weights, labels, lam,
+                                                 sizes, nbrs)
         if not (ch_split or ch_merge or ch_polish):
             break
         stable = _unchanged(stable, split, labels)

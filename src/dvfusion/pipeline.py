@@ -315,9 +315,12 @@ def run_pipeline(source_points, target_points, cfg: PipelineConfig,
     timings: dict = {}
     t0 = time.perf_counter()
     try:
-        resolutions = {epoch: mean_scan_resolution(pts)
-                       for epoch, pts in clouds.items()}
-        for epoch, res in resolutions.items():
+        resolutions = {}
+        for epoch, pts in clouds.items():
+            try:
+                res = resolutions[epoch] = mean_scan_resolution(pts)
+            except DegenerateInput as exc:
+                raise DegenerateInput(f"{epoch} {exc}") from exc
             if res == 0.0:
                 raise DegenerateInput(
                     f"{epoch} mean scan resolution is 0: every sampled point "

@@ -69,6 +69,32 @@ def test_coverage_monotone_in_estimates():
             >= spatial_coverage(few, pts, 1.0))
 
 
+def set_coverage(dvf, source_points, voxel):
+    """The voxel coverage counted with a set of cell tuples."""
+    origin = source_points.min(axis=0)
+
+    def keys(pts):
+        return {tuple(c) for c in np.floor((pts - origin) / voxel).astype(np.int64)}
+
+    occupied = keys(source_points)
+    if len(dvf) == 0:
+        return 0.0
+    return len(keys(dvf.positions) & occupied) / len(occupied)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_coverage_counts_cells_like_a_set(seed):
+    rng = np.random.default_rng(40 + seed)
+    pts = rng.uniform(-5, 5, (rng.integers(1, 400), 3))
+    # estimates at source points, inside the box but off the points, and
+    # outside the source's bounding box on every side
+    at = rng.uniform(-8, 8, (rng.integers(1, 300), 3))
+    positions = np.vstack([pts[rng.integers(0, len(pts), 50)], at])
+    dvf = field_at(positions, np.zeros_like(positions))
+    for voxel in (0.3, 1.0, 4.0):
+        assert spatial_coverage(dvf, pts, voxel) == set_coverage(dvf, pts, voxel)
+
+
 def test_coverage_voxel_validation():
     pts = np.zeros((2, 3))
     with pytest.raises(InvalidParams):

@@ -797,3 +797,94 @@ def test_python_sum_has_numpy_bits(n):
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 6, n)
     assert partition._sum(x.tolist()) == x.sum()
+
+
+@pytest.mark.parametrize("cols", range(1, 10))
+def test_row_sums_have_numpy_bits(cols):
+    rng = np.random.default_rng(cols)
+    a = rng.standard_normal((500, cols)) * 10.0 ** rng.integers(-150, 150, (500, cols))
+    a[rng.random(a.shape) < 0.2] = 0.0
+    a[rng.random(a.shape) < 0.2] = -0.0
+    a[:20] = -0.0                       # rows of negative zeros only
+    got = partition._row_sums(a)
+    assert np.array_equal(got.view(np.int64), a.sum(axis=1).view(np.int64))
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls of a partition function made from now on."""
+    calls = []
+    fn = getattr(partition, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(partition, name, counted)
+    return calls
+
+
+def test_cascading_merges_same_labels_as_reference(monkeypatch):
+    """From singletons on a chain of slowly drifting features, pairs merge
+    into pairs of pairs and so on: one merge pass of many rounds."""
+    rng = np.random.default_rng(700)
+    n = 256
+    e = np.column_stack([np.arange(n - 1), np.arange(1, n)])
+    w = rng.uniform(0.5, 2.0, n - 1)
+    f = np.cumsum(rng.normal(0, 0.05, (n, 3)), axis=0)
+    sizes = rng.integers(1, 5, n).astype(float)
+    for lam in (0.05, 0.4, 2.0):
+        want, _ = _ref_merge_pass(f, e, w, np.arange(n), lam, sizes)
+        stats = count_calls(monkeypatch, "_region_stats")
+        got, changed = partition._merge_pass(f, e, w, np.arange(n), lam, sizes)
+        monkeypatch.undo()
+        assert changed and np.array_equal(got, want), lam
+        assert len(stats) - 1 > 2, lam          # one call per round after the first
+    assert_same_labels(f, e, w, sizes=sizes)
+
+
+def moved_vertices(start, end):
+    """Vertices whose final region mostly holds another starting region."""
+    table = np.zeros((end.max() + 1, start.max() + 1), dtype=np.int64)
+    np.add.at(table, (end, start), 1)
+    return start != table.argmax(axis=1)[end]
+
+
+@pytest.mark.parametrize("screen_degree", [0, 8, 32])
+def test_polish_with_many_moves_same_labels_as_reference(monkeypatch, screen_degree):
+    """Regions drawn around other centres than the features' clusters, so
+    most boundary vertices move; vertices above `_SCREEN_DEGREE` neighbours
+    are re-evaluated one by one."""
+    monkeypatch.setattr(partition, "_SCREEN_DEGREE", screen_degree)
+    rng = np.random.default_rng(800)
+    pts, e, w = knn_graph(rng, 600)
+    # the solver polishes this graph whatever the default limit: n == limit
+    monkeypatch.setattr(partition, "_POLISH_LIMIT", len(pts))
+    f = clustered_features(rng, pts, 4, n_clusters=10, noise=0.8)
+    sizes = rng.integers(1, 30, len(pts)).astype(float)
+    centres = pts[rng.choice(len(pts), 10, replace=False)]
+    cells = np.linalg.norm(pts[:, None] - centres[None], axis=2).argmin(axis=1)
+    start = partition._canonical_labels(
+        partition._components(len(pts), e[cells[e[:, 0]] == cells[e[:, 1]]]))
+    nbrs = partition._Neighbours.of(len(pts), e, w)
+    for lam in (0.1, 0.6):
+        got, changed = partition._boundary_polish(f, e, w, start, lam, sizes, nbrs)
+        want, _ = _ref_boundary_polish(f, e, w, start, lam, sizes)
+        assert changed and np.array_equal(got, want), lam
+        assert moved_vertices(start, got).sum() > 40, lam
+    assert_same_labels(f, e, w, sizes=sizes)
+
+
+@pytest.mark.parametrize("screen_degree", [0, 32])
+def test_polish_near_tie_keeps_the_first_candidate(monkeypatch, screen_degree):
+    """Vertex 0 leaves {0, 1} for {2} or {3}; moving to {3} is lower by less
+    than _EPS_DECREASE, so the lower label, {2}, wins."""
+    monkeypatch.setattr(partition, "_SCREEN_DEGREE", screen_degree)
+    f = np.array([[0.0], [10.0], [1.2e-6], [0.5e-6]])
+    e = np.array([[0, 1], [0, 2], [0, 3]])
+    w, sizes = np.ones(3), np.ones(4)
+    start = np.array([0, 0, 1, 2])
+    got, _ = partition._boundary_polish(f, e, w, start, 1.0, sizes,
+                                        partition._Neighbours.of(4, e, w))
+    want, _ = _ref_boundary_polish(f, e, w, start, 1.0, sizes)
+    assert np.array_equal(got, want)
+    assert got[0] == got[2] != got[3]

@@ -260,6 +260,16 @@ def test_cloud_of_duplicated_points_fails_in_tiling():
             run_pipeline(doubled["source"], doubled["target"], PipelineConfig())
 
 
+@pytest.mark.parametrize("epoch", ["source", "target"])
+def test_one_point_cloud_names_its_epoch(epoch):
+    scene = tiny_scene()
+    clouds = {"source": scene.source.points, "target": scene.target.points}
+    clouds[epoch] = clouds[epoch][:1]
+    with pytest.raises(PipelineError, match=f"stage 'tiling': {epoch} mean "
+                                            "scan resolution needs >= 2 points"):
+        run_pipeline(clouds["source"], clouds["target"], PipelineConfig())
+
+
 def read_column(path, name):
     with open(path, newline="") as fh:
         return [row[name] for row in csv.DictReader(fh)]
