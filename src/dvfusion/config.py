@@ -68,6 +68,8 @@ class PipelineConfig:
     coverage_voxel_factor: float = 4.0  # coverage voxel, x scan resolution
 
     # --- execution ----------------------------------------------------------
+    # tiles at once; a run that takes tiles one at a time also runs each
+    # tile's two epochs at once
     n_workers: int = 1
 
     def validate(self) -> None:

@@ -6,6 +6,15 @@ per-level fields merged deterministically by point id; source tiles
 partition the cloud, so per-tile fields never collide, and the levels are
 integrated once, after the tiles. The only thing tiles share is the
 whole-image pixel matches, computed once per image pair and run.
+
+Threads: with `n_workers` >= 2 and two tiles or more, a pool of
+`n_workers` threads takes whole tiles, and each tile runs its two epochs
+one after the other. Otherwise the calling thread takes the tiles one at a
+time, and a helper thread runs each tile's target epoch while the calling
+thread runs the source epoch, in two steps: covariance and partition (the
+`partition` stage clock), then descriptors (counted in `coarse`). The epochs
+share nothing, so the fields keep their bits. Matching, refinement and the
+fits run on the tile's own thread.
 """
 
 from __future__ import annotations
@@ -92,8 +101,10 @@ def _tick(timings: dict, stage: str, t0: float) -> float:
     return now
 
 
-def _fail(stage: str, pair_id: int, exc: Exception) -> PipelineError:
-    return PipelineError(f"stage '{stage}', tile {pair_id}: {exc}")
+def _fail(stage: str, pair_id: int, exc: Exception,
+          epoch: str | None = None) -> PipelineError:
+    where = f", {epoch} epoch" if epoch else ""
+    return PipelineError(f"stage '{stage}', tile {pair_id}{where}: {exc}")
 
 
 def _remap_to_global(f: DisplacementVectorField,
@@ -107,6 +118,36 @@ def _remap_to_global(f: DisplacementVectorField,
 
 # ---------------------------------------------------------------------------
 # Per-tile processing
+
+
+def _both_epochs(stage: str, pair_id: int, helper, fn, src_args: tuple,
+                 tgt_args: tuple) -> tuple:
+    """(fn(*src_args), fn(*tgt_args)), the source epoch's call and the
+    target epoch's. With a `helper` executor the target's call runs on it
+    while this thread runs the source's. An error names its epoch; when
+    both calls fail the source's error is raised, as when the epochs run
+    one after the other."""
+    target = helper.submit(fn, *tgt_args) if helper is not None else None
+    epoch = "source"
+    try:
+        src = fn(*src_args)
+        epoch = "target"
+        tgt = fn(*tgt_args) if target is None else target.result()
+    except DvfError as exc:
+        raise _fail(stage, pair_id, exc, epoch) from exc
+    return src, tgt
+
+
+def _partition_epoch(sub_pts, cfg: PipelineConfig) -> tuple:
+    """The k-NN covariance features of one tile epoch and its patch
+    hierarchy. One neighbourhood pass per epoch: the partition features and
+    the builtin descriptors' normals both come from this covariance."""
+    geo = local_covariance_features(sub_pts, k=NORMAL_NEIGHBOURS)
+    part = hierarchical_partition(
+        sub_pts, feats=partition_features(geo),
+        lambda_factors=cfg.lambda_factors, min_patch=cfg.min_patch,
+        k_adj=cfg.k_adj)
+    return geo, part
 
 
 def _tile_features(sub_pts, geo, global_ids, cfg: PipelineConfig,
@@ -188,37 +229,28 @@ def _coarse_2d_table(tile_src_pts, tile_tgt_pts, cameras,
 
 def _process_tile(pair, source_points, target_points, cfg: PipelineConfig,
                   resolution: float, cameras, src_rasters, tgt_rasters,
-                  pixel_memo: _PixelMatchMemo,
-                  imported_features=None) -> TileOutcome:
+                  pixel_memo: _PixelMatchMemo, imported_features=None,
+                  helper=None) -> TileOutcome:
+    """One tile pair through every stage. With a `helper` executor the
+    target epoch's partition and descriptors run on it, alongside the
+    source epoch's on this thread."""
     timings: dict = {}
     pid = pair.pair_id
-    sub_src = source_points[pair.source.point_indices]
-    sub_tgt = target_points[pair.target.point_indices]
+    src_ids, tgt_ids = pair.source.point_indices, pair.target.point_indices
+    sub_src, sub_tgt = source_points[src_ids], target_points[tgt_ids]
 
     t0 = time.perf_counter()
-    try:
-        # One neighbourhood pass per epoch: the partition features and the
-        # builtin descriptors' normals both come from this covariance.
-        geo_src = local_covariance_features(sub_src, k=NORMAL_NEIGHBOURS)
-        geo_tgt = local_covariance_features(sub_tgt, k=NORMAL_NEIGHBOURS)
-        part_src = hierarchical_partition(
-            sub_src, feats=partition_features(geo_src),
-            lambda_factors=cfg.lambda_factors, min_patch=cfg.min_patch,
-            k_adj=cfg.k_adj)
-        part_tgt = hierarchical_partition(
-            sub_tgt, feats=partition_features(geo_tgt),
-            lambda_factors=cfg.lambda_factors, min_patch=cfg.min_patch,
-            k_adj=cfg.k_adj)
-    except DvfError as exc:
-        raise _fail("partition", pid, exc) from exc
+    (geo_src, part_src), (geo_tgt, part_tgt) = _both_epochs(
+        "partition", pid, helper, _partition_epoch, (sub_src, cfg),
+        (sub_tgt, cfg))
     t0 = _tick(timings, "partition", t0)
 
     imp_src, imp_tgt = imported_features or (None, None)
+    src_feats, tgt_feats = _both_epochs(
+        "coarse", pid, helper, _tile_features,
+        (sub_src, geo_src, src_ids, cfg, resolution, imp_src),
+        (sub_tgt, geo_tgt, tgt_ids, cfg, resolution, imp_tgt))
     try:
-        src_feats = _tile_features(sub_src, geo_src, pair.source.point_indices,
-                                   cfg, resolution, imp_src)
-        tgt_feats = _tile_features(sub_tgt, geo_tgt, pair.target.point_indices,
-                                   cfg, resolution, imp_tgt)
         table = (
             _coarse_2d_table(sub_src, sub_tgt, cameras, src_rasters,
                              tgt_rasters, cfg, pixel_memo)
@@ -267,7 +299,7 @@ def _process_tile(pair, source_points, target_points, cfg: PipelineConfig,
                 fits.append((m.source_patch_id, t, m.modality))
             level_fields.append(_remap_to_global(
                 level_field(ms.level, part_src.patches(ms.level), fits, sub_src),
-                pair.source.point_indices))
+                src_ids))
     except DvfError as exc:
         raise _fail("fine", pid, exc) from exc
     _tick(timings, "fine", t0)
@@ -336,16 +368,19 @@ def run_pipeline(source_points, target_points, cfg: PipelineConfig,
 
     pixel_memo = _PixelMatchMemo()
 
-    def work(pair):
+    def work(pair, helper=None):
         return _process_tile(pair, source_points, target_points, cfg,
                              resolution, cameras, src_rasters, tgt_rasters,
-                             pixel_memo, imported_features)
+                             pixel_memo, imported_features, helper)
 
     if cfg.n_workers > 1 and len(pairs) > 1:
         with ThreadPoolExecutor(max_workers=cfg.n_workers) as pool:
             outcomes = list(pool.map(work, pairs))
     else:
-        outcomes = [work(pair) for pair in pairs]
+        # Leaving the block joins the helper, so a run raises only once the
+        # target epoch it was running has ended.
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            outcomes = [work(pair, helper) for pair in pairs]
     outcomes.sort(key=lambda o: o.pair_id)
     for o in outcomes:
         for stage, sec in o.timings.items():

@@ -1,12 +1,15 @@
 """Descriptor pipeline: adaptive downsampling, pair-angle histograms and
 their rotation robustness, sparse-product pooling against the per-query
-loop it replaced, imported descriptor lookup, patch aggregation."""
+loop it replaced, the blocked pair pass against the one-shot pass it
+replaced, imported descriptor lookup, patch aggregation."""
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
+import dvfusion.features
 from dvfusion.config import PipelineConfig
 from dvfusion.errors import ImportKeyMismatch, InvalidParams
 from dvfusion.features import (
@@ -242,6 +245,70 @@ def test_pooling_on_a_synth_epoch():
     resolution = mean_scan_resolution(scene.source.points)
     sample = adaptive_downsample(pts, VOXEL_FACTOR, resolution)
     assert_pooling_bit_equal(pts, RADIUS_FACTOR * resolution, sample)
+
+
+# ---------------------------------------------------------------------------
+# Blocks: the pair pass a block at a time against the one-shot pass
+
+
+def one_shot_pair_histogram_descriptors(points, geo, radius: float,
+                                        query_indices) -> np.ndarray:
+    """The descriptors as computed before the pair pass ran in blocks: the
+    angles of every radius pair at once, one bincount, one sparse product."""
+    pts = as_points(points)
+    n = len(pts)
+    query = np.asarray(query_indices, dtype=np.int64)
+    normals = geo.normals.copy()
+    normals[~geo.valid] = np.array([0.0, 0.0, 1.0])
+    normals[normals[:, 2] < 0.0] *= -1.0
+
+    pairs = cKDTree(pts).query_pairs(radius, output_type="ndarray")
+    i, j = pairs[:, 0], pairs[:, 1]
+    p_i, p_j = pts[i], pts[j]
+    alpha, phi, theta, ok = _pair_angles(p_i, normals[i], p_j, normals[j])
+    cells = [ends[ok] * DESCRIPTOR_DIM + k * N_ANGLE_BINS + b[ok]
+             for ends in (i, j)
+             for k, b in enumerate(_bin_triplets(alpha, phi, theta))]
+    spfh = np.bincount(np.concatenate(cells), minlength=n * DESCRIPTOR_DIM
+                       ).astype(np.float64).reshape(n, DESCRIPTOR_DIM)
+
+    uq, row_of = np.unique(query, return_inverse=True)
+    pos = np.full(n, -1, dtype=np.int64)
+    pos[uq] = np.arange(len(uq))
+    rows = np.concatenate([pos[i], pos[j]])
+    nbrs = np.concatenate([j, i])
+    wgt = np.tile(1.0 / np.maximum(np.linalg.norm(p_j - p_i, axis=1), 1e-9), 2)
+    keep = rows >= 0
+    rows, nbrs, wgt = rows[keep], nbrs[keep], wgt[keep]
+    order = np.argsort(rows * n + nbrs)
+    counts = np.bincount(rows, minlength=len(uq))
+    pool = csr_matrix((wgt[order], nbrs[order], np.r_[0, np.cumsum(counts)]),
+                      shape=(len(uq), n))
+    pooled = pool @ spfh
+    has = counts > 0
+    pooled[has] /= counts[has, None]
+    desc = spfh[query] + pooled[row_of]
+
+    norms = np.linalg.norm(desc, axis=1)
+    flat = norms <= 1e-12
+    desc[flat] = 1.0 / np.sqrt(DESCRIPTOR_DIM)
+    return desc / np.linalg.norm(desc, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("block", [1, 7, 10 ** 9])
+def test_blocked_pair_pass_gives_the_one_shot_bits(monkeypatch, block):
+    rng = np.random.default_rng(24)
+    base = rng.uniform(0, 4, (150, 3))
+    # duplicates form zero-length pairs that `ok` masks out of the counts;
+    # the far point has no neighbour and gets the uniform row
+    pts = np.vstack([base, base[:20], [[50.0, 50.0, 50.0]]])
+    geo = covariance(pts)
+    query = np.r_[np.arange(0, len(pts), 3), 150, 3, len(pts) - 1]
+    want = one_shot_pair_histogram_descriptors(pts, geo, 1.2, query)
+    assert np.all(want[-1] == 1.0 / np.sqrt(DESCRIPTOR_DIM))
+    monkeypatch.setattr(dvfusion.features, "_PAIR_BLOCK", block)
+    got = pair_histogram_descriptors(pts, geo, 1.2, query)
+    assert np.array_equal(got, want)
 
 
 def test_extract_import_provider():

@@ -1,7 +1,7 @@
 """End-to-end runs: the output contract of `run_pipeline`, thread-count
-invariance, image pairs matched once per run, one neighbourhood covariance
-per tile epoch, imported descriptors, located input errors, and CLI smoke
-tests."""
+invariance, the helper thread that runs a tile's target epoch, image pairs
+matched once per run, one neighbourhood covariance per tile epoch, imported
+descriptors, located input errors, and CLI smoke tests."""
 
 import csv
 import shutil
@@ -235,14 +235,59 @@ def test_imported_builtin_descriptors_give_the_builtin_field():
         assert_same_field(a, b)
 
 
-def test_imported_set_missing_a_sampled_id_is_a_located_error():
+def holed(feature_set):
+    return PointFeatureSet(feature_set.point_indices[::2],
+                           feature_set.descriptors[::2])
+
+
+# When both epochs fail, the source's error is raised, as when the epochs
+# ran one after the other.
+@pytest.mark.parametrize("holes, epoch", [
+    ("source", "source"), ("target", "target"), ("both", "source")])
+def test_imported_set_missing_a_sampled_id_is_a_located_error(holes, epoch):
     scene = tiny_scene()
     src, tgt = scene.source.points, scene.target.points
     src_set, tgt_set = builtin_feature_sets(src, tgt)
-    holed = PointFeatureSet(src_set.point_indices[::2], src_set.descriptors[::2])
-    with pytest.raises(PipelineError, match="stage 'coarse', tile 0"):
+    if holes in ("source", "both"):
+        src_set = holed(src_set)
+    if holes in ("target", "both"):
+        tgt_set = holed(tgt_set)
+    with pytest.raises(PipelineError, match=f"stage 'coarse', tile 0, {epoch} "
+                                            "epoch: imported features miss"):
         run_pipeline(src, tgt, PipelineConfig(),
-                     imported_features=(holed, tgt_set))
+                     imported_features=(src_set, tgt_set))
+
+
+def test_runs_leave_no_thread_behind():
+    scene = tiny_scene()
+    src, tgt = scene.source.points, scene.target.points
+    src_set, tgt_set = builtin_feature_sets(src, tgt)
+    before = threading.enumerate()
+    run_pipeline(src, tgt, PipelineConfig())
+    assert threading.enumerate() == before
+    # the error comes from the helper thread's epoch
+    with pytest.raises(PipelineError, match="target epoch"):
+        run_pipeline(src, tgt, PipelineConfig(),
+                     imported_features=(src_set, holed(tgt_set)))
+    assert threading.enumerate() == before
+
+
+def test_epochs_at_once_under_contention():
+    # switching threads as often as possible: any state the two epochs of a
+    # tile shared would show as a field that changes from run to run
+    scene = tiny_scene()
+    src, tgt = scene.source.points, scene.target.points
+    want = run_pipeline(src, tgt, PipelineConfig())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [run_pipeline(src, tgt, PipelineConfig()) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in runs:
+        assert_same_field(got.field, want.field)
+        for a, b in zip(got.level_fields, want.level_fields):
+            assert_same_field(a, b)
 
 
 def test_bad_input_shape_is_a_located_error():
