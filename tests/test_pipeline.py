@@ -252,23 +252,12 @@ def test_imported_set_missing_a_sampled_id_is_a_located_error(holes, epoch):
         src_set = holed(src_set)
     if holes in ("target", "both"):
         tgt_set = holed(tgt_set)
+    before = threading.enumerate()
     with pytest.raises(PipelineError, match=f"stage 'coarse', tile 0, {epoch} "
                                             "epoch: imported features miss"):
         run_pipeline(src, tgt, PipelineConfig(),
                      imported_features=(src_set, tgt_set))
-
-
-def test_runs_leave_no_thread_behind():
-    scene = tiny_scene()
-    src, tgt = scene.source.points, scene.target.points
-    src_set, tgt_set = builtin_feature_sets(src, tgt)
-    before = threading.enumerate()
-    run_pipeline(src, tgt, PipelineConfig())
-    assert threading.enumerate() == before
-    # the error comes from the helper thread's epoch
-    with pytest.raises(PipelineError, match="target epoch"):
-        run_pipeline(src, tgt, PipelineConfig(),
-                     imported_features=(src_set, holed(tgt_set)))
+    # the helper thread is joined before the error leaves the run
     assert threading.enumerate() == before
 
 
@@ -277,7 +266,9 @@ def test_epochs_at_once_under_contention():
     # tile shared would show as a field that changes from run to run
     scene = tiny_scene()
     src, tgt = scene.source.points, scene.target.points
+    before = threading.enumerate()
     want = run_pipeline(src, tgt, PipelineConfig())
+    assert threading.enumerate() == before      # the helper thread is joined
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
