@@ -5,7 +5,7 @@ Tiles are processed independently (optionally by a thread pool) and their
 per-level fields merged deterministically by point id; source tiles
 partition the cloud, so per-tile fields never collide, and the levels are
 integrated once, after the tiles. The only thing tiles share is the
-whole-image pixel matches, computed once per image pair and run.
+whole-image pixel matches, computed once per selected image pair and run.
 
 Threads: with `n_workers` >= 2 and two tiles or more, a pool of
 `n_workers` threads takes whole tiles, and each tile runs its two epochs
@@ -14,12 +14,13 @@ time, and a helper thread runs each tile's target epoch while the calling
 thread runs the source epoch, in two steps: covariance and partition (the
 `partition` stage clock), then descriptors (counted in `coarse`). The epochs
 share nothing, so the fields keep their bits. Matching, refinement and the
-fits run on the tile's own thread.
+fits run on the tile's own thread. With images, one more thread matches the
+image pairs (the `images` clock) from tiling onward. Stage clocks of
+different threads overlap, so they can sum past wall time.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
@@ -169,57 +170,49 @@ def _tile_features(sub_pts, geo, global_ids, cfg: PipelineConfig,
                                   resolution=resolution)
 
 
-@dataclass
-class _PixelMatchMemo:
-    """Whole-image matches per image id, shared by the tiles of one run so
-    that each image pair is matched at most once; None marks a pair too
-    small to match. A lock per image id keeps two workers from matching one
-    pair while pairs of different ids are matched at the same time."""
+def _start_image_jobs(matcher, pairs, source_points, cameras, src_rasters,
+                      tgt_rasters, cfg: PipelineConfig, timings: dict) -> dict:
+    """pair id -> (camera, job) for each of the tile's top-k cameras by its
+    source points. Each selected image pair is submitted to `matcher` once,
+    in id order, its seconds adding to `timings["images"]`."""
+    def match(image_id):
+        t0 = time.perf_counter()
+        try:
+            return match_pixels(
+                src_rasters[image_id], tgt_rasters[image_id],
+                stride=cfg.ncc_stride, template_radius=cfg.ncc_template_radius,
+                search_window=cfg.ncc_search_window, min_conf=cfg.min_conf)
+        finally:
+            _tick(timings, "images", t0)
 
-    sets: dict = dc_field(default_factory=dict)
-    locks: dict = dc_field(default_factory=dict)
-    lock: threading.Lock = dc_field(default_factory=threading.Lock)
-
-    def get(self, image_id, src_rasters: dict, tgt_rasters: dict,
-            cfg: PipelineConfig):
-        with self.lock:
-            image_lock = self.locks.setdefault(image_id, threading.Lock())
-        with image_lock:
-            if image_id not in self.sets:
-                try:
-                    self.sets[image_id] = match_pixels(
-                        src_rasters[image_id], tgt_rasters[image_id],
-                        stride=cfg.ncc_stride,
-                        template_radius=cfg.ncc_template_radius,
-                        search_window=cfg.ncc_search_window,
-                        min_conf=cfg.min_conf)
-                except ImageTooSmall:
-                    self.sets[image_id] = None
-            return self.sets[image_id]
-
-
-def _coarse_2d_table(tile_src_pts, tile_tgt_pts, cameras,
-                     src_rasters: dict, tgt_rasters: dict,
-                     cfg: PipelineConfig, memo: _PixelMatchMemo) -> CorrTable:
-    """Lifted image correspondences for one tile, already gated by the
-    plausible-displacement radius. Empty when no camera sees the tile.
-    Every camera has a raster of its id in both epochs (`run_pipeline`
-    checks that)."""
-    try:
-        image_ids = select_top_k_images(tile_src_pts, cameras,
-                                        k=cfg.top_k_images)
-    except NoVisibleImage:
-        return CorrTable.empty()
+    selected = {}
+    for pair in pairs:
+        try:
+            selected[pair.pair_id] = select_top_k_images(
+                source_points[pair.source.point_indices], cameras,
+                k=cfg.top_k_images)
+        except NoVisibleImage:
+            selected[pair.pair_id] = []
+    jobs = {i: matcher.submit(match, i)
+            for i in sorted({i for ids in selected.values() for i in ids})}
     cams_by_id = {c.image_id: c for c in cameras}
+    return {pid: [(cams_by_id[i], jobs[i]) for i in ids]
+            for pid, ids in selected.items()}
+
+
+def _coarse_2d_table(tile_src_pts, tile_tgt_pts, images: list,
+                     cfg: PipelineConfig) -> CorrTable:
+    """Lifted image correspondences for one tile, already gated by the
+    plausible-displacement radius. `images` holds (camera, job matching its
+    image pair) for each image the tile selected."""
     pix_sets, src_proj, tgt_proj = [], {}, {}
-    for image_id in image_ids:
-        pm = memo.get(image_id, src_rasters, tgt_rasters, cfg)
-        if pm is None:
+    for cam, job in images:
+        try:
+            pix_sets.append(job.result())
+        except ImageTooSmall:
             continue
-        pix_sets.append(pm)
-        cam = cams_by_id[image_id]
-        src_proj[image_id] = project_to_image(tile_src_pts, cam)
-        tgt_proj[image_id] = project_to_image(tile_tgt_pts, cam)
+        src_proj[cam.image_id] = project_to_image(tile_src_pts, cam)
+        tgt_proj[cam.image_id] = project_to_image(tile_tgt_pts, cam)
     if not pix_sets:
         return CorrTable.empty()
     table = lift_matches(pix_sets, src_proj, tgt_proj, r_px=cfg.lift_radius_px)
@@ -228,12 +221,11 @@ def _coarse_2d_table(tile_src_pts, tile_tgt_pts, cameras,
 
 
 def _process_tile(pair, source_points, target_points, cfg: PipelineConfig,
-                  resolution: float, cameras, src_rasters, tgt_rasters,
-                  pixel_memo: _PixelMatchMemo, imported_features=None,
+                  resolution: float, images: list, imported_features=None,
                   helper=None) -> TileOutcome:
-    """One tile pair through every stage. With a `helper` executor the
-    target epoch's partition and descriptors run on it, alongside the
-    source epoch's on this thread."""
+    """One tile pair through every stage; `images` as in `_coarse_2d_table`.
+    With a `helper` executor the target epoch's partition and descriptors
+    run on it, alongside the source epoch's on this thread."""
     timings: dict = {}
     pid = pair.pair_id
     src_ids, tgt_ids = pair.source.point_indices, pair.target.point_indices
@@ -251,10 +243,7 @@ def _process_tile(pair, source_points, target_points, cfg: PipelineConfig,
         (sub_src, geo_src, src_ids, cfg, resolution, imp_src),
         (sub_tgt, geo_tgt, tgt_ids, cfg, resolution, imp_tgt))
     try:
-        table = (
-            _coarse_2d_table(sub_src, sub_tgt, cameras, src_rasters,
-                             tgt_rasters, cfg, pixel_memo)
-            if cfg.use_images else CorrTable.empty())
+        table = _coarse_2d_table(sub_src, sub_tgt, images, cfg)
         merged_sets = []
         for level in LEVELS:
             src_labels = part_src.labels(level)
@@ -366,21 +355,31 @@ def run_pipeline(source_points, target_points, cfg: PipelineConfig,
         raise PipelineError(f"stage 'tiling': {exc}") from exc
     t0 = _tick(timings, "tiling", t0)
 
-    pixel_memo = _PixelMatchMemo()
+    # Image pairs are matched on a thread of their own, alongside the tiles;
+    # it alone writes `timings` until it is joined. Without images, none.
+    matcher = ThreadPoolExecutor(max_workers=1) if cfg.use_images else None
+    try:
+        tile_images = {} if matcher is None else _start_image_jobs(
+            matcher, pairs, source_points, cameras, src_rasters, tgt_rasters,
+            cfg, timings)
 
-    def work(pair, helper=None):
-        return _process_tile(pair, source_points, target_points, cfg,
-                             resolution, cameras, src_rasters, tgt_rasters,
-                             pixel_memo, imported_features, helper)
+        def work(pair, helper=None):
+            return _process_tile(pair, source_points, target_points, cfg,
+                                 resolution, tile_images.get(pair.pair_id, []),
+                                 imported_features, helper)
 
-    if cfg.n_workers > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.n_workers) as pool:
-            outcomes = list(pool.map(work, pairs))
-    else:
-        # Leaving the block joins the helper, so a run raises only once the
-        # target epoch it was running has ended.
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            outcomes = [work(pair, helper) for pair in pairs]
+        if cfg.n_workers > 1 and len(pairs) > 1:
+            with ThreadPoolExecutor(max_workers=cfg.n_workers) as pool:
+                outcomes = list(pool.map(work, pairs))
+        else:
+            # Leaving the block joins the helper, so a run raises only once
+            # the target epoch it was running has ended.
+            with ThreadPoolExecutor(max_workers=1) as helper:
+                outcomes = [work(pair, helper) for pair in pairs]
+    finally:
+        if matcher is not None:
+            # after an error the pairs not yet started are never matched
+            matcher.shutdown(cancel_futures=True)
     outcomes.sort(key=lambda o: o.pair_id)
     for o in outcomes:
         for stage, sec in o.timings.items():

@@ -1,7 +1,8 @@
 """End-to-end runs: the output contract of `run_pipeline`, thread-count
-invariance, the helper thread that runs a tile's target epoch, image pairs
-matched once per run, one neighbourhood covariance per tile epoch, imported
-descriptors, located input errors, and CLI smoke tests."""
+invariance, the helper thread that runs a tile's target epoch, the image
+thread that matches each selected image pair once per run, one neighbourhood
+covariance per tile epoch, imported descriptors, located input errors, and
+CLI smoke tests."""
 
 import csv
 import shutil
@@ -16,7 +17,7 @@ import pytest
 import dvfusion.pipeline
 from dvfusion.cli import main
 from dvfusion.config import PipelineConfig
-from dvfusion.errors import PipelineError
+from dvfusion.errors import DegenerateInput, PipelineError
 from dvfusion.features import RADIUS_FACTOR, pair_histogram_descriptors
 from dvfusion.geometry import (NORMAL_NEIGHBOURS, local_covariance_features,
                                mean_scan_resolution)
@@ -145,63 +146,79 @@ def test_covariance_is_computed_once_per_tile_epoch(monkeypatch, case):
         assert sorted(map(id, described)) == sorted(id(g) for _, g in computed)
 
 
-def test_pixel_match_memo_under_contention(monkeypatch):
-    # more threads than cores, switching as often as possible: a check and a
-    # store that were not under one lock would match some pair twice
-    calls = []
-
-    def slow_match(img_a, img_b, **kwargs):
-        calls.append(img_a)
-        time.sleep(0.01)
-        return img_a
-
-    monkeypatch.setattr(dvfusion.pipeline, "match_pixels", slow_match)
-    memo = dvfusion.pipeline._PixelMatchMemo()
-    rasters = {"a": "A", "b": "B"}
-    got = []
-
-    def worker():
-        for image_id in ("a", "b", "a", "b"):
-            got.append(memo.get(image_id, rasters, rasters, PipelineConfig()))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert sorted(calls) == ["A", "B"]
-    assert sorted(got) == ["A"] * 16 + ["B"] * 16
+def image_scene(n_points=400, n_images=2, seed=1):
+    return synth_generate_scene(
+        SynthParams(n_points=n_points, extent=30.0, n_images=n_images,
+                    image_width=160, image_height=120), seed=seed)
 
 
-def test_pixel_match_memo_matches_different_images_at_once(monkeypatch):
-    # each match waits for the other image's match to start: a memo that
-    # matched one pair at a time would let the first wait time out
-    started = {"a": threading.Event(), "b": threading.Event()}
-    overlapped = []
+def run_on_images(scene, cfg):
+    return run_pipeline(scene.source.points, scene.target.points,
+                        replace(cfg, use_images=True), cameras=scene.cameras,
+                        source_images=scene.source_images,
+                        target_images=scene.target_images)
+
+
+def test_an_image_pair_no_tile_selects_is_never_matched(monkeypatch):
+    scene = image_scene()
+    match_pixels = dvfusion.pipeline.match_pixels
+    select = dvfusion.pipeline.select_top_k_images
+    matched, selected = [], []
+
+    def counting_match(img_a, img_b, **kwargs):
+        matched.append(img_a.image_id)
+        return match_pixels(img_a, img_b, **kwargs)
+
+    def recording_select(*args, **kwargs):
+        ids = select(*args, **kwargs)
+        selected.extend(ids)
+        return ids
+
+    monkeypatch.setattr(dvfusion.pipeline, "match_pixels", counting_match)
+    monkeypatch.setattr(dvfusion.pipeline, "select_top_k_images",
+                        recording_select)
+    result = run_on_images(scene, PipelineConfig(top_k_images=1))
+    assert len(result.tile_pairs) == 1 and len(scene.cameras) == 2
+    assert len(selected) == 1 and matched == selected
+
+
+def test_image_matching_overlaps_the_partition(monkeypatch):
+    # each side waits for the other to have started: a run that matched the
+    # image pairs only after the partition would let the partition's wait
+    # time out
+    partitioning, matching = threading.Event(), threading.Event()
+    waits = {"partition": [], "match": []}
+    partition = dvfusion.pipeline.hierarchical_partition
+    match_pixels = dvfusion.pipeline.match_pixels
+
+    def waiting_partition(*args, **kwargs):
+        partitioning.set()
+        waits["partition"].append(matching.wait(timeout=10))
+        return partition(*args, **kwargs)
 
     def waiting_match(img_a, img_b, **kwargs):
-        started[img_a].set()
-        other = "b" if img_a == "a" else "a"
-        overlapped.append(started[other].wait(timeout=5))
-        return img_a
+        matching.set()
+        waits["match"].append(partitioning.wait(timeout=10))
+        return match_pixels(img_a, img_b, **kwargs)
 
+    monkeypatch.setattr(dvfusion.pipeline, "hierarchical_partition",
+                        waiting_partition)
     monkeypatch.setattr(dvfusion.pipeline, "match_pixels", waiting_match)
-    memo = dvfusion.pipeline._PixelMatchMemo()
-    rasters = {"a": "a", "b": "b"}
-    threads = [threading.Thread(target=memo.get,
-                                args=(i, rasters, rasters, PipelineConfig()))
-               for i in ("a", "b")]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=30)
-    assert overlapped == [True, True]
+    result = run_on_images(image_scene(), PipelineConfig(top_k_images=2))
+    assert waits == {"partition": [True, True], "match": [True, True]}
+    assert result.timings["images"] > 0
+
+
+def test_an_image_matcher_error_is_located(monkeypatch):
+    def failing_match(img_a, img_b, **kwargs):
+        raise DegenerateInput(f"cannot match {img_a.image_id}")
+
+    monkeypatch.setattr(dvfusion.pipeline, "match_pixels", failing_match)
+    before = threading.enumerate()
+    with pytest.raises(PipelineError,
+                       match="stage 'coarse', tile 0: cannot match view"):
+        run_on_images(image_scene(), PipelineConfig(top_k_images=2))
+    assert threading.enumerate() == before
 
 
 # ---------------------------------------------------------------------------
@@ -242,23 +259,54 @@ def holed(feature_set):
 
 # When both epochs fail, the source's error is raised, as when the epochs
 # ran one after the other.
-@pytest.mark.parametrize("holes, epoch", [
-    ("source", "source"), ("target", "target"), ("both", "source")])
-def test_imported_set_missing_a_sampled_id_is_a_located_error(holes, epoch):
-    scene = tiny_scene()
+@pytest.mark.parametrize("holes, epoch, images", [
+    pytest.param("source", "source", False, id="source-source"),
+    pytest.param("target", "target", False, id="target-target"),
+    pytest.param("both", "source", False, id="both-source"),
+    pytest.param("source", "source", True, id="source-source-images")])
+def test_imported_set_missing_a_sampled_id_is_a_located_error(
+        monkeypatch, holes, epoch, images):
+    scene = image_scene(n_images=3) if images else tiny_scene()
     src, tgt = scene.source.points, scene.target.points
     src_set, tgt_set = builtin_feature_sets(src, tgt)
     if holes in ("source", "both"):
         src_set = holed(src_set)
     if holes in ("target", "both"):
         tgt_set = holed(tgt_set)
+    # The tile's failing lookup waits until the first image pair is being
+    # matched, and that match is held for a second past the lookup: the
+    # pairs queued behind it must be cancelled, not matched.
+    lookup, match_pixels = (dvfusion.pipeline.lookup_descriptors,
+                            dvfusion.pipeline.match_pixels)
+    matching, looking_up, matched = threading.Event(), threading.Event(), []
+
+    def signalling_lookup(*args, **kwargs):
+        if images:
+            matching.wait(timeout=10)
+        looking_up.set()
+        return lookup(*args, **kwargs)
+
+    def held_match(img_a, img_b, **kwargs):
+        matched.append(img_a.image_id)
+        matching.set()
+        looking_up.wait(timeout=10)
+        time.sleep(1)
+        return match_pixels(img_a, img_b, **kwargs)
+
+    monkeypatch.setattr(dvfusion.pipeline, "lookup_descriptors",
+                        signalling_lookup)
+    monkeypatch.setattr(dvfusion.pipeline, "match_pixels", held_match)
+    cfg = PipelineConfig(use_images=images, top_k_images=3)
     before = threading.enumerate()
     with pytest.raises(PipelineError, match=f"stage 'coarse', tile 0, {epoch} "
                                             "epoch: imported features miss"):
-        run_pipeline(src, tgt, PipelineConfig(),
+        run_pipeline(src, tgt, cfg, cameras=scene.cameras,
+                     source_images=scene.source_images,
+                     target_images=scene.target_images,
                      imported_features=(src_set, tgt_set))
-    # the helper thread is joined before the error leaves the run
+    # the helper and image threads are joined before the error leaves the run
     assert threading.enumerate() == before
+    assert len(matched) == (1 if images else 0)
 
 
 def test_epochs_at_once_under_contention():
