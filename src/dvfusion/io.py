@@ -1,10 +1,10 @@
 """File formats: ASCII PLY / XYZ point clouds, PGM/PPM rasters, camera tables,
 observation and point-feature CSVs, and DVF CSV export and import.
 
-A point cloud is its coordinates. An XYZ row holds 3 or 6 numbers, the same
-count on every row; the last three of a 6-column row (XYZRGB) are checked but
-not kept. A PLY vertex is read for `x`, `y` and `z`; its other properties
-(colour, intensity, normals) are ignored.
+A point cloud is its coordinates, all finite. An XYZ row holds 3 or 6
+numbers, the same count on every row; the last three of a 6-column row
+(XYZRGB) are checked but not kept. A PLY vertex is read for `x`, `y` and
+`z`; its other properties (colour, intensity, normals) are ignored.
 
 Every loader either returns a fully validated structure or raises a located
 error (`ParseError` with a line number, `SchemaError` naming the field); there
@@ -14,6 +14,7 @@ are no partial silent results.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -210,6 +211,8 @@ def _load_xyz(path: Path):
                 vals = [float(t) for t in toks]
             except ValueError:
                 raise ParseError(str(path), lineno, f"not a number in {line!r}") from None
+            if not all(map(math.isfinite, vals[:3])):
+                raise ParseError(str(path), lineno, f"non-finite coordinate in {line!r}")
             pts.append(vals[:3])
     if not pts:
         raise ParseError(str(path), 1, "no points in file")
@@ -285,6 +288,11 @@ def _load_ply(path: Path):
             pts[i] = [float(toks[c]) for c in col]
         except ValueError:
             raise ParseError(str(path), lineno, f"bad vertex row {body[i]!r}") from None
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if len(bad):
+        i = int(bad[0])
+        raise ParseError(str(path), header_end + 1 + i,
+                         f"non-finite coordinate in {body[i]!r}")
     return pts
 
 

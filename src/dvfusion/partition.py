@@ -25,9 +25,10 @@ shortcut is exact, not a heuristic; the labels are those of the full sweeps.
 - Merge rounds after the first score only pairs that touch a region merged
   in the round before: the greedy would already have taken any positive
   pair of two untouched regions, whose gain has not changed.
-- The boundary polish scores every boundary vertex at once and loops only
-  over the vertices that score a move or whose regions changed earlier in
-  the sweep: a vertex nothing touched scores as before.
+- The boundary polish has one scorer, vectorised over vertices
+  (`_screen_moves`). A sweep scores every boundary vertex at once and then
+  rescores, a batch at a time, only the vertices whose regions changed
+  earlier in the sweep: a vertex nothing touched scores as before.
 - Row sums over the feature columns add whole columns in numpy's order
   (`_row_sums`), so they have the bits of `.sum(axis=1)`.
 
@@ -55,7 +56,6 @@ _EPS_DECREASE = 1e-12          # strict-improvement threshold for accepting move
 _KMEANS_ITERS = 12
 _ICM_SWEEPS = 4
 _POLISH_LIMIT = 5000           # vertex-level polish only below this size
-_SCREEN_DEGREE = 32            # polish re-evaluates wider vertices one by one
 _EXACT_REGIONS = 8             # exhaustive union search up to this many regions
 _MAX_OUTER = 10                # split/merge/polish rounds per solve
 
@@ -362,11 +362,11 @@ def _row_sums(a):
 
 
 def _sum(xs):
-    """Sum in the order of numpy's pairwise float64 reduction, so a Python
-    sum of a short row has the same bits as `np.sum` of that row: fewer than
-    8 terms are added one by one to 0.0; longer runs go in blocks of up to
-    128 with 8 accumulators, the total added to 0.0. The terms may also be
-    equal-length arrays, summed element by element (`_row_sums`)."""
+    """Sum in the order of numpy's pairwise float64 reduction, so the sum
+    has the bits of `np.sum` over the terms: fewer than 8 terms are added
+    one by one to 0.0; longer runs go in blocks of up to 128 with 8
+    accumulators, the total added to 0.0. Its one caller, `_row_sums`,
+    passes the columns of an array as the terms, summed element by element."""
     if len(xs) < 8:
         total = 0.0
         for x in xs:
@@ -394,13 +394,11 @@ def _blocks(xs):
 @dataclass
 class _Neighbours:
     """Each vertex's neighbours and edge weights in edge order: vertex v's
-    are `ids[start[v]:start[v + 1]]` and `w[...]`; `lists[v]` holds them as
-    (neighbour, weight) pairs for the per-vertex loop."""
+    are `ids[start[v]:start[v + 1]]` and `w[...]`."""
 
     start: np.ndarray
     ids: np.ndarray
     w: np.ndarray
-    lists: list
 
     @classmethod
     def of(cls, n, edges, weights):
@@ -409,30 +407,30 @@ class _Neighbours:
         ids = np.concatenate([edges[:, 1], edges[:, 0]])[order]
         w = np.concatenate([weights, weights])[order]
         start = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=n))])
-        pairs = list(zip(ids.tolist(), w.tolist()))
-        bounds = start.tolist()
-        return cls(start, ids, w, [pairs[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])])
-
-    def degree(self, vertices):
-        return self.start[vertices + 1] - self.start[vertices]
+        return cls(start, ids, w)
 
     def entries(self, vertices):
         """For every neighbour of `vertices`, in order: its index into `ids`
-        and `w`, the position in `vertices` it belongs to, and its rank in
-        that vertex's list."""
-        deg = self.degree(vertices)
+        and `w`, and the position in `vertices` it belongs to."""
+        deg = self.start[vertices + 1] - self.start[vertices]
         owner = np.repeat(np.arange(len(vertices)), deg)
         rank = np.arange(len(owner)) - (np.cumsum(deg) - deg)[owner]
-        return self.start[vertices][owner] + rank, owner, rank
+        return self.start[vertices][owner] + rank, owner
 
 
 def _screen_moves(f, sizes, nbrs, lab, counts, sums, vertices_per, bnd, lam):
-    """The label the polish loop gives each vertex of `bnd` (its own when it
-    stays) if the state does not change before the loop reaches it, with the
-    loop's operations in its order; and every (position in `bnd`, region)
-    whose stats that label depends on."""
+    """The label a single-vertex move gives each vertex of `bnd` (its own
+    when it stays) under the current state, and every (position in `bnd`,
+    region) whose stats that label depends on.
+
+    A vertex leaves region r for the neighbouring region s with the lowest
+    delta = rem + add + lam * dcut, trying the s in ascending order, each
+    having to beat the best so far (0.0 for staying) by `_EPS_DECREASE`;
+    it never leaves a region of one vertex (merges handle that). dcut adds
+    w * ((l_u != s) - (l_u != r)) over the neighbours u in edge order, from
+    0.0, as `np.bincount` does."""
     r = lab[bnd]
-    idx, owner, _ = nbrs.entries(bnd)
+    idx, owner = nbrs.entries(bnd)
     nreg = np.int64(len(counts))
     key = np.unique(owner * nreg + lab[nbrs.ids[idx]])
     row, s = key // nreg, key % nreg
@@ -450,16 +448,11 @@ def _screen_moves(f, sizes, nbrs, lab, counts, sums, vertices_per, bnd, lam):
         cr, sb = counts[r], sizes[bnd]
         rem = -(cr * sb / (cr - sb)) * sq_dist(bnd, r)
     add = (counts[s] * sv / (counts[s] + sv)) * sq_dist(v, s)
-    # dcut adds w * ((l_u != s) - (l_u != r)) over the neighbours u in
-    # order, from 0.0: a running sum along each row of a padded table
-    idx, prow, rank = nbrs.entries(v)
+    idx, prow = nbrs.entries(v)
     lu = lab[nbrs.ids[idx]]
-    steps = np.zeros((len(row), 2 + rank.max(initial=-1)))
-    steps[prow, rank + 1] = nbrs.w[idx] * np.subtract(lu != s[prow], lu != rr[prow],
-                                                       dtype=np.float64)
-    delta = rem[row] + add + lam * np.cumsum(steps, axis=1)[:, -1]
-    # the loop tries candidates in ascending order; each must beat the
-    # best so far by _EPS_DECREASE
+    dcut = np.bincount(prow, minlength=len(row), weights=nbrs.w[idx] * np.subtract(
+        lu != s[prow], lu != rr[prow], dtype=np.float64))
+    delta = rem[row] + add + lam * dcut
     best, pick = np.zeros(len(bnd)), r.copy()
     nth = np.arange(len(row)) - np.searchsorted(row, row)
     for j in range(nth.max(initial=-1) + 1):
@@ -473,108 +466,83 @@ def _boundary_polish(f, edges, weights, labels, lam, sizes, nbrs):
     """Sequential single-vertex relabeling along region boundaries.
 
     `cut_pursuit` runs it on graphs of at most `_POLISH_LIMIT` vertices and
-    builds `nbrs` once per solve. Each move is accepted on strict decrease
-    of the exact local energy delta, so the global energy keeps decreasing.
-    The loop runs on Python lists and floats with numpy's operation order,
-    so every delta has the bits the array arithmetic would give.
+    builds `nbrs` once per solve. A sweep visits the boundary vertices in
+    index order and moves each to the label `_screen_moves` gives it under
+    the state at that point. Each move is accepted on strict decrease of
+    the exact local energy delta, so the global energy keeps decreasing.
 
-    A sweep first scores every boundary vertex at once (`_screen_moves`,
-    the same operations in the same order). The loop then visits only the
-    vertices that score a move or whose regions (its own or a neighbour's)
-    changed earlier in the sweep, and re-evaluates the latter. That is
-    exact: a vertex's move depends only on its neighbours' labels, the edge
-    weights and the stats of those regions, and a neighbour that moves
-    changes the region it left, so a vertex nothing touched scores as the
-    screen did. Vertices of more than `_SCREEN_DEGREE` neighbours are always
-    re-evaluated, which keeps the screen's padded table small.
+    `_screen_moves` is the one scorer. It scores every boundary vertex at
+    the start of the sweep, and the sweep visits only the vertices that
+    score a move or that an earlier move made stale: one whose own region
+    or a neighbour's region at the start of the sweep changed. A vertex
+    nothing touched scores as at the start, because its move depends only
+    on its neighbours' labels, the edge weights and the stats of those
+    regions, and a neighbour that moves changes the region it left. On
+    reaching a stale vertex, the sweep rescores every stale vertex before
+    the next scored move in one call, under the current state. It settles
+    the vertices before the first one that now moves, applies that move and
+    leaves the rest stale: a rescored vertex may now depend on a region
+    that the start-of-sweep index does not list, so its label holds only
+    until the next move.
     """
     n = len(f)
     nreg = labels.max() + 1
     counts, sums, _ = _region_stats(f, labels, nreg, sizes)
-    counts, sums = counts.tolist(), sums.tolist()
-    vertices_per = np.bincount(labels, minlength=nreg).tolist()
-    feats, sz, lab = f.tolist(), sizes.tolist(), labels.tolist()
+    vertices_per = np.bincount(labels, minlength=nreg)
+    lab = labels.copy()
 
-    def sq_dist(fv, s):
-        d = [x - m / counts[s] for x, m in zip(fv, sums[s])]
-        return _sum([t * t for t in d])
-
-    def best_label(v):
-        r = lab[v]
-        if vertices_per[r] <= 1:
-            return r                # don't empty a region here; merges handle that
-        cand = {r}
-        for u, _w in nbrs.lists[v]:
-            cand.add(lab[u])
-        if len(cand) == 1:
-            return r
-        fv, sv = feats[v], sz[v]
-        best_lab, best_delta = r, 0.0
-        # removal cost from r: change in r's scatter when v leaves
-        rem = -(counts[r] * sv / (counts[r] - sv)) * sq_dist(fv, r)
-        for s in sorted(cand):
-            if s == r:
-                continue
-            add = (counts[s] * sv / (counts[s] + sv)) * sq_dist(fv, s)
-            dcut = 0.0
-            for u, w in nbrs.lists[v]:
-                lu = lab[u]
-                dcut += w * ((lu != s) - (lu != r))
-            delta = rem + add + lam * dcut
-            if delta < best_delta - _EPS_DECREASE:
-                best_delta, best_lab = delta, s
-        return best_lab
+    def score(vertices):
+        return _screen_moves(f, sizes, nbrs, lab, counts, sums, vertices_per,
+                             vertices, lam)
 
     changed_any = False
     for _ in range(6):
-        arr = np.array(lab)
-        cut_mask = arr[edges[:, 0]] != arr[edges[:, 1]]
-        bnd = np.unique(edges[cut_mask].ravel())
-        wide = nbrs.degree(bnd) > _SCREEN_DEGREE
-        narrow = np.flatnonzero(~wide)
-        screened, (at, reg) = _screen_moves(
-            f, sizes, nbrs, arr, np.array(counts), np.array(sums),
-            np.array(vertices_per), bnd[narrow], lam)
-        pick = arr[bnd]
-        pick[narrow] = screened
-        at = narrow[at]
+        bnd = np.unique(edges[lab[edges[:, 0]] != lab[edges[:, 1]]].ravel())
+        pick, (at, reg) = score(bnd)
         by_region = np.argsort(reg, kind="stable")
         reg_start = np.searchsorted(reg[by_region], np.arange(nreg + 1))
-        stale = wide.copy()         # to re-evaluate: the screen may be out of date
-        visit = stale | (pick != arr[bnd])
+        scored = pick != lab[bnd]       # moves the start-of-sweep scores hold
+        stale = np.zeros(len(bnd), dtype=bool)
         moved = False
         p = 0
         while p < len(bnd):
-            p += int(visit[p:].argmax())
-            if not visit[p]:
+            p += int((scored[p:] | stale[p:]).argmax())
+            if stale[p]:
+                end = p + int(np.append(scored[p:], True).argmax())
+                batch = p + np.flatnonzero(stale[p:end])
+                now, _ = score(bnd[batch])
+                go = np.flatnonzero(now != lab[bnd[batch]])
+                if len(go) == 0:
+                    p = end
+                    continue
+                p, to = int(batch[go[0]]), now[go[0]]
+            elif scored[p]:
+                to = pick[p]
+            else:
                 break
-            v = int(bnd[p])
-            r = lab[v]
-            best_lab = best_label(v) if stale[p] else int(pick[p])
-            if best_lab != r:
-                fv, sv = feats[v], sz[v]
-                lab[v] = best_lab
-                counts[r] -= sv
-                sums[r] = [m - sv * x for m, x in zip(sums[r], fv)]
-                vertices_per[r] -= 1
-                counts[best_lab] += sv
-                sums[best_lab] = [m + sv * x for m, x in zip(sums[best_lab], fv)]
-                vertices_per[best_lab] += 1
-                moved = True
-                for x in (r, best_lab):
-                    q = at[by_region[reg_start[x]:reg_start[x + 1]]]
-                    q = q[q > p]
-                    stale[q] = visit[q] = True
+            v = bnd[p]
+            r, sv = lab[v], sizes[v]
+            lab[v] = to
+            counts[r] -= sv
+            sums[r] -= sv * f[v]
+            vertices_per[r] -= 1
+            counts[to] += sv
+            sums[to] += sv * f[v]
+            vertices_per[to] += 1
+            moved = True
+            for x in (r, to):
+                q = at[by_region[reg_start[x]:reg_start[x + 1]]]
+                q = q[q > p]
+                stale[q], scored[q] = True, False
             p += 1
         if not moved:
             break
         changed_any = True
     if changed_any:
         # a move can disconnect a region; restore the components-are-regions rule
-        labels = np.array(lab)
-        same = labels[edges[:, 0]] == labels[edges[:, 1]]
-        labels = _canonical_labels(_components(n, edges[same]))
-    return labels, changed_any
+        same = lab[edges[:, 0]] == lab[edges[:, 1]]
+        lab = _canonical_labels(_components(n, edges[same]))
+    return lab, changed_any
 
 
 def _set_partitions(k):
@@ -661,10 +629,10 @@ def cut_pursuit(features, edges, weights, lam: float, sizes=None) -> np.ndarray:
       merged in the round before (`_merge_pass`): a positive pair of two
       untouched regions had the same gain in that round and would have been
       taken then.
-    - The polish re-evaluates a vertex one by one only when a region it
-      touches changed earlier in the sweep (`_boundary_polish`); every other
-      vertex keeps the score of one vectorised pass with the loop's
-      operation order.
+    - The polish scores its moves with one vectorised scorer
+      (`_screen_moves`): every boundary vertex once per sweep, then again,
+      in batches, only the vertices whose regions changed earlier in the
+      sweep (`_boundary_polish`).
     - Row sums over the feature columns go column by column in numpy's
       order (`_row_sums`), with the bits of `.sum(axis=1)`.
 

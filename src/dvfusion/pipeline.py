@@ -187,12 +187,14 @@ def _start_image_jobs(matcher, pairs, source_points, cameras, src_rasters,
 
     selected = {}
     for pair in pairs:
-        try:
-            selected[pair.pair_id] = select_top_k_images(
-                source_points[pair.source.point_indices], cameras,
-                k=cfg.top_k_images)
-        except NoVisibleImage:
-            selected[pair.pair_id] = []
+        selected[pair.pair_id] = []     # a tile with no target point matches none
+        if len(pair.target):
+            try:
+                selected[pair.pair_id] = select_top_k_images(
+                    source_points[pair.source.point_indices], cameras,
+                    k=cfg.top_k_images)
+            except NoVisibleImage:
+                pass
     jobs = {i: matcher.submit(match, i)
             for i in sorted({i for ids in selected.values() for i in ids})}
     cams_by_id = {c.image_id: c for c in cameras}
@@ -225,10 +227,15 @@ def _process_tile(pair, source_points, target_points, cfg: PipelineConfig,
                   helper=None) -> TileOutcome:
     """One tile pair through every stage; `images` as in `_coarse_2d_table`.
     With a `helper` executor the target epoch's partition and descriptors
-    run on it, alongside the source epoch's on this thread."""
+    run on it, alongside the source epoch's on this thread. A tile that the
+    target epoch does not reach (two epochs that overlap in part) gives no
+    vector."""
     timings: dict = {}
     pid = pair.pair_id
     src_ids, tgt_ids = pair.source.point_indices, pair.target.point_indices
+    if len(tgt_ids) == 0:
+        return TileOutcome(pid, (DisplacementVectorField.empty(),) * len(LEVELS),
+                           [], timings)
     sub_src, sub_tgt = source_points[src_ids], target_points[tgt_ids]
 
     t0 = time.perf_counter()
@@ -314,9 +321,13 @@ def run_pipeline(source_points, target_points, cfg: PipelineConfig,
     clouds = {"source": source_points, "target": target_points}
     for epoch, pts in clouds.items():
         try:
-            clouds[epoch] = as_points(pts)
+            clouds[epoch] = pts = as_points(pts)
         except ValueError as exc:
             raise PipelineError(f"stage 'input', {epoch} points: {exc}") from exc
+        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+        if len(bad):
+            raise PipelineError(f"stage 'input', {epoch} points: non-finite "
+                                f"coordinate in row {bad[0]}")
     source_points, target_points = clouds["source"], clouds["target"]
     cameras = list(cameras or [])
     if cfg.use_images and not cameras:

@@ -68,6 +68,14 @@ def test_xyzrgb_bad_colour_token_reports_line(tmp_path):
     assert err.value.line == 2
 
 
+def test_xyz_non_finite_coordinate_reports_line(tmp_path):
+    p = tmp_path / "bad.xyz"
+    p.write_text("0 0 0\n# comment\n1 nan 2\n")
+    with pytest.raises(ParseError, match="non-finite coordinate") as err:
+        load_point_cloud(p)
+    assert err.value.line == 3
+
+
 def test_ply_with_rgb(tmp_path):
     p = tmp_path / "c.ply"
     p.write_text(
@@ -113,6 +121,16 @@ def test_ply_truncated_body(tmp_path):
                  "property float x\nproperty float y\nproperty float z\nend_header\n0 0 0\n")
     with pytest.raises(ParseError):
         load_point_cloud(p)
+
+
+def test_ply_non_finite_coordinate_reports_line(tmp_path):
+    p = tmp_path / "h.ply"
+    p.write_text("ply\nformat ascii 1.0\nelement vertex 3\n"
+                 "property float x\nproperty float y\nproperty float z\n"
+                 "end_header\n0 0 0\n1 2 3\n4 -inf 6\n")
+    with pytest.raises(ParseError, match="non-finite coordinate") as err:
+        load_point_cloud(p)
+    assert err.value.line == 10
 
 
 @pytest.mark.parametrize("ext", ["xyz", "ply"])

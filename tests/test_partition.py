@@ -849,12 +849,9 @@ def moved_vertices(start, end):
     return start != table.argmax(axis=1)[end]
 
 
-@pytest.mark.parametrize("screen_degree", [0, 8, 32])
-def test_polish_with_many_moves_same_labels_as_reference(monkeypatch, screen_degree):
+def test_polish_with_many_moves_same_labels_as_reference(monkeypatch):
     """Regions drawn around other centres than the features' clusters, so
-    most boundary vertices move; vertices above `_SCREEN_DEGREE` neighbours
-    are re-evaluated one by one."""
-    monkeypatch.setattr(partition, "_SCREEN_DEGREE", screen_degree)
+    most boundary vertices move, and many are rescored after a move."""
     rng = np.random.default_rng(800)
     pts, e, w = knn_graph(rng, 600)
     # the solver polishes this graph whatever the default limit: n == limit
@@ -874,11 +871,9 @@ def test_polish_with_many_moves_same_labels_as_reference(monkeypatch, screen_deg
     assert_same_labels(f, e, w, sizes=sizes)
 
 
-@pytest.mark.parametrize("screen_degree", [0, 32])
-def test_polish_near_tie_keeps_the_first_candidate(monkeypatch, screen_degree):
+def test_polish_near_tie_keeps_the_first_candidate():
     """Vertex 0 leaves {0, 1} for {2} or {3}; moving to {3} is lower by less
     than _EPS_DECREASE, so the lower label, {2}, wins."""
-    monkeypatch.setattr(partition, "_SCREEN_DEGREE", screen_degree)
     f = np.array([[0.0], [10.0], [1.2e-6], [0.5e-6]])
     e = np.array([[0, 1], [0, 2], [0, 3]])
     w, sizes = np.ones(3), np.ones(4)
@@ -888,3 +883,22 @@ def test_polish_near_tie_keeps_the_first_candidate(monkeypatch, screen_degree):
     want, _ = _ref_boundary_polish(f, e, w, start, 1.0, sizes)
     assert np.array_equal(got, want)
     assert got[0] == got[2] != got[3]
+
+
+def test_polish_drops_rescored_labels_after_a_move():
+    """A vertex rescored after a neighbour moved can depend on a region the
+    sweep's start-of-sweep index does not list for it; its rescored label
+    must not outlive the next move, whichever region that move changes."""
+    f = np.array([[-0.02], [-0.37], [0.28], [0.45], [0.02], [-0.27], [-0.35],
+                  [0.12]])
+    e = np.array([[0, 1], [0, 2], [0, 4], [0, 6], [1, 2], [1, 4], [1, 7],
+                  [2, 3], [3, 4], [3, 6], [4, 5], [5, 6], [6, 7]])
+    w = np.array([0.25, 0.42, 0.75, 0.23, 0.81, 0.64, 0.63, 0.9, 0.41, 0.25,
+                  1.0, 0.29, 0.49])
+    sizes = np.array([3.0, 3, 1, 3, 3, 3, 2, 3])
+    start = np.array([3, 1, 2, 0, 1, 2, 2, 0])
+    got, changed = partition._boundary_polish(f, e, w, start, 0.2, sizes,
+                                              partition._Neighbours.of(8, e, w))
+    want, _ = _ref_boundary_polish(f, e, w, start, 0.2, sizes)
+    assert changed and np.array_equal(got, want)
+    assert got.tolist() == [0, 1, 2, 2, 0, 0, 3, 4]

@@ -334,6 +334,39 @@ def test_bad_input_shape_is_a_located_error():
         run_pipeline(np.zeros((5, 2)), np.zeros((5, 3)), PipelineConfig())
 
 
+@pytest.mark.parametrize("epoch", ["source", "target"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_input_is_a_located_error(epoch, value):
+    scene = tiny_scene()
+    clouds = {"source": scene.source.points.copy(),
+              "target": scene.target.points.copy()}
+    clouds[epoch][7, 1] = value
+    with pytest.raises(PipelineError, match=f"stage 'input', {epoch} points: "
+                                            "non-finite coordinate in row 7"):
+        run_pipeline(clouds["source"], clouds["target"], PipelineConfig())
+
+
+def partial_overlap_scene():
+    """Two tiles of 600 source points; the target epoch keeps only its
+    points beyond y = 58, so it does not reach tile 0."""
+    scene = synth_generate_scene(SynthParams(n_points=1200, texture=False),
+                                 seed=0)
+    tgt = scene.target.points
+    return scene.source.points, tgt[tgt[:, 1] > 58.0]
+
+
+def test_tile_without_target_points_gives_no_vector():
+    src, tgt = partial_overlap_scene()
+    cfg = PipelineConfig(max_points=1000, n_workers=1)
+    one = run_pipeline(src, tgt, cfg)
+    two = run_pipeline(src, tgt, replace(cfg, n_workers=2))
+    empty = [p for p in one.tile_pairs if len(p.target) == 0]
+    assert len(one.tile_pairs) == 2 and len(empty) == 1
+    assert len(one.field) > 0
+    assert not np.isin(one.field.point_ids, empty[0].source.point_indices).any()
+    assert_same_field(one.field, two.field)
+
+
 def test_cloud_of_duplicated_points_fails_in_tiling():
     scene = tiny_scene()
     clouds = {"source": scene.source.points, "target": scene.target.points}
@@ -398,6 +431,18 @@ def cloud_text(points, fmt, rng):
     else:
         rows = [f"{coords[0]} 300 0 0"] + [f"{c} 10 20 30" for c in coords[1:]]
     return "\n".join(rows) + "\n"
+
+
+def test_cli_run_on_non_finite_coordinates_exits_1(tmp_path, capsys):
+    scene = tiny_scene()
+    src, tgt = tmp_path / "source.xyz", tmp_path / "target.xyz"
+    src.write_text(cloud_text(scene.source.points, "xyz", None))
+    rows = cloud_text(scene.target.points, "xyz", None).splitlines()
+    rows[4] = "1.0 nan 2.0"
+    tgt.write_text("\n".join(rows) + "\n")
+    assert main(["run", "--source", str(src), "--target", str(tgt),
+                 "--output-dir", str(tmp_path / "run")]) == 1
+    assert f"{tgt}:5: non-finite coordinate" in capsys.readouterr().err
 
 
 def test_cli_run_ignores_point_colours(tmp_path):
