@@ -849,11 +849,20 @@ def moved_vertices(start, end):
     return start != table.argmax(axis=1)[end]
 
 
-def test_polish_with_many_moves_same_labels_as_reference(monkeypatch):
+@pytest.mark.parametrize("hub_degree", [0, 8, 32])
+def test_polish_with_many_moves_same_labels_as_reference(monkeypatch, hub_degree):
     """Regions drawn around other centres than the features' clusters, so
-    most boundary vertices move, and many are rescored after a move."""
+    most boundary vertices move, and many are rescored after a move. A last
+    vertex joined to `hub_degree` random vertices gives the scorer one wide
+    boundary vertex, with neighbours in many regions."""
     rng = np.random.default_rng(800)
     pts, e, w = knn_graph(rng, 600)
+    if hub_degree:
+        hub = len(pts)
+        ends = rng.choice(hub, hub_degree, replace=False)
+        e = np.vstack([e, np.column_stack([ends, np.full(hub_degree, hub)])])
+        w = np.append(w, np.ones(hub_degree))
+        pts = np.vstack([pts, pts[ends].mean(axis=0)])
     # the solver polishes this graph whatever the default limit: n == limit
     monkeypatch.setattr(partition, "_POLISH_LIMIT", len(pts))
     f = clustered_features(rng, pts, 4, n_clusters=10, noise=0.8)
@@ -871,15 +880,19 @@ def test_polish_with_many_moves_same_labels_as_reference(monkeypatch):
     assert_same_labels(f, e, w, sizes=sizes)
 
 
-def test_polish_near_tie_keeps_the_first_candidate():
+@pytest.mark.parametrize("far_neighbours", [0, 32])
+def test_polish_near_tie_keeps_the_first_candidate(far_neighbours):
     """Vertex 0 leaves {0, 1} for {2} or {3}; moving to {3} is lower by less
-    than _EPS_DECREASE, so the lower label, {2}, wins."""
-    f = np.array([[0.0], [10.0], [1.2e-6], [0.5e-6]])
-    e = np.array([[0, 1], [0, 2], [0, 3]])
-    w, sizes = np.ones(3), np.ones(4)
-    start = np.array([0, 0, 1, 2])
+    than _EPS_DECREASE, so the lower label, {2}, wins. `far_neighbours` more
+    neighbours of vertex 0, each a region of its own with a far feature, add
+    candidates after {3} that never win and leave the tie as it is."""
+    f = np.array([[0.0], [10.0], [1.2e-6], [0.5e-6]] + [[100.0]] * far_neighbours)
+    n = len(f)
+    e = np.column_stack([np.zeros(n - 1, dtype=np.int64), np.arange(1, n)])
+    w, sizes = np.ones(n - 1), np.ones(n)
+    start = np.concatenate([[0], np.arange(n - 1)])
     got, _ = partition._boundary_polish(f, e, w, start, 1.0, sizes,
-                                        partition._Neighbours.of(4, e, w))
+                                        partition._Neighbours.of(n, e, w))
     want, _ = _ref_boundary_polish(f, e, w, start, 1.0, sizes)
     assert np.array_equal(got, want)
     assert got[0] == got[2] != got[3]
