@@ -78,18 +78,17 @@ class CorrTable:
 _MUTUAL_NN_BLOCK = 2 ** 22  # similarity-matrix entries held at once
 
 
-def _blocked_argmax(a: np.ndarray, b: np.ndarray):
-    """Row argmax of a @ b.T without materializing the full matrix."""
-    n = len(a)
+def _blocked_argmax(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row argmax of a @ b.T, lowest index on ties. Rows of `a` go through
+    in blocks of `_MUTUAL_NN_BLOCK // len(b)`, each multiplied into one
+    buffer allocated once, so a single block of scores is alive at a time."""
     rows = max(1, _MUTUAL_NN_BLOCK // max(1, len(b)))
-    best_j = np.zeros(n, dtype=np.int64)
-    best_s = np.full(n, -np.inf)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        sims = a[lo:hi] @ b.T
-        best_j[lo:hi] = sims.argmax(axis=1)
-        best_s[lo:hi] = sims[np.arange(hi - lo), best_j[lo:hi]]
-    return best_j, best_s
+    best = np.empty(len(a), dtype=np.int64)
+    buf = np.empty((min(rows, len(a)), len(b)), dtype=np.result_type(a, b))
+    for lo in range(0, len(a), rows):
+        hi = min(lo + rows, len(a))
+        best[lo:hi] = np.matmul(a[lo:hi], b.T, out=buf[:hi - lo]).argmax(axis=1)
+    return best
 
 
 def mutual_nn(a: np.ndarray, b: np.ndarray, allowed: np.ndarray | None = None):
@@ -97,13 +96,24 @@ def mutual_nn(a: np.ndarray, b: np.ndarray, allowed: np.ndarray | None = None):
     under cosine distance. Ties resolve to the lowest index. `allowed`
     optionally masks candidate pairs (shape (len(a), len(b))); a pair can
     only form where it is True. Returns the paired row indices (into a,
-    into b)."""
+    into b).
+
+    Above `_MUTUAL_NN_BLOCK` entries without a mask, the scores are never
+    held whole: the forward argmax runs over blocks of a @ b.T, and the
+    backward argmax only over the target rows some source row chose (`hit`)
+    in blocks of b @ a.T, since `i` pairs only if its choice chooses `i`
+    back. Each score row still comes from the product in its own
+    orientation, and a row's argmax reads only that row. (BLAS may round a
+    row by an ulp differently in another block shape, which decides only a
+    tie within that ulp.) Smaller or masked calls take one product and read
+    the backward argmax down its columns: those bits can differ from
+    b @ a.T, so routing them through the blocks could change a pair."""
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
     if allowed is None and len(a) * len(b) > _MUTUAL_NN_BLOCK:
-        fwd, _ = _blocked_argmax(a, b)
-        bwd, _ = _blocked_argmax(b, a)
-        ia = np.flatnonzero(bwd[fwd] == np.arange(len(a)))
+        fwd = _blocked_argmax(a, b)
+        hit, back = np.unique(fwd, return_inverse=True)
+        ia = np.flatnonzero(_blocked_argmax(b[hit], a)[back] == np.arange(len(a)))
         return ia, fwd[ia]
     sims = a @ b.T
     if allowed is not None:

@@ -152,9 +152,11 @@ class PointFeatureSet:
         self.descriptors = np.atleast_2d(np.asarray(self.descriptors, dtype=np.float64))
         if len(self.point_indices) != len(self.descriptors):
             raise ValueError("one descriptor per listed point required")
+        if not np.isfinite(self.descriptors).all():
+            raise ValueError("descriptors must be finite")
         if len(self.descriptors):
             norms = np.linalg.norm(self.descriptors, axis=1)
-            if np.abs(norms - 1.0).max() > UNIT_NORM_TOL:
+            if not np.abs(norms - 1.0).max() <= UNIT_NORM_TOL:    # NaN fails
                 raise ValueError("descriptors must be L2-normalized")
 
     def __len__(self) -> int:
@@ -440,8 +442,8 @@ def load_external_observations(path) -> list[ExternalObservation]:
 
 
 def load_point_features(path) -> PointFeatureSet:
-    """CSV `point_index,f1..fD`. Unit descriptors (within `UNIT_NORM_TOL`)
-    load exactly as written; the others are normalized."""
+    """CSV `point_index,f1..fD`, every value finite. Unit descriptors (within
+    `UNIT_NORM_TOL`) load exactly as written; the others are normalized."""
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -463,9 +465,12 @@ def load_point_features(path) -> PointFeatureSet:
                                  f"expected {dim + 1} columns, got {len(row)}")
             try:
                 indices.append(int(row[0]))
-                rows.append([float(v) for v in row[1:]])
+                vals = [float(v) for v in row[1:]]
             except ValueError:
                 raise ParseError(str(path), lineno, f"bad row {row!r}") from None
+            if not all(map(math.isfinite, vals)):
+                raise ParseError(str(path), lineno, f"non-finite descriptor in {row!r}")
+            rows.append(vals)
     desc = np.asarray(rows, dtype=np.float64).reshape(len(indices), dim)
     norms = np.linalg.norm(desc, axis=1)
     if len(desc) and norms.min() <= 1e-12:

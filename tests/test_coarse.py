@@ -1,11 +1,14 @@
 """Coarse matching: mutual-NN patch pairing, 2D match lifting, displacement
 gating, patch voting, and channel merging."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dvfusion.coarse
 from dvfusion.coarse import (
     CorrTable,
     MatchSet,
@@ -73,6 +76,49 @@ def test_mutual_nn_matches_brute_force(seed):
     b = unit_rows(rng, 20, 6)
     ia, ib = mutual_nn(a, b)
     assert list(zip(ia.tolist(), ib.tolist())) == brute_force_mutual_nn(a, b)
+
+
+def with_duplicates(rng, rows, n, d):
+    """`n` unit rows of dimension `d`, each of the `rows` given (row, earlier
+    row) pairs an exact copy, so ties must go to the lowest index."""
+    v = unit_rows(rng, n, d)
+    for i, j in rows:
+        v[i] = v[j]
+    return v
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=30, deadline=None)
+def test_blocked_mutual_nn_matches_brute_force_and_one_product(seed):
+    rng = np.random.default_rng(seed)
+    a = with_duplicates(rng, [(7, 2), (15, 11), (22, 0)], 23, 6)
+    # the later copy of a duplicated target is a row no source picks
+    b = with_duplicates(rng, [(9, 4), (16, 1)], 17, 6)
+    with pytest.MonkeyPatch.context() as mp:
+        # forward blocks of 5 rows (the last of 3), backward blocks of 4
+        mp.setattr(dvfusion.coarse, "_MUTUAL_NN_BLOCK", 100)
+        blocked = mutual_nn(a, b)
+        mp.setattr(dvfusion.coarse, "_MUTUAL_NN_BLOCK", 10 ** 12)
+        one_product = mutual_nn(a, b)
+    pairs = list(zip(blocked[0].tolist(), blocked[1].tolist()))
+    assert pairs == brute_force_mutual_nn(a, b)
+    assert pairs == list(zip(one_product[0].tolist(), one_product[1].tolist()))
+
+
+def test_blocked_mutual_nn_holds_one_block(monkeypatch):
+    monkeypatch.setattr(dvfusion.coarse, "_MUTUAL_NN_BLOCK", 2 ** 18)
+    rng = np.random.default_rng(5)
+    a, b = unit_rows(rng, 3000, 4), unit_rows(rng, 2900, 4)
+    tracemalloc.start()
+    try:
+        blocked = mutual_nn(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * 2 ** 18       # bytes of one block of float64 scores
+    monkeypatch.setattr(dvfusion.coarse, "_MUTUAL_NN_BLOCK", 10 ** 12)
+    one_product = mutual_nn(a, b)
+    assert all(np.array_equal(x, y) for x, y in zip(blocked, one_product))
 
 
 def test_mutual_nn_is_injective():

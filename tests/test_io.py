@@ -310,6 +310,25 @@ def test_point_features_zero_row_rejected(tmp_path):
         load_point_features(p)
 
 
+@pytest.mark.parametrize("body, line", [
+    ("0,1,0\n1,nan,1\n", 3),
+    ("0,1,0\n1,0,-inf\n", 3),
+    # a NaN row made the zero-norm test False, so the zero row slipped past
+    ("0,nan,1\n1,0,0\n2,1,0\n", 2),
+])
+def test_point_features_non_finite_value_reports_line(tmp_path, body, line):
+    p = tmp_path / "f.csv"
+    p.write_text("point_index,f1,f2\n" + body)
+    with pytest.raises(ParseError, match="non-finite descriptor") as err:
+        load_point_features(p)
+    assert err.value.line == line
+
+
+def test_point_features_require_finite_descriptors():
+    with pytest.raises(ValueError, match="finite"):
+        PointFeatureSet([0, 1], [[1.0, 0.0], [np.nan, 1.0]])
+
+
 # ---------------------------------------------------------------------------
 # DVF
 

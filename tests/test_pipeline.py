@@ -505,6 +505,22 @@ def test_cli_run_on_imported_features(tmp_path):
     assert main(run + overrides[2:]) == 2
 
 
+def test_cli_run_rejects_non_finite_imported_features(tmp_path, capsys):
+    scene_dir = tmp_path / "scene"
+    assert main(["synth", "--out", str(scene_dir), "--points", "400",
+                 "--extent", "30", "--no-texture", "--seed", "1"]) == 0
+    paths = {epoch: tmp_path / f"{epoch}_features.csv" for epoch in ("source", "target")}
+    paths["source"].write_text("point_index,f1,f2\n0,1,0\n1,nan,1\n")
+    paths["target"].write_text("point_index,f1,f2\n0,1,0\n1,0,1\n")
+    run = ["run", "--source", str(scene_dir / "source.xyz"),
+           "--target", str(scene_dir / "target.xyz"),
+           "--output-dir", str(tmp_path / "run")]
+    for epoch, path in paths.items():
+        run += ["--set", f"{epoch}_features_path={path}"]
+    assert main(run) == 1
+    assert f"{paths['source']}:3: non-finite descriptor" in capsys.readouterr().err
+
+
 def image_run_args(scene_dir, run_dir, views):
     """`run` on a synth scene with the image channel on, one image per view
     and epoch."""
