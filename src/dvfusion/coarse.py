@@ -79,9 +79,13 @@ _MUTUAL_NN_BLOCK = 2 ** 22  # similarity-matrix entries held at once
 
 
 def _blocked_argmax(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row argmax of a @ b.T, lowest index on ties. Rows of `a` go through
-    in blocks of `_MUTUAL_NN_BLOCK // len(b)`, each multiplied into one
-    buffer allocated once, so a single block of scores is alive at a time."""
+    """Row argmax of a @ b.T: the lowest index among the computed scores
+    that are equal. Rows of `a` go through in blocks of
+    `_MUTUAL_NN_BLOCK // len(b)`, each multiplied into one buffer allocated
+    once, so a single block of scores is alive at a time. Exact duplicate
+    rows of `b` need not score equal: BLAS may round the same dot product
+    differently by its column position or block shape, so a later copy can
+    win (see `mutual_nn`)."""
     rows = max(1, _MUTUAL_NN_BLOCK // max(1, len(b)))
     best = np.empty(len(a), dtype=np.int64)
     buf = np.empty((min(rows, len(a)), len(b)), dtype=np.result_type(a, b))
@@ -93,10 +97,14 @@ def _blocked_argmax(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def mutual_nn(a: np.ndarray, b: np.ndarray, allowed: np.ndarray | None = None):
     """Mutual nearest neighbours between two stacks of unit descriptors
-    under cosine distance. Ties resolve to the lowest index. `allowed`
-    optionally masks candidate pairs (shape (len(a), len(b))); a pair can
-    only form where it is True. Returns the paired row indices (into a,
-    into b).
+    under cosine distance. `allowed` optionally masks candidate pairs
+    (shape (len(a), len(b))); a pair can only form where it is True.
+    Returns the paired row indices (into a, into b).
+
+    Each argmax takes the lowest index among the scores that come out
+    equal, as BLAS computes them. BLAS can round the scores of exact
+    duplicate descriptors apart by an ulp, by column position or block
+    shape, so a duplicate need not resolve to its lowest copy.
 
     Above `_MUTUAL_NN_BLOCK` entries without a mask, the scores are never
     held whole: the forward argmax runs over blocks of a @ b.T, and the

@@ -20,14 +20,23 @@ _RESOLUTION_SEED = 7
 NORMAL_NEIGHBOURS = 16     # k of the k-NN normals of partition features and descriptors
 
 
-def bincount_rows(index, values, n):
-    """Row sums of `values` per index, added in index order like `np.add.at`.
+def bincount_cols(index, cols, n):
+    """Per-index sums of each row of `cols` (D, N), as a (D, n) array.
 
-    Each column is one `np.bincount`, so a label's sum has the bits of
-    `values[index == label].sum(axis=0)`.
+    Each row is one `np.bincount`, added in index order like `np.add.at`, so
+    a label's sum has the bits of `cols[:, index == label].sum(axis=1)`.
+    Rows of a C-contiguous `cols` are read without a copy.
     """
-    return np.column_stack([np.bincount(index, weights=values[:, c], minlength=n)
-                            for c in range(values.shape[1])])
+    out = np.empty((len(cols), n))
+    for row, c in zip(out, cols):
+        row[:] = np.bincount(index, weights=c, minlength=n)
+    return out
+
+
+def bincount_rows(index, values, n):
+    """Row sums of `values` (N, D) per index, as a C-contiguous (n, D) array:
+    `bincount_cols` over the columns of `values`."""
+    return np.ascontiguousarray(bincount_cols(index, values.T, n).T)
 
 
 def as_points(a) -> np.ndarray:

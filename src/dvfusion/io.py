@@ -456,8 +456,9 @@ def load_point_features(path) -> PointFeatureSet:
         dim = len(header) - 1
         if dim < 1:
             raise SchemaError("f1", f"no feature columns in {path}")
-        indices, rows = [], []
-        for lineno, row in enumerate(reader, start=2):
+        indices, rows, lines = [], [], []
+        for row in reader:
+            lineno = reader.line_num
             if not row:
                 continue
             if len(row) != dim + 1:
@@ -471,11 +472,13 @@ def load_point_features(path) -> PointFeatureSet:
             if not all(map(math.isfinite, vals)):
                 raise ParseError(str(path), lineno, f"non-finite descriptor in {row!r}")
             rows.append(vals)
+            lines.append(lineno)
     desc = np.asarray(rows, dtype=np.float64).reshape(len(indices), dim)
     norms = np.linalg.norm(desc, axis=1)
     if len(desc) and norms.min() <= 1e-12:
         bad = int(np.argmin(norms))
-        raise ParseError(str(path), bad + 2, "zero-norm descriptor cannot be normalized")
+        raise ParseError(str(path), lines[bad],
+                         "zero-norm descriptor cannot be normalized")
     off = np.abs(norms - 1.0) > UNIT_NORM_TOL
     desc[off] /= norms[off, None]
     return PointFeatureSet(np.asarray(indices, dtype=np.int64), desc)

@@ -49,7 +49,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import InvalidParams
-from .geometry import LocalGeomFeatures, as_points, bincount_rows
+from .geometry import LocalGeomFeatures, as_points, bincount_cols
 from scipy.spatial import cKDTree
 
 _EPS_DECREASE = 1e-12          # strict-improvement threshold for accepting moves
@@ -89,12 +89,11 @@ def build_adjacency_graph(points, k_adj: int) -> AdjacencyGraph:
     dist, idx = tree.query(pts, k=kk)
     src = np.repeat(np.arange(n), kk - 1)
     dst = idx[:, 1:].ravel()
-    lo = np.minimum(src, dst)
-    hi = np.maximum(src, dst)
-    key = lo * n + hi
-    _, first = np.unique(key, return_index=True)
-    edges = np.stack([lo[first], hi[first]], axis=1)
-    lengths = np.linalg.norm(pts[edges[:, 0]] - pts[edges[:, 1]], axis=1)
+    key = np.sort(np.minimum(src, dst) * n + np.maximum(src, dst))
+    key = key[np.diff(key, prepend=-1) != 0]            # ascending, distinct
+    edges = np.stack([key // n, key % n], axis=1)
+    lengths = np.linalg.norm(np.take(pts, edges[:, 0], axis=0)
+                             - np.take(pts, edges[:, 1], axis=0), axis=1)
     d_mean = float(lengths.mean()) if len(lengths) else 0.0
     weights = 1.0 / (1.0 + lengths / d_mean) if d_mean > 0 else np.ones(len(lengths))
     return AdjacencyGraph(edges, weights)
@@ -109,9 +108,9 @@ def partition_energy(features, edges, weights, labels, lam: float,
     """Direct evaluation of the partition energy for a labeling."""
     f = np.atleast_2d(np.asarray(features, dtype=np.float64))
     labels = np.asarray(labels)
-    _, inv = np.unique(labels, return_inverse=True)
+    inv = _dense_labels(labels)
     nreg = inv.max() + 1 if len(inv) else 0
-    _, _, per_region = _region_stats(f, inv, nreg, sizes)
+    _, _, per_region = _region_stats(np.ascontiguousarray(f.T), inv, nreg, sizes)
     data = float(per_region.sum())
     if len(edges):
         cut = float(np.sum(weights[inv[edges[:, 0]] != inv[edges[:, 1]]]))
@@ -120,29 +119,101 @@ def partition_energy(features, edges, weights, labels, lam: float,
     return data + lam * cut
 
 
+def _dense_labels(labels):
+    """Integer labels renumbered 0..K-1 in ascending order, the inverse
+    `np.unique` returns, from a mask of the labels present: no sort, and
+    scratch of `labels.max() - labels.min() + 1` entries."""
+    if len(labels) == 0:
+        return np.zeros(0, dtype=np.int64)
+    labels = labels - labels.min()
+    present = np.zeros(labels.max() + 1, dtype=bool)
+    present[labels] = True
+    return (np.cumsum(present) - 1)[labels]
+
+
 def _canonical_labels(labels: np.ndarray) -> np.ndarray:
-    """Renumber regions 0..K-1 in order of first appearance."""
-    _, first, inv = np.unique(labels, return_index=True, return_inverse=True)
-    order = np.argsort(np.argsort(first))
-    return order[inv]
+    """Renumber regions 0..K-1 in order of first appearance.
+
+    Sort-free: each label's first position is scattered with
+    `np.minimum.at`, and a mask over the positions lists the first ones in
+    order. `labels` are non-negative; the scratch arrays have
+    `labels.max() + 1` entries.
+    """
+    n = len(labels)
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    first = np.full(labels.max() + 1, n)
+    np.minimum.at(first, labels, np.arange(n))
+    starts = np.zeros(n, dtype=bool)
+    starts[first[first < n]] = True
+    pos = np.flatnonzero(starts)
+    new = np.empty(len(first), dtype=np.int64)
+    new[labels[pos]] = np.arange(len(pos))
+    return new[labels]
 
 
-def _region_stats(f, labels, nreg, sizes=None):
+def _region_stats(ft, labels, nreg, sizes=None):
     """Per-region weighted count, feature sum, and scatter.
 
-    `sizes` are vertex multiplicities (defaults to 1): a vertex standing for
-    `s` original points contributes `s` to the count and `s·f` to the sum,
-    which keeps the energy of a contracted graph identical to the original.
+    `ft` holds one feature channel per row (D, n); the sums come back the
+    same way, (D, nreg). `sizes` are vertex multiplicities (defaults to 1):
+    a vertex standing for `s` original points contributes `s` to the count
+    and `s·f` to the sum, which keeps the energy of a contracted graph
+    identical to the original.
     """
     if sizes is None:
-        sizes = np.ones(len(f))
+        sizes = np.ones(ft.shape[1])
     counts = np.bincount(labels, weights=sizes, minlength=nreg)
-    sums = bincount_rows(labels, sizes[:, None] * f, nreg)
-    sq = np.bincount(labels, weights=sizes * _row_sums(f * f), minlength=nreg)
+    sums = bincount_cols(labels, sizes * ft, nreg)
+    sq = np.bincount(labels, weights=sizes * _sum(list(np.square(ft))),
+                     minlength=nreg)
     with np.errstate(invalid="ignore", divide="ignore"):
-        data = sq - _row_sums(sums * sums) / counts
+        data = sq - _sum(list(np.square(sums))) / counts
     data[counts == 0] = 0.0
     return counts, sums, data
+
+
+def _sq_dists(xt, centers, idx):
+    """Squared distance of each column i of `xt` (D, m) to column `idx[i]`
+    of `centers` (D, k). The channels are added in `_sum`'s order, so the
+    result has the bits of `((x - c) ** 2).sum(axis=1)` over rows."""
+    d = np.take(centers, idx, axis=1)
+    np.subtract(xt, d, out=d)
+    d *= d
+    return _sum(list(d))
+
+
+def _covariance(ct, labels, nreg, sizes):
+    """Per-region weighted scatter matrices (nreg, D, D) of centred columns
+    `ct` (D, n): entry (i, j) scatters `sizes * (c_i * c_j)`, the bits of
+    the outer-product form, from the D(D+1)/2 distinct products; both
+    triangles hold the same sums because `c_i * c_j == c_j * c_i`."""
+    dim = len(ct)
+    cov = np.empty((nreg, dim, dim))
+    for i in range(dim):
+        for j in range(i, dim):
+            cov[:, i, j] = cov[:, j, i] = np.bincount(
+                labels, weights=sizes * (ct[i] * ct[j]), minlength=nreg)
+    return cov
+
+
+def _extreme_seeds(proj, labels, nreg):
+    """Each region's vertex of lowest projection (ties: lowest index) and
+    of highest projection (ties: highest index), the first and last vertex
+    of the region when ordered by (projection, index). Every region has a
+    vertex; `proj` is finite."""
+    idx = np.arange(len(proj))
+    lo = np.full(nreg, np.inf)
+    hi = np.full(nreg, -np.inf)
+    np.minimum.at(lo, labels, proj)
+    np.maximum.at(hi, labels, proj)
+    first = np.full(nreg, len(proj))
+    last = np.full(nreg, -1)
+    at = proj == lo[labels]
+    np.minimum.at(first, labels[at], idx[at])
+    at = proj == hi[labels]
+    np.maximum.at(last, labels[at], idx[at])
+    return first, last
 
 
 def _components(n, sub_edges):
@@ -154,30 +225,36 @@ def _components(n, sub_edges):
     return comp
 
 
-def _split_pass(f, edges, weights, labels, lam, sizes, stable):
-    """Attempt a regularized 2-means split of every region not marked stable.
+def _split_pass(f, edges, weights, labels, lam, sizes, inside):
+    """Attempt a regularized 2-means split of every region not known stable.
 
-    Returns (labels, stable, changed). Each region's split is accepted
-    independently, only on strict energy decrease. The split core runs on the
-    subgraph of the unstable regions (vertex order kept); afterwards only the
-    vertices of accepted splits are unstable.
+    `inside` lists, in edge order, the edges inside the regions to retry.
+    Returns (labels, inside, changed): the new labels and the edges inside
+    the pieces of the splits accepted now, the regions the next pass
+    retries. Each region's split is accepted independently, only on strict
+    energy decrease. The split core runs on the subgraph of those regions
+    (vertex order kept). Regions are connected, so a region of two or more
+    vertices has an edge in `inside`; a region of one vertex has none and
+    is never retried, which loses nothing: its split gains exactly 0, and
+    its 2-means touches no other region.
     """
-    act = np.flatnonzero(~stable)
-    if len(act) == 0:
-        return labels, stable, False
-    inside = ~stable[edges[:, 0]] & (labels[edges[:, 0]] == labels[edges[:, 1]])
+    if len(inside) == 0:
+        return labels, inside, False
+    sub_edges = np.take(edges, inside, axis=0)
+    is_act = np.zeros(len(f), dtype=bool)
+    is_act[sub_edges.ravel()] = True
+    act = np.flatnonzero(is_act)
     pos = np.zeros(len(f), dtype=np.int64)
     pos[act] = np.arange(len(act))
-    _, sub_labels = np.unique(labels[act], return_inverse=True)
-    comp, take = _split_regions(f[act], pos[edges[inside]], weights[inside],
-                                sub_labels, lam, sizes[act])
-    stable = np.ones(len(f), dtype=bool)
+    sub_edges = pos[sub_edges]
+    comp, take = _split_regions(np.take(f, act, axis=0), sub_edges, weights[inside],
+                                _dense_labels(labels[act]), lam, sizes[act])
     if not take.any():
-        return labels, stable, False
+        return labels, inside[:0], False
     out = labels.copy()
     out[act[take]] = labels.max() + 1 + comp[take]     # canonicalized below
-    stable[act[take]] = False
-    return _canonical_labels(out), stable, True
+    a, b = sub_edges[:, 0], sub_edges[:, 1]
+    return _canonical_labels(out), inside[take[a] & (comp[a] == comp[b])], True
 
 
 def _split_regions(f, edges, weights, labels, lam, sizes, sweeps=_ICM_SWEEPS):
@@ -186,61 +263,60 @@ def _split_regions(f, edges, weights, labels, lam, sizes, sweeps=_ICM_SWEEPS):
     Returns each vertex's connected component after the split and whether
     its region's split strictly lowers the energy. `sweeps` caps the
     regularized boundary sweeps that follow the plain 2-means iterations.
+    Works on the feature columns (`ft`, one channel per row), transposed
+    once per call; centres are kept the same way, (D, nreg).
     """
     n, dim = f.shape
     nreg = labels.max() + 1
-    counts, sums, data_old = _region_stats(f, labels, nreg, sizes)
-    means = np.zeros((nreg, dim))
+    ft = np.ascontiguousarray(f.T)
+    e0, e1 = np.ascontiguousarray(edges.T)
+    sf = sizes * ft
+    counts, sums, data_old = _region_stats(ft, labels, nreg, sizes)
+    means = np.zeros((dim, nreg))
     nz = counts > 0
-    means[nz] = sums[nz] / counts[nz, None]
-    centered = f - means[labels]
+    means[:, nz] = sums[:, nz] / counts[nz]
+    centered = ft - np.take(means, labels, axis=1)
 
     # Per-region principal direction from batched covariance eigenvectors.
-    outer = sizes[:, None, None] * (centered[:, :, None] * centered[:, None, :])
-    cov = bincount_rows(labels, outer.reshape(n, -1), nreg).reshape(nreg, dim, dim)
-    _, vecs = np.linalg.eigh(cov)
+    _, vecs = np.linalg.eigh(_covariance(centered, labels, nreg, sizes))
     pc1 = vecs[:, :, -1]
     flip = pc1[np.arange(nreg), np.abs(pc1).argmax(axis=1)] < 0
     pc1[flip] *= -1.0
 
-    proj = np.einsum("ij,ij->i", centered, pc1[labels])
-    # Extreme points along the principal direction seed the two centers;
-    # ordering by (region, projection, index) makes the seed deterministic.
-    order = np.lexsort((np.arange(n), proj, labels))
-    sorted_labels = labels[order]
-    first_of = np.searchsorted(sorted_labels, np.arange(nreg), side="left")
-    last_of = np.searchsorted(sorted_labels, np.arange(nreg), side="right") - 1
-    c0 = f[order[np.clip(first_of, 0, n - 1)]].copy()
-    c1 = f[order[np.clip(last_of, 0, n - 1)]].copy()
+    # the row-major operands of the parent's einsum, so `proj` keeps its bits
+    proj = np.einsum("ij,ij->i", np.ascontiguousarray(centered.T),
+                     np.take(pc1, labels, axis=0))
+    # Extreme points along the principal direction seed the two centers.
+    first, last = _extreme_seeds(proj, labels, nreg)
+    c0 = np.take(ft, first, axis=1)
+    c1 = np.take(ft, last, axis=1)
 
     # Degenerate (zero-spread) regions can't improve: mask them out later via
     # the energy test; their two seeds coincide and produce a no-op split.
     side = np.zeros(n, dtype=np.int64)
-    ends = np.concatenate([edges[:, 0], edges[:, 1]])
+    # both directions of each internal edge: endpoint, other end, weight
+    ends = np.concatenate([e0, e1])
+    other = np.concatenate([e1, e0])
+    w2 = np.concatenate([weights, weights])
 
     def assign(with_cut):
-        d0 = sizes * _row_sums((f - c0[labels]) ** 2)
-        d1 = sizes * _row_sums((f - c1[labels]) ** 2)
+        d0 = sizes * _sq_dists(ft, c0, labels)
+        d1 = sizes * _sq_dists(ft, c1, labels)
         if with_cut and len(edges):
-            s_i, s_j = side[edges[:, 0]], side[edges[:, 1]]
             # disagreement cost a vertex would pay for picking each side
-            pen0 = np.bincount(ends, minlength=n, weights=np.concatenate(
-                [weights * (s_j == 1), weights * (s_i == 1)]))
-            pen1 = np.bincount(ends, minlength=n, weights=np.concatenate(
-                [weights * (s_j == 0), weights * (s_i == 0)]))
-            d0 = d0 + lam * pen0
-            d1 = d1 + lam * pen1
+            one = side[other] == 1
+            d0 = d0 + lam * np.bincount(ends, weights=w2 * one, minlength=n)
+            d1 = d1 + lam * np.bincount(ends, weights=w2 * ~one, minlength=n)
         return np.where(d1 < d0, 1, 0)
 
     def update_centers():
         key = labels * 2 + side
         cnt = np.bincount(key, weights=sizes, minlength=nreg * 2)
-        sm = bincount_rows(key, sizes[:, None] * f, nreg * 2)
+        sm = bincount_cols(key, sf, nreg * 2)
         ok = cnt > 0
-        sm[ok] /= cnt[ok, None]
-        c0_new = np.where(ok[0::2, None], sm[0::2], c0)
-        c1_new = np.where(ok[1::2, None], sm[1::2], c1)
-        return c0_new, c1_new
+        np.divide(sm, cnt, out=sm, where=ok)
+        return (np.where(ok[0::2], sm[:, 0::2], c0),
+                np.where(ok[1::2], sm[:, 1::2], c1))
 
     for _ in range(_KMEANS_ITERS):
         new_side = assign(with_cut=False)
@@ -257,32 +333,34 @@ def _split_regions(f, edges, weights, labels, lam, sizes, sweeps=_ICM_SWEEPS):
 
     # Split regions into connected components per side.
     key = labels * 2 + side
-    same = key[edges[:, 0]] == key[edges[:, 1]]
-    comp = _canonical_labels(_components(n, edges[same]))
+    same = key[e0] == key[e1]
+    comp = _canonical_labels(
+        _components(n, np.take(edges, np.flatnonzero(same), axis=0)))
     ncomp = comp.max() + 1
 
-    _, _, comp_data = _region_stats(f, comp, ncomp, sizes)
-    # Each component lies inside one region: map via its first member vertex.
-    _, first_vertex = np.unique(comp, return_index=True)
-    comp_region = labels[first_vertex]
+    _, _, comp_data = _region_stats(ft, comp, ncomp, sizes)
+    # Each component lies inside one region, so all its members write the
+    # same value here.
+    comp_region = np.empty(ncomp, dtype=np.int64)
+    comp_region[comp] = labels
 
     data_new_per_region = np.bincount(comp_region, weights=comp_data, minlength=nreg)
-    crossing = comp[edges[:, 0]] != comp[edges[:, 1]]
-    cut_new_per_region = np.bincount(labels[edges[crossing, 0]],
+    crossing = comp[e0] != comp[e1]
+    cut_new_per_region = np.bincount(labels[e0[crossing]],
                                      weights=weights[crossing], minlength=nreg)
     gain = data_old - (data_new_per_region + lam * cut_new_per_region)
     return comp, (gain > _EPS_DECREASE)[labels]
 
 
-def _unchanged(stable, old, new):
-    """Mark the vertices of `new` regions that are stable regions of `old`.
+def _unchanged(old, new):
+    """Mark the vertices of `new` regions that are regions of `old`.
 
-    A region keeps its flag only when all its vertices were stable, share one
-    old label, and that old region had as many vertices: the same vertex set.
+    A region is marked only when all its vertices share one old label, and
+    that old region had as many vertices: the same vertex set.
     """
     rep = np.empty(new.max() + 1, dtype=np.int64)
     rep[new] = old
-    same = stable & (old == rep[new])
+    same = old == rep[new]
     size = np.bincount(new)
     keep = ((np.bincount(new[same], minlength=len(size)) == size)
             & (np.bincount(old)[rep] == size))
@@ -306,30 +384,27 @@ def _merge_pass(f, edges, weights, labels, lam, sizes):
     nreg = labels.max() + 1
     if nreg <= 1 or len(edges) == 0:
         return labels, False
-    counts, sums, data = _region_stats(f, labels, nreg, sizes)
-    cross = np.flatnonzero(labels[edges[:, 0]] != labels[edges[:, 1]])
-    merged = None               # regions merged in the last round; None: all
+    ft = np.ascontiguousarray(f.T)
+    counts, sums, data = _region_stats(ft, labels, nreg, sizes)
+    # the crossing edges and their endpoints' regions, kept up to date
+    la, lb = labels[edges[:, 0]], labels[edges[:, 1]]
+    cross = np.flatnonzero(la != lb)
+    la, lb = la[cross], lb[cross]
+    near = np.arange(len(cross))        # the entries of `cross` to score
+    labels = labels.copy()
     changed_any = False
-    while True:
-        la, lb = labels[edges[cross, 0]], labels[edges[cross, 1]]
-        keep = la != lb
-        cross, la, lb = cross[keep], la[keep], lb[keep]
-        near = cross
-        if merged is not None:
-            hit = merged[la] | merged[lb]
-            near, la, lb = cross[hit], la[hit], lb[hit]
-        if len(near) == 0:
-            break
-        key = np.minimum(la, lb) * np.int64(nreg) + np.maximum(la, lb)
+    while len(near):
+        na, nb = la[near], lb[near]
+        key = np.minimum(na, nb) * np.int64(nreg) + np.maximum(na, nb)
         uniq, inv = np.unique(key, return_inverse=True)
-        wsum = np.bincount(inv, weights=weights[near], minlength=len(uniq))
+        wsum = np.bincount(inv, weights=weights[cross[near]], minlength=len(uniq))
         pa, pb = uniq // nreg, uniq % nreg
-        nmerge = counts[pa] + counts[pb]
-        smerge = sums[pa] + sums[pb]
+        ca, cb = counts[pa], counts[pb]
+        sa, sb = np.take(sums, pa, axis=1), np.take(sums, pb, axis=1)
         data_merged = (data[pa] + data[pb]
-                       + counts[pa] * _row_sums((sums[pa] / counts[pa, None]) ** 2)
-                       + counts[pb] * _row_sums((sums[pb] / counts[pb, None]) ** 2)
-                       - _row_sums(smerge ** 2) / nmerge)
+                       + ca * _sum(list(np.square(sa / ca)))
+                       + cb * _sum(list(np.square(sb / cb)))
+                       - _sum(list(np.square(sa + sb))) / (ca + cb))
         # data_merged now holds sum||f-c||^2 of the union (parallel-axis form)
         gain = lam * wsum - (data_merged - data[pa] - data[pb])
         good = np.flatnonzero(gain > _EPS_DECREASE)
@@ -343,30 +418,30 @@ def _merge_pass(f, edges, weights, labels, lam, sizes):
                 continue
             mapping[rb] = ra
             used[ra] = used[rb] = 1
-        labels = mapping[labels]
         merged = np.frombuffer(used, dtype=bool)
         inside = np.flatnonzero(merged[labels])
-        c, sm, d = _region_stats(f[inside], labels[inside], nreg, sizes[inside])
-        counts[merged], sums[merged], data[merged] = c[merged], sm[merged], d[merged]
+        labels[inside] = mapping[labels[inside]]
+        c, sm, d = _region_stats(np.take(ft, inside, axis=1), labels[inside],
+                                 nreg, sizes[inside])
+        counts[merged], sums[:, merged], data[merged] = c[merged], sm[:, merged], d[merged]
+        # a region is merged exactly when its new id is: the next round
+        # scores the edges still crossing among those touching one
+        hit = np.flatnonzero(merged[la] | merged[lb])
+        la[hit], lb[hit] = mapping[la[hit]], mapping[lb[hit]]
+        near = hit[la[hit] != lb[hit]]
         changed_any = True
     if changed_any:
         labels = _canonical_labels(labels)
     return labels, changed_any
 
 
-def _row_sums(a):
-    """`a.sum(axis=1)` for a 2-D float array, with the same bits, added
-    column by column; numpy's reduction along a short axis is several times
-    slower than whole-column additions."""
-    return _sum(list(a.T))
-
-
 def _sum(xs):
     """Sum in the order of numpy's pairwise float64 reduction, so the sum
     has the bits of `np.sum` over the terms: fewer than 8 terms are added
     one by one to 0.0; longer runs go in blocks of up to 128 with 8
-    accumulators, the total added to 0.0. Its one caller, `_row_sums`,
-    passes the columns of an array as the terms, summed element by element."""
+    accumulators, the total added to 0.0. The solver passes feature
+    channels as the terms, summed element by element, so a sum over
+    channels has the bits of `.sum(axis=1)` over a row-major array."""
     if len(xs) < 8:
         total = 0.0
         for x in xs:
@@ -418,7 +493,7 @@ class _Neighbours:
         return self.start[vertices][owner] + rank, owner
 
 
-def _screen_moves(f, sizes, nbrs, lab, counts, sums, vertices_per, bnd, lam):
+def _screen_moves(ft, sizes, nbrs, lab, counts, sums, vertices_per, bnd, lam):
     """The label a single-vertex move gives each vertex of `bnd` (its own
     when it stays) under the current state, and every (position in `bnd`,
     region) whose stats that label depends on.
@@ -432,7 +507,8 @@ def _screen_moves(f, sizes, nbrs, lab, counts, sums, vertices_per, bnd, lam):
     r = lab[bnd]
     idx, owner = nbrs.entries(bnd)
     nreg = np.int64(len(counts))
-    key = np.unique(owner * nreg + lab[nbrs.ids[idx]])
+    key = np.sort(owner * nreg + lab[nbrs.ids[idx]])
+    key = key[np.diff(key, prepend=-1) != 0]            # ascending, distinct
     row, s = key // nreg, key % nreg
     depends = (np.concatenate([np.arange(len(bnd)), row]), np.concatenate([r, s]))
     pair = (s != r[row]) & (vertices_per[r[row]] > 1)
@@ -440,9 +516,11 @@ def _screen_moves(f, sizes, nbrs, lab, counts, sums, vertices_per, bnd, lam):
     v, rr = bnd[row], r[row]
     sv = sizes[v]
 
+    with np.errstate(invalid="ignore", divide="ignore"):
+        means = sums / counts
+
     def sq_dist(vert, reg):
-        d = f[vert] - sums[reg] / counts[reg, None]
-        return _row_sums(d * d)
+        return _sq_dists(np.take(ft, vert, axis=1), means, reg)
 
     with np.errstate(invalid="ignore", divide="ignore"):
         cr, sb = counts[r], sizes[bnd]
@@ -471,7 +549,8 @@ def _boundary_polish(f, edges, weights, labels, lam, sizes, nbrs):
     the state at that point. Each move is accepted on strict decrease of
     the exact local energy delta, so the global energy keeps decreasing.
 
-    `_screen_moves` is the one scorer. It scores every boundary vertex at
+    Features and region sums are held as columns (D, n) and (D, nreg),
+    `f` transposed once per call. `_screen_moves` is the one scorer. It scores every boundary vertex at
     the start of the sweep, and the sweep visits only the vertices that
     score a move or that an earlier move made stale: one whose own region
     or a neighbour's region at the start of the sweep changed. A vertex
@@ -487,17 +566,20 @@ def _boundary_polish(f, edges, weights, labels, lam, sizes, nbrs):
     """
     n = len(f)
     nreg = labels.max() + 1
-    counts, sums, _ = _region_stats(f, labels, nreg, sizes)
+    ft = np.ascontiguousarray(f.T)
+    counts, sums, _ = _region_stats(ft, labels, nreg, sizes)
     vertices_per = np.bincount(labels, minlength=nreg)
     lab = labels.copy()
 
     def score(vertices):
-        return _screen_moves(f, sizes, nbrs, lab, counts, sums, vertices_per,
+        return _screen_moves(ft, sizes, nbrs, lab, counts, sums, vertices_per,
                              vertices, lam)
 
     changed_any = False
     for _ in range(6):
-        bnd = np.unique(edges[lab[edges[:, 0]] != lab[edges[:, 1]]].ravel())
+        on_cut = np.zeros(n, dtype=bool)
+        on_cut[edges[lab[edges[:, 0]] != lab[edges[:, 1]]].ravel()] = True
+        bnd = np.flatnonzero(on_cut)
         pick, (at, reg) = score(bnd)
         by_region = np.argsort(reg, kind="stable")
         reg_start = np.searchsorted(reg[by_region], np.arange(nreg + 1))
@@ -524,10 +606,10 @@ def _boundary_polish(f, edges, weights, labels, lam, sizes, nbrs):
             r, sv = lab[v], sizes[v]
             lab[v] = to
             counts[r] -= sv
-            sums[r] -= sv * f[v]
+            sums[:, r] -= sv * ft[:, v]
             vertices_per[r] -= 1
             counts[to] += sv
-            sums[to] += sv * f[v]
+            sums[:, to] += sv * ft[:, v]
             vertices_per[to] += 1
             moved = True
             for x in (r, to):
@@ -571,7 +653,7 @@ def _best_union(f, edges, weights, labels, lam, sizes):
     parts = _set_partitions(k)
     b = len(parts)
     key = (parts + k * np.arange(b)[:, None]).ravel()
-    _, _, data = _region_stats(np.tile(means, (b, 1)), key, b * k,
+    _, _, data = _region_stats(np.tile(means.T, b), key, b * k,
                                np.tile(counts, b))
     energy = data.reshape(b, k).sum(axis=1)
     if len(sup_edges):
@@ -652,12 +734,12 @@ def cut_pursuit(features, edges, weights, lam: float, sizes=None) -> np.ndarray:
     labels = components
     nbrs = (_Neighbours.of(n, edges, weights)
             if len(edges) and n <= _POLISH_LIMIT else None)
-    stable = np.zeros(n, dtype=bool)
+    inside = np.arange(len(edges))  # every edge lies inside a component
     for _ in range(_MAX_OUTER):
         ch_split = False
         while True:
-            labels, stable, ch = _split_pass(f, edges, weights, labels, lam,
-                                             sizes, stable)
+            labels, inside, ch = _split_pass(f, edges, weights, labels, lam,
+                                             sizes, inside)
             ch_split = ch_split or ch
             if not ch:
                 break
@@ -669,7 +751,10 @@ def cut_pursuit(features, edges, weights, lam: float, sizes=None) -> np.ndarray:
                                                  sizes, nbrs)
         if not (ch_split or ch_merge or ch_polish):
             break
-        stable = _unchanged(stable, split, labels)
+        # retry the regions the merges and the polish made
+        retry = ~_unchanged(split, labels)
+        inside = np.flatnonzero(retry[edges[:, 0]]
+                                & (labels[edges[:, 0]] == labels[edges[:, 1]]))
     # Keep the finish, or a trivial labeling as a safety net, on strict decrease.
     best = labels
     best_e = partition_energy(f, edges, weights, labels, lam, sizes)
@@ -766,8 +851,8 @@ def _contract_graph(f, edges, weights, labels, sizes=None):
     same objective over coarsenings of `labels`.
     """
     nreg = labels.max() + 1
-    counts, sums, _ = _region_stats(f, labels, nreg, sizes)
-    means = sums / counts[:, None]
+    counts, sums, _ = _region_stats(np.ascontiguousarray(f.T), labels, nreg, sizes)
+    means = np.ascontiguousarray((sums / counts).T)
     la, lb = labels[edges[:, 0]], labels[edges[:, 1]]
     cross = la != lb
     if not cross.any():

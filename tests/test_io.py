@@ -310,6 +310,15 @@ def test_point_features_zero_row_rejected(tmp_path):
         load_point_features(p)
 
 
+def test_point_features_zero_row_after_blank_line_reports_its_line(tmp_path):
+    """A skipped blank row shifts every later row down one line."""
+    p = tmp_path / "f.csv"
+    p.write_text("point_index,f1,f2\n0,1,0\n\n1,0,0\n")
+    with pytest.raises(ParseError, match="zero-norm descriptor") as err:
+        load_point_features(p)
+    assert err.value.line == 4
+
+
 @pytest.mark.parametrize("body, line", [
     ("0,1,0\n1,nan,1\n", 3),
     ("0,1,0\n1,0,-inf\n", 3),

@@ -792,6 +792,27 @@ def test_hierarchy_same_labels_as_reference(monkeypatch):
         assert np.array_equal(a, b)
 
 
+def test_bench_scale_hierarchy_same_labels_as_reference(monkeypatch):
+    """The 20k-point source epoch of the `slope20k_3d` bench scene, seed 0:
+    levels 1 and 2 lie above the polish limit and level 3 below it. Each
+    level's solve gives the reference's labels."""
+    from dvfusion.synth import SynthParams, synth_generate_scene
+    scene = synth_generate_scene(SynthParams(n_points=20_000, texture=False), seed=0)
+    solve, solved = partition.cut_pursuit, []
+
+    def both(features, edges, weights, lam, sizes=None):
+        got = solve(features, edges, weights, lam, sizes=sizes)
+        want = reference_cut_pursuit(features, edges, weights, lam, sizes=sizes)
+        assert np.array_equal(got, want), len(solved) + 1
+        solved.append(len(features))
+        return got
+
+    monkeypatch.setattr(partition, "cut_pursuit", both)
+    hierarchy(scene.source.points)
+    assert len(solved) == 3 and solved[0] == 20_000
+    assert solved[1] > partition._POLISH_LIMIT >= solved[2]
+
+
 @pytest.mark.parametrize("n", [1, 3, 7, 8, 9, 16, 17, 127, 128, 129, 300])
 def test_python_sum_has_numpy_bits(n):
     rng = np.random.default_rng(n)
@@ -806,8 +827,122 @@ def test_row_sums_have_numpy_bits(cols):
     a[rng.random(a.shape) < 0.2] = 0.0
     a[rng.random(a.shape) < 0.2] = -0.0
     a[:20] = -0.0                       # rows of negative zeros only
-    got = partition._row_sums(a)
+    got = partition._sum(list(a.T))             # the solver's sums over channels
     assert np.array_equal(got.view(np.int64), a.sum(axis=1).view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# Column kernels: the bits of the row-major forms they replace
+
+KERNEL_DIMS = [1, 4, 8, 9, 17]
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def spread_columns(rng, n, dim):
+    """(dim, n) feature columns over twelve orders of magnitude, so that
+    adding the channels in another order changes the last bits of many
+    sums."""
+    return rng.standard_normal((dim, n)) * 10.0 ** rng.uniform(-6, 6, (dim, n))
+
+
+@pytest.mark.parametrize("dim", KERNEL_DIMS)
+def test_sq_dists_have_row_sum_bits(dim):
+    rng = np.random.default_rng(900 + dim)
+    xt = spread_columns(rng, 600, dim)
+    centers = spread_columns(rng, 40, dim)
+    idx = rng.integers(0, 40, 600)
+    rows = np.ascontiguousarray(xt.T) - np.ascontiguousarray(centers.T)[idx]
+    # numpy adds a C-contiguous row pairwise from 8 terms on
+    want = (rows ** 2).sum(axis=1)
+    assert np.array_equal(bits(partition._sq_dists(xt, centers, idx)), bits(want))
+
+
+@pytest.mark.parametrize("dim", KERNEL_DIMS)
+def test_region_stats_have_row_major_bits(dim):
+    """Counts, per-channel sums and scatter of non-unit multiplicities
+    against `np.add.at` over rows and `.sum(axis=1)`."""
+    rng = np.random.default_rng(950 + dim)
+    ft = spread_columns(rng, 600, dim)
+    labels = rng.integers(0, 300, 600)
+    sizes = rng.integers(1, 40, 600).astype(float)
+    got = partition._region_stats(np.ascontiguousarray(ft), labels, 301, sizes)
+    want = _ref_region_stats(np.ascontiguousarray(ft.T), labels, 301, sizes)
+    for g, w in zip(got, (want[0], want[1].T, want[2])):
+        assert np.array_equal(bits(g), bits(w))
+
+
+@pytest.mark.parametrize("dim", KERNEL_DIMS)
+def test_covariance_has_outer_product_bits(dim):
+    """`sizes * (c_i * c_j)` scattered per region: the outer-product form.
+    Sizes that are not powers of two make `(sizes * c_i) * c_j` round
+    differently."""
+    rng = np.random.default_rng(1000 + dim)
+    ct = spread_columns(rng, 600, dim)
+    labels = rng.integers(0, 30, 600)
+    sizes = rng.integers(1, 40, 600).astype(float)
+    c = ct.T
+    want = np.zeros((30, dim, dim))
+    np.add.at(want, labels, sizes[:, None, None] * (c[:, :, None] * c[:, None, :]))
+    got = partition._covariance(ct, labels, 30, sizes)
+    assert got.flags.c_contiguous
+    assert np.array_equal(bits(got), bits(want))
+
+
+def lexsort_seeds(proj, labels, nreg):
+    """The seeds as a sort defines them: each region's first and last vertex
+    in (region, projection, index) order."""
+    order = np.lexsort((np.arange(len(proj)), proj, labels))
+    ordered = labels[order]
+    return (order[np.searchsorted(ordered, np.arange(nreg), side="left")],
+            order[np.searchsorted(ordered, np.arange(nreg), side="right") - 1])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_extreme_seeds_break_ties_like_lexsort(seed):
+    """Projections drawn from a few values, -0.0 and +0.0 among them: ties
+    go to the lowest index for the first seed and to the highest for the
+    last, and the two zeros tie."""
+    rng = np.random.default_rng(1100 + seed)
+    values = np.array([-2.5, -1.0, -0.0, 0.0, 1e-300, 3.0])
+    proj = values[rng.integers(0, len(values), 400)]
+    labels = rng.integers(0, 25, 400)
+    labels[:25] = np.arange(25)                 # every region has a vertex
+    first, last = partition._extreme_seeds(proj, labels, 25)
+    want_first, want_last = lexsort_seeds(proj, labels, 25)
+    assert np.array_equal(first, want_first)
+    assert np.array_equal(last, want_last)
+
+
+def test_extreme_seeds_of_signed_zeros_only():
+    proj = np.array([0.0, -0.0, 0.0, -0.0, -0.0])
+    labels = np.array([0, 0, 1, 1, 0])
+    first, last = partition._extreme_seeds(proj, labels, 2)
+    assert first.tolist() == [0, 2] and last.tolist() == [4, 3]
+
+
+@pytest.mark.parametrize("labels", [
+    [],
+    [7],
+    [5, 5, 0, 1000, 5, 3, 0, 1000],             # gaps and repeats
+    [3, 2, 1, 0],
+    list(np.random.default_rng(1200).integers(0, 10 ** 4, 3000)),
+])
+def test_canonical_labels_match_the_unique_definition(labels):
+    labels = np.asarray(labels, dtype=np.int64)
+    got = partition._canonical_labels(labels)
+    want = _ref_canonical(labels) if len(labels) else np.zeros(0, dtype=np.int64)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("labels", [
+    [], [-4], [9, -3, 9, 0, 120, -3], list(range(50, 0, -7))])
+def test_dense_labels_are_the_unique_inverse(labels):
+    labels = np.asarray(labels, dtype=np.int64)
+    got = partition._dense_labels(labels)
+    assert np.array_equal(got, np.unique(labels, return_inverse=True)[1])
 
 
 def count_calls(monkeypatch, name):
