@@ -21,16 +21,39 @@ shortcut is exact, not a heuristic; the labels are those of the full sweeps.
   set: they retry only regions that changed since their split was last
   rejected. A region's split and its acceptance depend only on its own
   vertices, their features and sizes, its internal edges and lam, so an
-  unchanged region would be rejected again.
+  unchanged region would be rejected again. A pass is handed the edges
+  inside the regions to retry, so it never scans the whole edge list, and
+  it skips regions of one vertex, whose split gains exactly 0.
 - Merge rounds after the first score only pairs that touch a region merged
   in the round before: the greedy would already have taken any positive
-  pair of two untouched regions, whose gain has not changed.
+  pair of two untouched regions, whose gain has not changed. The crossing
+  edges keep their endpoints' region ids, updated only where a region
+  merged.
 - The boundary polish has one scorer, vectorised over vertices
   (`_screen_moves`). A sweep scores every boundary vertex at once and then
   rescores, a batch at a time, only the vertices whose regions changed
   earlier in the sweep: a vertex nothing touched scores as before.
-- Row sums over the feature columns add whole columns in numpy's order
-  (`_row_sums`), so they have the bits of `.sum(axis=1)`.
+
+Column layout. The passes take features as rows (N, D) and work on their
+transpose, one contiguous row per channel (D, N); region sums and centres
+are held the same way, (D, regions). Each kernel keeps the bits of the
+row-major form it replaces:
+
+- A sum over channels adds whole channel rows in numpy's pairwise order
+  (`_sum`), so it has the bits of `.sum(axis=1)` over a C-contiguous row.
+- Per-label sums are one `np.bincount` per channel (`bincount_cols`), in
+  index order like `np.add.at`.
+- Region covariances scatter `sizes * (c_i * c_j)` for the D(D+1)/2
+  distinct channel pairs (`_covariance`), the bits of the outer product.
+- The 2-means seeds, each region's vertices of lowest and highest
+  projection, come from `np.minimum.at` / `np.maximum.at` with ties to the
+  lowest and highest index (`_extreme_seeds`), the vertices a lexsort by
+  (region, projection, index) puts first and last. The projections come
+  from an einsum over C-contiguous rows, as einsum's bits depend on the
+  layout of its operands.
+- Labels are renumbered by scattering first occurrences
+  (`_canonical_labels`) or from a mask of the labels present
+  (`_dense_labels`); no pass sorts the n labels.
 
 Label convention: a level is one int array over the tile's points holding
 each point's patch id, or -1 where the point lies in no patch (its region
@@ -283,7 +306,7 @@ def _split_regions(f, edges, weights, labels, lam, sizes, sweeps=_ICM_SWEEPS):
     flip = pc1[np.arange(nreg), np.abs(pc1).argmax(axis=1)] < 0
     pc1[flip] *= -1.0
 
-    # the row-major operands of the parent's einsum, so `proj` keeps its bits
+    # einsum's bits depend on its operands' layout: keep them row-major
     proj = np.einsum("ij,ij->i", np.ascontiguousarray(centered.T),
                      np.take(pc1, labels, axis=0))
     # Extreme points along the principal direction seed the two centers.
@@ -549,8 +572,7 @@ def _boundary_polish(f, edges, weights, labels, lam, sizes, nbrs):
     the state at that point. Each move is accepted on strict decrease of
     the exact local energy delta, so the global energy keeps decreasing.
 
-    Features and region sums are held as columns (D, n) and (D, nreg),
-    `f` transposed once per call. `_screen_moves` is the one scorer. It scores every boundary vertex at
+    `_screen_moves` is the one scorer. It scores every boundary vertex at
     the start of the sweep, and the sweep visits only the vertices that
     score a move or that an earlier move made stale: one whose own region
     or a neighbour's region at the start of the sweep changed. A vertex
@@ -563,6 +585,9 @@ def _boundary_polish(f, edges, weights, labels, lam, sizes, nbrs):
     leaves the rest stale: a rescored vertex may now depend on a region
     that the start-of-sweep index does not list, so its label holds only
     until the next move.
+
+    Features and region sums are held as columns, (D, n) and (D, nreg):
+    `f` is transposed once per call.
     """
     n = len(f)
     nreg = labels.max() + 1
@@ -707,6 +732,10 @@ def cut_pursuit(features, edges, weights, lam: float, sizes=None) -> np.ndarray:
       rejected and whose vertex set has not changed since is skipped,
       because a region's split and its acceptance depend only on its own
       vertices, their features and sizes, its internal edges and `lam`.
+      Each pass gets the edges inside the regions to retry (all edges at
+      first; then those inside the pieces of accepted splits; after a
+      merge or polish, those inside the regions it made) and skips regions
+      of one vertex.
     - A merge round after the first scores only the pairs with a region
       merged in the round before (`_merge_pass`): a positive pair of two
       untouched regions had the same gain in that round and would have been
@@ -715,10 +744,12 @@ def cut_pursuit(features, edges, weights, lam: float, sizes=None) -> np.ndarray:
       (`_screen_moves`): every boundary vertex once per sweep, then again,
       in batches, only the vertices whose regions changed earlier in the
       sweep (`_boundary_polish`).
-    - Row sums over the feature columns go column by column in numpy's
-      order (`_row_sums`), with the bits of `.sum(axis=1)`.
 
-    The polish's neighbour lists are built once per solve.
+    The passes work on feature columns, (D, N) with one contiguous row per
+    channel, and renumber labels without sorting them; each kernel has the
+    bits of the row-major form it replaces (see the module docstring). The
+    polish's neighbour lists are built once per solve. Features and sizes
+    must be finite.
     """
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2:
@@ -730,6 +761,8 @@ def cut_pursuit(features, edges, weights, lam: float, sizes=None) -> np.ndarray:
              else np.asarray(sizes, dtype=np.float64).reshape(-1))
     if lam < 0:
         raise InvalidParams(f"regularization strength must be >= 0, got {lam}")
+    if not (np.isfinite(f).all() and np.isfinite(sizes).all()):
+        raise InvalidParams("features and sizes must be finite")
     components = _canonical_labels(_components(n, edges))
     labels = components
     nbrs = (_Neighbours.of(n, edges, weights)

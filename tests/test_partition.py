@@ -711,6 +711,20 @@ def test_flat_features_are_rejected():
         cut_pursuit(rng.normal(size=30), e, w, 0.4)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_or_sizes_are_rejected(bad):
+    rng = np.random.default_rng(98)
+    pts, e, w = knn_graph(rng, 30)
+    f = rng.normal(size=(30, 2))
+    f[7, 1] = bad
+    with pytest.raises(InvalidParams, match="must be finite"):
+        cut_pursuit(f, e, w, 0.4)
+    sizes = np.ones(30)
+    sizes[3] = bad
+    with pytest.raises(InvalidParams, match="must be finite"):
+        cut_pursuit(f[:, :1], e, w, 0.4, sizes=sizes)
+
+
 def knn_graph(rng, n, k_adj=6):
     """Random k-NN graph over clustered points, with cluster features."""
     pts = rng.uniform(0, 30, (n, 3))
