@@ -145,7 +145,7 @@ def partition_energy(features, edges, weights, labels, lam: float,
 def _dense_labels(labels):
     """Integer labels renumbered 0..K-1 in ascending order, the inverse
     `np.unique` returns, from a mask of the labels present: no sort, and
-    scratch of `labels.max() - labels.min() + 1` entries."""
+    a work array of `labels.max() - labels.min() + 1` entries."""
     if len(labels) == 0:
         return np.zeros(0, dtype=np.int64)
     labels = labels - labels.min()
@@ -159,7 +159,7 @@ def _canonical_labels(labels: np.ndarray) -> np.ndarray:
 
     Sort-free: each label's first position is scattered with
     `np.minimum.at`, and a mask over the positions lists the first ones in
-    order. `labels` are non-negative; the scratch arrays have
+    order. `labels` are non-negative; the work arrays have
     `labels.max() + 1` entries.
     """
     n = len(labels)
