@@ -11,7 +11,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -41,6 +40,7 @@ from .io import (
     write_point_cloud,
     write_raster,
     write_report,
+    write_table,
 )
 from .pipeline import run_pipeline
 from .refinement import dump_quality_reports
@@ -82,15 +82,9 @@ def export_plot_data(dvf, out_dir) -> list:
 
     def table(name, header, column):
         path = out_dir / name
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["point_id", "x", "y", "z", header, "defined"])
-            for i in range(len(dvf)):
-                value = column[i]
-                w.writerow([int(dvf.point_ids[i]),
-                            *(f"{c:.6f}" for c in dvf.positions[i]),
-                            "nan" if np.isnan(value) else f"{value:.6f}",
-                            int(defined[i])])
+        write_table(path, ["point_id", "x", "y", "z", header, "defined"], (
+            [int(dvf.point_ids[i]), *(f"{c:.6f}" for c in dvf.positions[i]),
+             f"{column[i]:.6f}", int(defined[i])] for i in range(len(dvf))))
         return path
 
     return [table("magnitude.csv", "magnitude", magnitude),
@@ -218,14 +212,10 @@ def _cmd_baseline(args) -> int:
                             normal_radius=args.normal_radius,
                             cylinder_radius=args.cylinder_radius,
                             max_depth=args.max_depth)
-        with open(out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["core_index", "nx", "ny", "nz", "distance", "valid"])
-            for i, core in enumerate(res.core_indices):
-                d = res.distances[i]
-                w.writerow([int(core), *(f"{c:.6f}" for c in res.normals[i]),
-                            "nan" if np.isnan(d) else f"{d:.6f}",
-                            int(res.valid[i])])
+        write_table(out, ["core_index", "nx", "ny", "nz", "distance", "valid"], (
+            [int(core), *(f"{c:.6f}" for c in res.normals[i]),
+             f"{res.distances[i]:.6f}", int(res.valid[i])]
+            for i, core in enumerate(res.core_indices)))
         got = res.distances[res.valid]
         mean = float(np.abs(got).mean()) if got.size else float("nan")
         print(f"M3C2: {res.valid.sum()}/{len(res.core_indices)} cores valid, "

@@ -85,8 +85,11 @@ class PipelineConfig:
                 or not 0 < lf[0] < lf[1] < lf[2]):
             raise ConfigError(
                 f"lambda_factors must be 3 increasing positive values, got {lf}")
-        if self.min_patch < 1:
-            raise ConfigError("min_patch must be >= 1")
+        for name, low in (("min_patch", 1), ("k_adj", 3), ("ncc_stride", 1),
+                          ("ncc_template_radius", 1), ("ncc_search_window", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, "
+                                  f"got {getattr(self, name)}")
         if bool(self.source_features_path) != bool(self.target_features_path):
             raise ConfigError("source_features_path and target_features_path "
                               "must be given together")

@@ -51,24 +51,20 @@ class DisplacementVectorField:
 
     def sorted_by_id(self) -> "DisplacementVectorField":
         order = np.argsort(self.point_ids, kind="stable")
-        return self.take(order)
-
-    def take(self, order) -> "DisplacementVectorField":
         return DisplacementVectorField(
             self.point_ids[order], self.positions[order], self.vectors[order],
             self.levels[order], self.patch_ids[order], self.modalities[order])
 
 
-def concat_fields(fields) -> DisplacementVectorField:
-    """Concatenate disjoint per-tile fields into one, ordered by point id."""
+def merge_fields(fields) -> DisplacementVectorField:
+    """One field ordered by point id from `fields`; where fields share a
+    point, the first field that holds it wins."""
     fields = [f for f in fields if len(f)]
     if not fields:
         return DisplacementVectorField.empty()
-    out = DisplacementVectorField(
-        np.concatenate([f.point_ids for f in fields]),
-        np.concatenate([f.positions for f in fields]),
-        np.concatenate([f.vectors for f in fields]),
-        np.concatenate([f.levels for f in fields]),
-        np.concatenate([f.patch_ids for f in fields]),
-        np.concatenate([f.modalities for f in fields]))
-    return out.sorted_by_id()
+    ids = np.concatenate([f.point_ids for f in fields])
+    # np.unique sorts the ids and returns, per id, its first index
+    _, keep = np.unique(ids, return_index=True)
+    return DisplacementVectorField(ids[keep], *(
+        np.concatenate([getattr(f, col) for f in fields])[keep]
+        for col in ("positions", "vectors", "levels", "patch_ids", "modalities")))

@@ -10,7 +10,6 @@ points.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +29,7 @@ from .geometry import (
     local_covariance_features,
     mean_scan_resolution,
 )
+from .io import write_table
 
 M3C2_CORE_VOXEL_FACTOR = 2.0    # core point spacing, x mean scan resolution
 
@@ -270,25 +270,19 @@ def baseline_m3c2(source_points, target_points,
 
 def dump_report(path, report: EvaluationReport) -> None:
     """CSV with one row per observation plus a trailing summary block."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["obs_id", "est_x", "est_y", "est_z",
-                    "ref_x", "ref_y", "ref_z",
-                    "abs_ddx", "abs_ddy", "abs_ddz", "abs_dds", "n_members"])
-        for r in report.rows:
-            w.writerow([r.obs_id,
-                        *(f"{v:.6f}" for v in r.estimate),
-                        *(f"{v:.6f}" for v in r.reference),
-                        *(f"{v:.6f}" for v in r.deviations),
-                        r.n_members])
-        if report.rows:
-            w.writerow(["mean", "", "", "", "", "", "",
-                        *(f"{v:.6f}" for v in report.mean_deviations()), ""])
-            w.writerow(["mad", "", "", "", "", "", "",
-                        *(f"{v:.6f}" for v in report.mad_deviations()), ""])
-        if report.coverage is not None:
-            w.writerow(["coverage", f"{report.coverage:.6f}",
-                        "", "", "", "", "", "", "", "", "", ""])
+    rows = [[r.obs_id,
+             *(f"{v:.6f}" for v in (*r.estimate, *r.reference, *r.deviations)),
+             r.n_members] for r in report.rows]
+    if report.rows:
+        for name, dev in (("mean", report.mean_deviations()),
+                          ("mad", report.mad_deviations())):
+            rows.append([name, *[""] * 6, *(f"{v:.6f}" for v in dev), ""])
+    if report.coverage is not None:
+        rows.append(["coverage", f"{report.coverage:.6f}", *[""] * 10])
+    write_table(path, ["obs_id", "est_x", "est_y", "est_z",
+                       "ref_x", "ref_y", "ref_z",
+                       "abs_ddx", "abs_ddy", "abs_ddz", "abs_dds", "n_members"],
+                rows)
 
 
 def format_report(report: EvaluationReport) -> str:

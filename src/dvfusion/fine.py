@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .coarse import PatchMatch
-from .dvf import DisplacementVectorField
+from .dvf import DisplacementVectorField, merge_fields
 from .errors import DegenerateInput, DegenerateSupport
 from .geometry import RigidTransform, alignment_rmse, icp_point_to_point, kabsch
 
@@ -53,14 +53,16 @@ def estimate_patch_transform(match: PatchMatch, src_points, tgt_points,
     return t0
 
 
-def level_field(level: int, patches, fits, points) -> DisplacementVectorField:
-    """Displacement field of one level from its per-patch rigid fits.
+def level_field(level: int, patches, fits, points,
+                point_ids) -> DisplacementVectorField:
+    """Displacement field of one level of a tile from its per-patch rigid fits.
 
-    `patches` lists each patch's member indices by patch id (as
-    `HierarchicalPartition.patches` returns them); `fits` holds one
-    (patch id, transform, modality) per fitted patch. Every member p of a
-    fitted patch gets v = R p + T - p. Patches of one level are disjoint, so
-    ids never collide.
+    `patches` lists each patch's member indices into the tile's `points` by
+    patch id (as `HierarchicalPartition.patches` returns them); `fits` holds
+    one (patch id, transform, modality) per fitted patch. Every member p of a
+    fitted patch gets v = R p + T - p, keyed by its id in `point_ids`, the
+    tile's ascending ids into the whole cloud. Patches of one level are
+    disjoint, so ids never collide.
     """
     if not fits:
         return DisplacementVectorField.empty()
@@ -71,7 +73,7 @@ def level_field(level: int, patches, fits, points) -> DisplacementVectorField:
     # one apply per patch on its ascending members keeps each vector's bits
     moved = np.vstack([t.apply(pts[m]) for m, (_, t, _) in zip(members, fits)])
     return DisplacementVectorField(
-        ids,
+        np.asarray(point_ids)[ids],
         pts[ids],
         moved - pts[ids],
         np.full(len(ids), level, dtype=np.int64),
@@ -85,17 +87,4 @@ def integrate_levels(level1: DisplacementVectorField,
                      level3: DisplacementVectorField) -> DisplacementVectorField:
     """Collapse the hierarchy: per source point keep the level-1 estimate if
     present, else level-2, else level-3."""
-    fields = [f for f in (level1, level2, level3) if len(f)]
-    if not fields:
-        return DisplacementVectorField.empty()
-    ids = np.concatenate([f.point_ids for f in fields])
-    # first occurrence in priority order wins; np.unique returns, per id, the
-    # smallest index into the concatenation, and sorts ids as a side effect
-    _, keep = np.unique(ids, return_index=True)
-    return DisplacementVectorField(
-        ids[keep],
-        np.concatenate([f.positions for f in fields])[keep],
-        np.concatenate([f.vectors for f in fields])[keep],
-        np.concatenate([f.levels for f in fields])[keep],
-        np.concatenate([f.patch_ids for f in fields])[keep],
-        np.concatenate([f.modalities for f in fields])[keep])
+    return merge_fields((level1, level2, level3))

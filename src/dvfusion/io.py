@@ -374,8 +374,18 @@ def write_raster(path, raster: Raster) -> None:
 # CSV tables
 
 
+def write_table(path, header, rows) -> None:
+    """CSV of one `header` row and then `rows`, each a sequence of cells;
+    every table the package writes goes through here."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def _dict_reader(path, required):
-    """Open a CSV, verify the header covers `required`, yield (lineno, row)."""
+    """Open a CSV, verify the header covers `required`, yield (lineno, row)
+    with the line number of the row in the file; blank lines are skipped."""
     path = Path(path)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -385,9 +395,10 @@ def _dict_reader(path, required):
         for name in required:
             if name not in have:
                 raise SchemaError(name, f"missing column in {path}")
-        for lineno, row in enumerate(reader, start=2):
-            yield lineno, {k.strip(): (v.strip() if isinstance(v, str) else v)
-                           for k, v in row.items() if k is not None}
+        for row in reader:
+            yield reader.line_num, {
+                k.strip(): (v.strip() if isinstance(v, str) else v)
+                for k, v in row.items() if k is not None}
 
 
 def _row_float(row, key, path, lineno) -> float:
@@ -420,16 +431,11 @@ def load_cameras(path) -> list[CameraModel]:
 
 
 def write_cameras(path, cams) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CAMERA_FIELDS)
-        for c in cams:
-            r = c.pose.rotation
-            t = c.pose.translation
-            w.writerow([c.image_id, c.width, c.height,
-                        repr(c.fx), repr(c.fy), repr(c.cx), repr(c.cy),
-                        *[repr(float(v)) for v in r.ravel()],
-                        *[repr(float(v)) for v in t]])
+    write_table(path, CAMERA_FIELDS, (
+        [c.image_id, c.width, c.height,
+         repr(c.fx), repr(c.fy), repr(c.cx), repr(c.cy),
+         *[repr(float(v)) for v in c.pose.rotation.ravel()],
+         *[repr(float(v)) for v in c.pose.translation]] for c in cams))
 
 
 def load_external_observations(path) -> list[ExternalObservation]:
@@ -486,23 +492,19 @@ def load_point_features(path) -> PointFeatureSet:
 
 def write_point_features(path, feats: PointFeatureSet) -> None:
     dim = feats.descriptors.shape[1] if len(feats) else 0
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["point_index"] + [f"f{i + 1}" for i in range(dim)])
-        for idx, d in zip(feats.point_indices, feats.descriptors):
-            w.writerow([int(idx)] + [repr(float(v)) for v in d])
+    write_table(path, ["point_index"] + [f"f{i + 1}" for i in range(dim)],
+                ([int(idx)] + [repr(float(v)) for v in d]
+                 for idx, d in zip(feats.point_indices, feats.descriptors)))
 
 
 def write_dvf(path, dvf: DisplacementVectorField) -> None:
     """One row per estimated source point, columns as in `DVF_FIELDS`."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(DVF_FIELDS)
-        for i in range(len(dvf)):
-            w.writerow([int(dvf.point_ids[i]),
-                        *(COORD_FMT % v for v in dvf.positions[i]),
-                        *(COORD_FMT % v for v in dvf.vectors[i]),
-                        int(dvf.levels[i]), int(dvf.patch_ids[i]), str(dvf.modalities[i])])
+    write_table(path, DVF_FIELDS, (
+        [int(dvf.point_ids[i]),
+         *(COORD_FMT % v for v in dvf.positions[i]),
+         *(COORD_FMT % v for v in dvf.vectors[i]),
+         int(dvf.levels[i]), int(dvf.patch_ids[i]), str(dvf.modalities[i])]
+        for i in range(len(dvf))))
 
 
 def load_dvf(path) -> DisplacementVectorField:
@@ -523,8 +525,6 @@ def load_dvf(path) -> DisplacementVectorField:
 
 def write_report(path, report: dict) -> None:
     """Flat key,value CSV; values formatted with repr for lossless re-read."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["key", "value"])
-        for key, val in report.items():
-            w.writerow([key, repr(val) if isinstance(val, float) else val])
+    write_table(path, ["key", "value"],
+                ([key, repr(val) if isinstance(val, float) else val]
+                 for key, val in report.items()))

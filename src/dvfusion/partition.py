@@ -52,8 +52,8 @@ row-major form it replaces:
   from an einsum over C-contiguous rows, as einsum's bits depend on the
   layout of its operands.
 - Labels are renumbered by scattering first occurrences
-  (`_canonical_labels`) or from a mask of the labels present
-  (`_dense_labels`); no pass sorts the n labels.
+  (`_canonical_labels`), which `_components` applies to its output as
+  well; no pass sorts the n labels.
 
 Label convention: a level is one int array over the tile's points holding
 each point's patch id, or -1 where the point lies in no patch (its region
@@ -128,10 +128,11 @@ def build_adjacency_graph(points, k_adj: int) -> AdjacencyGraph:
 
 def partition_energy(features, edges, weights, labels, lam: float,
                      sizes=None) -> float:
-    """Direct evaluation of the partition energy for a labeling."""
+    """Direct evaluation of the partition energy for a labeling, one
+    integer region id per vertex (any ids: they are renumbered)."""
     f = np.atleast_2d(np.asarray(features, dtype=np.float64))
     labels = np.asarray(labels)
-    inv = _dense_labels(labels)
+    inv = _canonical_labels(labels - labels.min(initial=0))
     nreg = inv.max() + 1 if len(inv) else 0
     _, _, per_region = _region_stats(np.ascontiguousarray(f.T), inv, nreg, sizes)
     data = float(per_region.sum())
@@ -140,18 +141,6 @@ def partition_energy(features, edges, weights, labels, lam: float,
     else:
         cut = 0.0
     return data + lam * cut
-
-
-def _dense_labels(labels):
-    """Integer labels renumbered 0..K-1 in ascending order, the inverse
-    `np.unique` returns, from a mask of the labels present: no sort, and
-    a work array of `labels.max() - labels.min() + 1` entries."""
-    if len(labels) == 0:
-        return np.zeros(0, dtype=np.int64)
-    labels = labels - labels.min()
-    present = np.zeros(labels.max() + 1, dtype=bool)
-    present[labels] = True
-    return (np.cumsum(present) - 1)[labels]
 
 
 def _canonical_labels(labels: np.ndarray) -> np.ndarray:
@@ -240,12 +229,14 @@ def _extreme_seeds(proj, labels, nreg):
 
 
 def _components(n, sub_edges):
+    """Connected components of `n` vertices under `sub_edges`, labelled
+    0..K-1 in order of each component's lowest vertex."""
     if len(sub_edges) == 0:
         return np.arange(n)
     m = coo_matrix((np.ones(len(sub_edges)), (sub_edges[:, 0], sub_edges[:, 1])),
                    shape=(n, n))
     _, comp = connected_components(m, directed=False)
-    return comp
+    return _canonical_labels(comp)
 
 
 def _split_pass(f, edges, weights, labels, lam, sizes, inside):
@@ -271,7 +262,7 @@ def _split_pass(f, edges, weights, labels, lam, sizes, inside):
     pos[act] = np.arange(len(act))
     sub_edges = pos[sub_edges]
     comp, take = _split_regions(np.take(f, act, axis=0), sub_edges, weights[inside],
-                                _dense_labels(labels[act]), lam, sizes[act])
+                                _canonical_labels(labels[act]), lam, sizes[act])
     if not take.any():
         return labels, inside[:0], False
     out = labels.copy()
@@ -341,24 +332,19 @@ def _split_regions(f, edges, weights, labels, lam, sizes, sweeps=_ICM_SWEEPS):
         return (np.where(ok[0::2], sm[:, 0::2], c0),
                 np.where(ok[1::2], sm[:, 1::2], c1))
 
-    for _ in range(_KMEANS_ITERS):
-        new_side = assign(with_cut=False)
-        if np.array_equal(new_side, side):
-            break
-        side = new_side
-        c0, c1 = update_centers()
-    for _ in range(sweeps):
-        new_side = assign(with_cut=True)
-        if np.array_equal(new_side, side):
-            break
-        side = new_side
-        c0, c1 = update_centers()
+    # plain 2-means iterations, then the regularized boundary sweeps
+    for with_cut, rounds in ((False, _KMEANS_ITERS), (True, sweeps)):
+        for _ in range(rounds):
+            new_side = assign(with_cut)
+            if np.array_equal(new_side, side):
+                break
+            side = new_side
+            c0, c1 = update_centers()
 
     # Split regions into connected components per side.
     key = labels * 2 + side
     same = key[e0] == key[e1]
-    comp = _canonical_labels(
-        _components(n, np.take(edges, np.flatnonzero(same), axis=0)))
+    comp = _components(n, np.take(edges, np.flatnonzero(same), axis=0))
     ncomp = comp.max() + 1
 
     _, _, comp_data = _region_stats(ft, comp, ncomp, sizes)
@@ -390,6 +376,16 @@ def _unchanged(old, new):
     return keep[new]
 
 
+def _pair_weights(la, lb, w, nreg):
+    """The distinct region pairs (pa < pb, ascending) of edges running from
+    region `la` to region `lb` (never equal), and each pair's summed edge
+    weight `w`, added in edge order."""
+    key = np.minimum(la, lb) * np.int64(nreg) + np.maximum(la, lb)
+    uniq, inv = np.unique(key, return_inverse=True)
+    return uniq // nreg, uniq % nreg, np.bincount(inv, weights=w,
+                                                  minlength=len(uniq))
+
+
 def _merge_pass(f, edges, weights, labels, lam, sizes):
     """Merge adjacent region pairs whenever it strictly lowers the energy.
 
@@ -417,11 +413,7 @@ def _merge_pass(f, edges, weights, labels, lam, sizes):
     labels = labels.copy()
     changed_any = False
     while len(near):
-        na, nb = la[near], lb[near]
-        key = np.minimum(na, nb) * np.int64(nreg) + np.maximum(na, nb)
-        uniq, inv = np.unique(key, return_inverse=True)
-        wsum = np.bincount(inv, weights=weights[cross[near]], minlength=len(uniq))
-        pa, pb = uniq // nreg, uniq % nreg
+        pa, pb, wsum = _pair_weights(la[near], lb[near], weights[cross[near]], nreg)
         ca, cb = counts[pa], counts[pb]
         sa, sb = np.take(sums, pa, axis=1), np.take(sums, pb, axis=1)
         data_merged = (data[pa] + data[pb]
@@ -648,7 +640,7 @@ def _boundary_polish(f, edges, weights, labels, lam, sizes, nbrs):
     if changed_any:
         # a move can disconnect a region; restore the components-are-regions rule
         same = lab[edges[:, 0]] == lab[edges[:, 1]]
-        lab = _canonical_labels(_components(n, edges[same]))
+        lab = _components(n, edges[same])
     return lab, changed_any
 
 
@@ -686,7 +678,7 @@ def _best_union(f, edges, weights, labels, lam, sizes):
         energy = energy + lam * (cut * sup_w).sum(axis=1)
     coarse = parts[int(np.argmin(energy))][labels]
     same = coarse[edges[:, 0]] == coarse[edges[:, 1]]
-    return _canonical_labels(_components(len(f), edges[same]))
+    return _components(len(f), edges[same])
 
 
 def _finish_few_regions(f, edges, weights, labels, lam, sizes):
@@ -763,7 +755,7 @@ def cut_pursuit(features, edges, weights, lam: float, sizes=None) -> np.ndarray:
         raise InvalidParams(f"regularization strength must be >= 0, got {lam}")
     if not (np.isfinite(f).all() and np.isfinite(sizes).all()):
         raise InvalidParams("features and sizes must be finite")
-    components = _canonical_labels(_components(n, edges))
+    components = _components(n, edges)
     labels = components
     nbrs = (_Neighbours.of(n, edges, weights)
             if len(edges) and n <= _POLISH_LIMIT else None)
@@ -888,15 +880,8 @@ def _contract_graph(f, edges, weights, labels, sizes=None):
     means = np.ascontiguousarray((sums / counts).T)
     la, lb = labels[edges[:, 0]], labels[edges[:, 1]]
     cross = la != lb
-    if not cross.any():
-        return means, counts, np.empty((0, 2), np.int64), np.empty(0)
-    a = np.minimum(la[cross], lb[cross])
-    b = np.maximum(la[cross], lb[cross])
-    key = a * np.int64(nreg) + b
-    uniq, inv = np.unique(key, return_inverse=True)
-    w = np.bincount(inv, weights=weights[cross], minlength=len(uniq))
-    sup_edges = np.column_stack([uniq // nreg, uniq % nreg]).astype(np.int64)
-    return means, counts, sup_edges, w
+    pa, pb, w = _pair_weights(la[cross], lb[cross], weights[cross], nreg)
+    return means, counts, np.column_stack([pa, pb]), w
 
 
 def hierarchical_partition(points, feats, lambda_factors, min_patch: int,
@@ -922,18 +907,17 @@ def hierarchical_partition(points, feats, lambda_factors, min_patch: int,
     if not lam1 < lam2 < lam3:
         raise InvalidParams(f"regularization strengths must increase, got {lambdas}")
 
-    raw1 = cut_pursuit(f, graph.edges, graph.weights, lam1)
-    means, counts, sup_edges, sup_w = _contract_graph(
-        f, graph.edges, graph.weights, raw1)
-    sup2 = cut_pursuit(means, sup_edges, sup_w, lam2, sizes=counts)
-    raw2 = sup2[raw1]
-    means2, counts2, sup_edges2, sup_w2 = _contract_graph(
-        means, sup_edges, sup_w, sup2, sizes=counts)
-    sup3 = cut_pursuit(means2, sup_edges2, sup_w2, lam3, sizes=counts2)
-    raw3 = sup3[raw2]
-
+    # each level solves on the previous level's contracted graph; `raw`
+    # maps every point to its region of the level just solved
+    edges, weights, sizes = graph.edges, graph.weights, None
+    raw = np.arange(len(f))
     level_labels = []
-    for raw in (raw1, raw2, raw3):
+    for level, lam in enumerate(lambdas):
+        if level:
+            f, sizes, edges, weights = _contract_graph(f, edges, weights, sup,
+                                                       sizes=sizes)
+        sup = cut_pursuit(f, edges, weights, lam, sizes=sizes)
+        raw = sup[raw]
         filtered = filter_small_patches(raw, min_patch=min_patch)
         keep = filtered >= 0
         full = np.full(len(filtered), -1, dtype=np.int64)

@@ -1,11 +1,14 @@
 """End-to-end orchestration: tiling -> partitioning -> coarse matching ->
 refinement -> fine matching -> level integration.
 
-Tiles are processed independently (optionally by a thread pool) and their
-per-level fields merged deterministically by point id; source tiles
-partition the cloud, so per-tile fields never collide, and the levels are
-integrated once, after the tiles. The only thing tiles share is the
-whole-image pixel matches, computed once per selected image pair and run.
+Tiles are processed independently (optionally by a thread pool), and the
+outcomes come back in tile order either way. Each tile's level fields are
+keyed by point ids of the whole cloud (`level_field` is given the tile's
+ascending source ids). `merge_fields` joins each level's fields by point id;
+source tiles partition the cloud, so per-tile fields never collide. The
+levels are integrated once, after the tiles, by the same merge. The only
+thing tiles share is the whole-image pixel matches, computed once per
+selected image pair and run.
 
 Threads: with `n_workers` >= 2 and two tiles or more, a pool of
 `n_workers` threads takes whole tiles, and each tile runs its two epochs
@@ -37,7 +40,7 @@ from .coarse import (
     merge_match_sets,
 )
 from .config import PipelineConfig
-from .dvf import DisplacementVectorField, concat_fields
+from .dvf import DisplacementVectorField, merge_fields
 from .errors import (
     ConfigError,
     DegenerateInput,
@@ -69,7 +72,6 @@ LEVELS = (1, 2, 3)
 class TileOutcome:
     """Everything one tile pair contributed, with point ids already global."""
 
-    pair_id: int
     level_fields: tuple                 # per-level fields, global ids
     reports: list                       # quality reports, all levels
     timings: dict
@@ -106,15 +108,6 @@ def _fail(stage: str, pair_id: int, exc: Exception,
           epoch: str | None = None) -> PipelineError:
     where = f", {epoch} epoch" if epoch else ""
     return PipelineError(f"stage '{stage}', tile {pair_id}{where}: {exc}")
-
-
-def _remap_to_global(f: DisplacementVectorField,
-                     global_ids: np.ndarray) -> DisplacementVectorField:
-    if len(f) == 0:
-        return f
-    return DisplacementVectorField(global_ids[f.point_ids], f.positions,
-                                   f.vectors, f.levels, f.patch_ids,
-                                   f.modalities).sorted_by_id()
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +227,7 @@ def _process_tile(pair, source_points, target_points, cfg: PipelineConfig,
     pid = pair.pair_id
     src_ids, tgt_ids = pair.source.point_indices, pair.target.point_indices
     if len(tgt_ids) == 0:
-        return TileOutcome(pid, (DisplacementVectorField.empty(),) * len(LEVELS),
+        return TileOutcome((DisplacementVectorField.empty(),) * len(LEVELS),
                            [], timings)
     sub_src, sub_tgt = source_points[src_ids], target_points[tgt_ids]
 
@@ -293,13 +286,12 @@ def _process_tile(pair, source_points, target_points, cfg: PipelineConfig,
                 except DegenerateSupport:
                     continue        # unusable support; the patch stays uncovered
                 fits.append((m.source_patch_id, t, m.modality))
-            level_fields.append(_remap_to_global(
-                level_field(ms.level, part_src.patches(ms.level), fits, sub_src),
-                src_ids))
+            level_fields.append(level_field(
+                ms.level, part_src.patches(ms.level), fits, sub_src, src_ids))
     except DvfError as exc:
         raise _fail("fine", pid, exc) from exc
     _tick(timings, "fine", t0)
-    return TileOutcome(pid, tuple(level_fields), reports, timings)
+    return TileOutcome(tuple(level_fields), reports, timings)
 
 
 # ---------------------------------------------------------------------------
@@ -391,14 +383,13 @@ def run_pipeline(source_points, target_points, cfg: PipelineConfig,
         if matcher is not None:
             # after an error the pairs not yet started are never matched
             matcher.shutdown(cancel_futures=True)
-    outcomes.sort(key=lambda o: o.pair_id)
     for o in outcomes:
         for stage, sec in o.timings.items():
             timings[stage] = timings.get(stage, 0.0) + sec
 
     t0 = time.perf_counter()
     level_fields = tuple(
-        concat_fields([o.level_fields[i] for o in outcomes])
+        merge_fields([o.level_fields[i] for o in outcomes])
         for i in range(len(LEVELS)))
     merged = integrate_levels(*level_fields)
     reports = [r for o in outcomes for r in o.reports]

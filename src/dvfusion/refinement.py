@@ -11,7 +11,6 @@ so scoring looks its coordinates up in the tile's points.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +18,7 @@ from scipy.spatial.distance import pdist
 
 from .coarse import MatchSet, PatchMatch
 from .errors import DegenerateInput
+from .io import write_table
 
 # Support caps: scoring is O(N^2) in the support size, so very dense supports
 # are subsampled (fixed seed keeps every evaluation reproducible).
@@ -85,11 +85,8 @@ def refine(matches: MatchSet, src_points, tgt_points, delta1: float,
 
 def dump_quality_reports(path, reports) -> None:
     """CSV: level, source_patch, target_patch, madd, pass_fraction, accepted."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["level", "source_patch", "target_patch",
-                    "madd", "pass_fraction", "accepted"])
-        for r in reports:
-            w.writerow([r.level, r.source_patch_id, r.target_patch_id,
-                        f"{r.madd:.6f}", f"{r.pass_fraction:.6f}",
-                        int(r.accepted)])
+    write_table(path, ["level", "source_patch", "target_patch",
+                       "madd", "pass_fraction", "accepted"],
+                ([r.level, r.source_patch_id, r.target_patch_id,
+                  f"{r.madd:.6f}", f"{r.pass_fraction:.6f}", int(r.accepted)]
+                 for r in reports))

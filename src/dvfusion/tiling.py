@@ -8,12 +8,12 @@ an overlap margin ring so displaced counterparts stay inside the pair.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateInput, InvalidParams
+from .io import write_table
 
 MIN_MAX_POINTS = 1000
 
@@ -133,12 +133,8 @@ def tile_pair(source_points, target_points, max_points: int,
 
 def dump_tile_map(path, pairs: list[TilePair]) -> None:
     """Debug CSV: one row per pair with bounds and point counts."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["pair_id", "axis", "u0", "v0", "u1", "v1", "n_source", "n_target"])
-        for p in pairs:
-            b = p.source.bounds2d
-            w.writerow([p.pair_id, p.source.projection_axis,
-                        "%.6f" % b[0, 0], "%.6f" % b[0, 1],
-                        "%.6f" % b[1, 0], "%.6f" % b[1, 1],
-                        len(p.source), len(p.target)])
+    write_table(path, ["pair_id", "axis", "u0", "v0", "u1", "v1", "n_source",
+                       "n_target"],
+                ([p.pair_id, p.source.projection_axis,
+                  *("%.6f" % v for v in p.source.bounds2d.ravel()),
+                  len(p.source), len(p.target)] for p in pairs))

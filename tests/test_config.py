@@ -181,6 +181,27 @@ def test_madd_threshold_ranges():
             replace(PipelineConfig(), **{key: value}).validate()
 
 
+INTEGER_FLOORS = (("k_adj", 3), ("ncc_stride", 1), ("ncc_template_radius", 1),
+                  ("ncc_search_window", 0))
+
+
+@pytest.mark.parametrize("key, low", INTEGER_FLOORS)
+def test_integer_settings_below_their_floor_fail_by_name(key, low):
+    replace(PipelineConfig(), **{key: low}).validate()
+    with pytest.raises(ConfigError, match=f"{key} must be >= {low}"):
+        replace(PipelineConfig(), **{key: low - 1}).validate()
+
+
+@pytest.mark.parametrize("key, low", INTEGER_FLOORS)
+def test_cli_run_with_a_setting_below_its_floor_exits_2(capsys, key, low):
+    from dvfusion.cli import main
+
+    # the config is checked before any input is read
+    assert main(["run", "--source", "a.xyz", "--target", "b.xyz",
+                 "--set", f"{key}={low - 1}"]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_feature_files_go_together():
     PipelineConfig(source_features_path="a.csv",
                    target_features_path="b.csv").validate()

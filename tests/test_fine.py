@@ -9,7 +9,8 @@ from scipy.spatial.transform import Rotation
 
 from dvfusion.coarse import PatchMatch
 from dvfusion.config import PipelineConfig
-from dvfusion.dvf import MODALITY_2D, MODALITY_3D, DisplacementVectorField
+from dvfusion.dvf import (MODALITY_2D, MODALITY_3D, DisplacementVectorField,
+                          merge_fields)
 from dvfusion.errors import DegenerateSupport
 from dvfusion.fine import estimate_patch_transform, integrate_levels, level_field
 from dvfusion.geometry import RigidTransform
@@ -94,7 +95,8 @@ def test_icp_never_worse_than_closed_form():
 def one_patch_field(ids, t, pts, modality=MODALITY_3D, level=1, pid=0):
     """Field of a level whose only fitted patch `pid` has members `ids`."""
     patches = [np.zeros(0, dtype=np.int64)] * pid + [np.asarray(ids)]
-    return level_field(level, patches, [(pid, t, modality)], pts)
+    return level_field(level, patches, [(pid, t, modality)], pts,
+                       np.arange(len(pts)))
 
 
 def test_identity_transform_zero_vectors():
@@ -141,8 +143,30 @@ def test_vectors_recomputable_from_transform():
     assert f.patch_ids.tolist() == [3] * 20
 
 
+def test_level_field_keys_vectors_by_the_given_point_ids():
+    """A tile's members are looked up in its own points and keyed by its
+    ascending ids into the whole cloud."""
+    rng = np.random.default_rng(9)
+    pts = rng.uniform(0, 10, (12, 3))
+    point_ids = np.array([3, 4, 8, 15, 16, 23, 42, 50, 51, 60, 77, 99])
+    labels = np.array([1, 0, 1, 0, 2, 1, 1, 0, 2, 2, 0, 1])
+    patches = [np.flatnonzero(labels == k) for k in range(3)]
+    t = random_rigid(rng)
+    f = level_field(2, patches, [(1, t, MODALITY_2D),
+                                 (0, RigidTransform.identity(), MODALITY_3D)],
+                    pts, point_ids)
+    local = np.flatnonzero(labels < 2)
+    assert np.array_equal(f.point_ids, point_ids[local])
+    assert np.array_equal(f.positions, pts[local])
+    assert np.array_equal(f.patch_ids, labels[local])
+    in1 = labels[local] == 1
+    assert np.array_equal(f.vectors[in1], t.apply(pts[local][in1]) - pts[local][in1])
+    assert np.all(f.vectors[~in1] == 0.0)
+
+
 def test_level_field_without_fits_is_empty():
-    assert len(level_field(1, [np.arange(5)], [], np.zeros((5, 3)))) == 0
+    assert len(level_field(1, [np.arange(5)], [], np.zeros((5, 3)),
+                           np.arange(5))) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +179,41 @@ def field_of(ids, level, value):
     return DisplacementVectorField(
         ids, np.zeros((n, 3)), np.full((n, 3), float(value)),
         np.full(n, level), np.zeros(n), np.full(n, MODALITY_3D, dtype="U2"))
+
+
+def columns(f):
+    return (f.point_ids, f.positions, f.vectors, f.levels, f.patch_ids,
+            f.modalities)
+
+
+def test_merge_of_disjoint_fields_is_the_sorted_concatenation():
+    rng = np.random.default_rng(10)
+    ids = rng.permutation(40)
+    fields = [DisplacementVectorField(
+        ids[lo:hi], rng.normal(size=(hi - lo, 3)), rng.normal(size=(hi - lo, 3)),
+        np.full(hi - lo, lvl), rng.integers(0, 5, hi - lo),
+        np.full(hi - lo, mod, dtype="U2"))
+        for lo, hi, lvl, mod in ((0, 9, 1, MODALITY_3D), (9, 9, 2, MODALITY_2D),
+                                 (9, 25, 2, MODALITY_2D), (25, 40, 3, MODALITY_3D))]
+    got = merge_fields(fields)
+    cat = DisplacementVectorField(*(np.concatenate(cols)
+                                    for cols in zip(*map(columns, fields))))
+    want = cat.sorted_by_id()
+    for a, b in zip(columns(got), columns(want)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_merge_of_overlapping_fields_keeps_the_first_field():
+    out = merge_fields([field_of([5, 2], 3, 3.0), field_of([2, 9], 1, 1.0),
+                        field_of([9, 5, 0], 2, 2.0)])
+    assert out.point_ids.tolist() == [0, 2, 5, 9]
+    assert out.levels.tolist() == [2, 3, 3, 1]
+    assert out.vectors[:, 0].tolist() == [2.0, 3.0, 3.0, 1.0]
+
+
+def test_merge_of_no_estimate_is_empty():
+    assert len(merge_fields([])) == 0
+    assert len(merge_fields([field_of([], 1, 0.0)])) == 0
 
 
 def test_point_only_in_level3_survives():
@@ -207,7 +266,7 @@ def test_assemble_level_field_roundtrip():
     labels[30:] = 2
     patches = [np.flatnonzero(labels == k) for k in range(3)]
     f = level_field(1, patches, [(1, RigidTransform.identity(), MODALITY_2D),
-                                 (0, t, MODALITY_3D)], pts)
+                                 (0, t, MODALITY_3D)], pts, np.arange(40))
     assert len(f) == 30
     assert np.array_equal(f.point_ids, np.arange(30))
     assert np.array_equal(f.patch_ids, labels[:30])

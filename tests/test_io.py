@@ -240,6 +240,17 @@ def test_camera_pose_round_trip(tmp_path):
     assert np.abs(back.pose.translation - cam.pose.translation).max() < 1e-9
 
 
+def test_camera_bad_value_after_a_blank_line_reports_its_line(tmp_path):
+    p = tmp_path / "cams.csv"
+    write_cameras(p, [make_camera("a"), make_camera("b")])
+    lines = p.read_text().splitlines()
+    p.write_text("\n".join([lines[0], lines[1], "", lines[2].replace(",510.0,", ",oops,")])
+                 + "\n")
+    with pytest.raises(ParseError, match="cams.csv:4:") as err:
+        load_cameras(p)
+    assert err.value.line == 4
+
+
 def test_camera_bad_rotation_matrix(tmp_path):
     p = tmp_path / "cams.csv"
     header = "image_id,width,height,fx,fy,cx,cy,r11,r12,r13,r21,r22,r23,r31,r32,r33,t1,t2,t3"
@@ -259,6 +270,14 @@ def test_single_observation(tmp_path):
     assert len(obs) == 1
     assert obs[0].id == "T1"
     assert np.allclose(obs[0].displacement, [0.5, -0.5, 0.0])
+
+
+def test_observation_bad_value_after_a_blank_line_reports_its_line(tmp_path):
+    p = tmp_path / "obs.csv"
+    p.write_text("id,x,y,z,dx,dy,dz\na,0,0,0,1,0,0\n\nb,0,0,0,oops,0,0\n")
+    with pytest.raises(ParseError, match="obs.csv:4:") as err:
+        load_external_observations(p)
+    assert err.value.line == 4
 
 
 def test_observation_rejects_nonfinite(tmp_path):
@@ -361,6 +380,15 @@ def test_dvf_round_trip_bitwise(tmp_path):
     assert np.array_equal(back.point_ids, dvf.point_ids)
     assert np.array_equal(back.levels, dvf.levels)
     assert np.array_equal(back.modalities, dvf.modalities)
+
+
+def test_dvf_bad_value_after_blank_lines_reports_its_line(tmp_path):
+    p = tmp_path / "dvf.csv"
+    p.write_text("point_id,x,y,z,dx,dy,dz,level,patch_id,modality\n"
+                 "0,0,0,0,1,0,0,1,0,3D\n\n\n1,0,0,0,oops,0,0,1,0,3D\n")
+    with pytest.raises(ParseError, match="dvf.csv:5:") as err:
+        load_dvf(p)
+    assert err.value.line == 5
 
 
 def test_dvf_rejects_duplicate_ids():

@@ -197,7 +197,7 @@ def test_best_union_is_the_lowest_union(seed):
     f = rng.normal(0, 1, (60, 2))
     cells = np.digitize(pts[:, 0], [10.0, 20.0]) * 2 + (pts[:, 1] > 15.0)
     keep = cells[e[:, 0]] == cells[e[:, 1]]
-    pieces = partition._canonical_labels(partition._components(60, e[keep]))
+    pieces = partition._components(60, e[keep])
     k = pieces.max() + 1
     assert k <= partition._EXACT_REGIONS
     got = partition._best_union(f, e, w, pieces, 0.6, np.ones(60))
@@ -405,9 +405,9 @@ def test_partition_energy_matches_oracle():
     pts = rng.uniform(0, 10, (n, 3))
     g = build_adjacency_graph(pts, k_adj=3)
     f = rng.normal(0, 1, (n, 2))
-    labels = rng.integers(0, 4, n)
-    assert abs(partition_energy(f, g.edges, g.weights, labels, 0.7)
-               - oracle_energy(f, g.edges, g.weights, labels, 0.7)) < 1e-9
+    for labels in (rng.integers(0, 4, n), rng.integers(-1, 3, n)):
+        assert abs(partition_energy(f, g.edges, g.weights, labels, 0.7)
+                   - oracle_energy(f, g.edges, g.weights, labels, 0.7)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -951,12 +951,15 @@ def test_canonical_labels_match_the_unique_definition(labels):
     assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("labels", [
-    [], [-4], [9, -3, 9, 0, 120, -3], list(range(50, 0, -7))])
-def test_dense_labels_are_the_unique_inverse(labels):
-    labels = np.asarray(labels, dtype=np.int64)
-    got = partition._dense_labels(labels)
-    assert np.array_equal(got, np.unique(labels, return_inverse=True)[1])
+@pytest.mark.parametrize("n, edges, want", [
+    (5, [], [0, 1, 2, 3, 4]),
+    # isolated vertices 0 and 3, edges listed high-to-low
+    (7, [[6, 5], [4, 2], [5, 1]], [0, 1, 2, 3, 2, 1, 1]),
+    (6, [[5, 4], [4, 3], [2, 1]], [0, 1, 1, 2, 2, 2]),
+])
+def test_components_are_numbered_by_lowest_vertex(n, edges, want):
+    got = partition._components(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+    assert got.dtype == np.int64 and got.tolist() == want
 
 
 def count_calls(monkeypatch, name):
@@ -1018,8 +1021,7 @@ def test_polish_with_many_moves_same_labels_as_reference(monkeypatch, hub_degree
     sizes = rng.integers(1, 30, len(pts)).astype(float)
     centres = pts[rng.choice(len(pts), 10, replace=False)]
     cells = np.linalg.norm(pts[:, None] - centres[None], axis=2).argmin(axis=1)
-    start = partition._canonical_labels(
-        partition._components(len(pts), e[cells[e[:, 0]] == cells[e[:, 1]]]))
+    start = partition._components(len(pts), e[cells[e[:, 0]] == cells[e[:, 1]]])
     nbrs = partition._Neighbours.of(len(pts), e, w)
     for lam in (0.1, 0.6):
         got, changed = partition._boundary_polish(f, e, w, start, lam, sizes, nbrs)

@@ -179,5 +179,6 @@ def test_level_path_is_bit_identical_to_per_patch_reference(tile_pair, level):
         except DegenerateSupport:
             continue
     assert fits
-    got = level_field(level, part_src.patches(level), fits, src)
+    got = level_field(level, part_src.patches(level), fits, src,
+                      np.arange(len(src)))
     assert fields_equal(got, reference_level_field(level, ref_s, fits, src))
