@@ -28,6 +28,7 @@ from .evaluation import (
     format_report,
     spatial_coverage,
 )
+from .geometry import mean_scan_resolution
 from .io import (
     load_cameras,
     load_dvf,
@@ -157,7 +158,11 @@ def _cmd_eval(args) -> int:
         report = compare_mean_radius(dvf, observations, radius=args.radius)
     if args.source:
         cloud = load_point_cloud(args.source)
-        report.coverage = spatial_coverage(dvf, cloud.points, args.voxel)
+        voxel = args.voxel
+        if voxel is None:   # the voxel `run` measures its coverage with
+            voxel = (PipelineConfig().coverage_voxel_factor
+                     * mean_scan_resolution(cloud.points))
+        report.coverage = spatial_coverage(dvf, cloud.points, voxel)
     if args.out:
         dump_report(args.out, report)
     print(format_report(report))
@@ -271,8 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-dist", type=float, default=float("inf"),
                    help="reject NN estimates farther than this (m)")
     p.add_argument("--source", help="source cloud, enables coverage")
-    p.add_argument("--voxel", type=float, default=1.0,
-                   help="coverage voxel size (m)")
+    p.add_argument("--voxel", type=float,
+                   help="coverage voxel size (m); default: "
+                        "coverage_voxel_factor x the source's mean scan "
+                        "resolution, as `run` uses")
     p.add_argument("--out", help="write the comparison table here")
     p.set_defaults(func=_cmd_eval)
 

@@ -75,7 +75,10 @@ class CorrTable:
                          self.confidence[sel])
 
 
-_MUTUAL_NN_BLOCK = 2 ** 22  # similarity-matrix entries held at once
+# Similarity-matrix entries held at once: 8 MiB of float64 scores. The 20
+# unmasked calls above 2^20 entries on the benchmark scenes give the same
+# pairs for blocks of 2^16, 2^20 and 2^22 entries.
+_MUTUAL_NN_BLOCK = 2 ** 20
 
 
 def _blocked_argmax(a: np.ndarray, b: np.ndarray) -> np.ndarray:

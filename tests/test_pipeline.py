@@ -412,6 +412,32 @@ def test_cli_synth_run_export_eval(tmp_path):
                  "--out", str(tmp_path / "eval.csv")]) == 0
 
 
+def test_cli_eval_coverage_matches_the_run(tmp_path):
+    scene_dir, run_dir = tmp_path / "scene", tmp_path / "run"
+    assert main(["synth", "--out", str(scene_dir), "--points", "600",
+                 "--extent", "30", "--no-texture", "--seed", "0"]) == 0
+    source = str(scene_dir / "source.xyz")
+    assert main(["run", "--source", source,
+                 "--target", str(scene_dir / "target.xyz"),
+                 "--output-dir", str(run_dir)]) == 0
+    with open(run_dir / "run_summary.csv", newline="") as fh:
+        summary = dict(csv.reader(fh))
+    obs = tmp_path / "obs.csv"
+    obs.write_text("id,x,y,z,dx,dy,dz\nT1,10,10,0,0.5,0,0\n")
+
+    def eval_coverage(*voxel):
+        out = tmp_path / "eval.csv"
+        assert main(["eval", "--dvf", str(run_dir / "dvf.csv"),
+                     "--observations", str(obs), "--source", source,
+                     *voxel, "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            return next(row[1] for row in csv.reader(fh) if row[0] == "coverage")
+
+    # 0.978378 here; a fixed 1 m voxel reads 0.961340
+    assert eval_coverage() == f"{float(summary['coverage']):.6f}"
+    assert eval_coverage("--voxel", "1.0") == "0.961340"
+
+
 def cloud_text(points, fmt, rng):
     """`points` as plain XYZ, as a PLY whose vertices also carry 16-bit
     colour and an intensity, or as XYZRGB with a colour value beyond 8 bits."""
