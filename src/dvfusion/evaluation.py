@@ -25,6 +25,7 @@ from .errors import (
 from .features import adaptive_downsample
 from .geometry import (
     as_points,
+    grid_cells,
     icp_point_to_point,
     local_covariance_features,
     mean_scan_resolution,
@@ -74,23 +75,18 @@ def _deviations(estimate: np.ndarray, reference: np.ndarray) -> np.ndarray:
 
 def spatial_coverage(dvf: DisplacementVectorField, source_points,
                      voxel: float) -> float:
-    """Fraction of occupied source voxels that hold at least one estimate."""
+    """Fraction of occupied source voxels that hold at least one estimate.
+    Voxels are the `geometry.grid_cells` of edge `voxel` from the source's
+    minimum, as in `adaptive_downsample` and `baseline_piecewise_icp`."""
     if voxel <= 0:
         raise InvalidParams(f"voxel size must be positive, got {voxel}")
     src = as_points(source_points)
-    origin = src.min(axis=0)
     if len(dvf) == 0:
         return 0.0
-    cells = np.floor((np.concatenate([src, dvf.positions]) - origin)
-                     / voxel).astype(np.int64)
-    order = np.lexsort(cells.T)
-    cells = cells[order]
-    # sorted, a voxel's rows lie together: number the distinct voxels
-    voxel_id = np.cumsum(np.r_[True, (cells[1:] != cells[:-1]).any(axis=1)]) - 1
-    n_voxels = voxel_id[-1] + 1
-    from_src = order < len(src)
-    occupied = np.bincount(voxel_id[from_src], minlength=n_voxels) > 0
-    estimated = np.bincount(voxel_id[~from_src], minlength=n_voxels) > 0
+    cell, k = grid_cells(np.concatenate([src, dvf.positions]), voxel,
+                         src.min(axis=0))
+    occupied = np.bincount(cell[:len(src)], minlength=k) > 0
+    estimated = np.bincount(cell[len(src):], minlength=k) > 0
     return int((occupied & estimated).sum()) / int(occupied.sum())
 
 
@@ -161,28 +157,26 @@ def compare_mean_radius(dvf: DisplacementVectorField, observations,
 def baseline_piecewise_icp(source_points, target_points, tile_size: float,
                            max_pair_dist: float | None = None) -> DisplacementVectorField:
     """Uniform-grid tile ICP: one rigid fit per 2D tile, applied to every
-    source point of the tile. Tiles whose fit fails contribute nothing."""
+    source point of the tile. Tiles whose fit fails contribute nothing.
+    Tiles are the `geometry.grid_cells` of both clouds' xy from their joint
+    minimum, as in `adaptive_downsample` and `spatial_coverage`; a tile's
+    number (its patch id) is its rank in grid order among the source's."""
     if tile_size <= 0:
         raise InvalidParams(f"tile size must be positive, got {tile_size}")
     src = as_points(source_points)
     tgt = as_points(target_points)
-    origin = np.minimum(src[:, :2].min(axis=0), tgt[:, :2].min(axis=0))
-    s_key = np.floor((src[:, :2] - origin) / tile_size).astype(np.int64)
-    t_key = np.floor((tgt[:, :2] - origin) / tile_size).astype(np.int64)
+    xy = np.concatenate([src[:, :2], tgt[:, :2]])
+    cell, k = grid_cells(xy, tile_size, xy.min(axis=0))
 
-    def group(keys):
-        out: dict = {}
-        for i, k in enumerate(map(tuple, keys)):
-            out.setdefault(k, []).append(i)
-        return {k: np.asarray(v, dtype=np.int64) for k, v in out.items()}
+    def members(cells):     # each tile's ascending rows of `cells`
+        order = np.argsort(cells, kind="stable")
+        return np.split(order, np.cumsum(np.bincount(cells, minlength=k))[:-1])
 
-    s_tiles = group(s_key)
-    t_tiles = group(t_key)
+    s_tiles, t_tiles = members(cell[:len(src)]), members(cell[len(src):])
     ids, vecs, patch = [], [], []
-    for tile_no, key in enumerate(sorted(s_tiles)):
-        s_idx = s_tiles[key]
-        t_idx = t_tiles.get(key)
-        if t_idx is None:
+    source_tiles = ((s, t) for s, t in zip(s_tiles, t_tiles) if len(s))
+    for tile_no, (s_idx, t_idx) in enumerate(source_tiles):
+        if len(t_idx) == 0:
             continue
         try:
             result = icp_point_to_point(src[s_idx], tgt[t_idx],

@@ -37,7 +37,7 @@ from scipy.spatial import cKDTree
 
 from .errors import ImportKeyMismatch, InvalidParams
 from .geometry import (LocalGeomFeatures, as_points, bincount_rows,
-                       mean_scan_resolution)
+                       grid_cells, mean_scan_resolution)
 from .io import PointFeatureSet
 
 RADIUS_FACTOR = 5.0     # descriptor radius = factor x mean scan resolution
@@ -52,9 +52,10 @@ def adaptive_downsample(points, voxel_factor: float,
 
     The voxel edge is `voxel_factor` x the mean scan resolution (measured
     on `points` unless given), so sparse clouds keep proportionally as many
-    points as dense ones. Returns indices of one representative per
-    occupied voxel: the point closest to the voxel centroid (ties toward
-    the lower index).
+    points as dense ones. Voxels are the `geometry.grid_cells` from the
+    cloud's minimum, as in `spatial_coverage` and `baseline_piecewise_icp`.
+    Returns the ascending indices of one representative per voxel: the
+    point closest to the voxel centroid (ties toward the lower index).
     """
     pts = as_points(points)
     n = len(pts)
@@ -67,22 +68,13 @@ def adaptive_downsample(points, voxel_factor: float,
     edge = voxel_factor * resolution
     if edge <= 0:
         return np.arange(n, dtype=np.int64)
-    cell = np.floor((pts - pts.min(axis=0)) / edge).astype(np.int64)
-    dims = cell.max(axis=0) + 1
-    key = (cell[:, 0] * dims[1] + cell[:, 1]) * dims[2] + cell[:, 2]
-
-    order = np.argsort(key, kind="stable")
-    key_sorted = key[order]
-    starts = np.flatnonzero(np.r_[True, key_sorted[1:] != key_sorted[:-1]])
-    counts = np.diff(np.r_[starts, len(key_sorted)])
-
-    # Per-voxel centroid, then the member nearest to it.
-    group = np.repeat(np.arange(len(starts)), counts)
-    centroids = bincount_rows(group, pts[order], len(starts)) / counts[:, None]
-    d2 = np.sum((pts[order] - centroids[group]) ** 2, axis=1)
-    pick = np.lexsort((order, d2, group))
-    first_of_group = np.searchsorted(group[pick], np.arange(len(starts)))
-    reps = order[pick[first_of_group]]
+    cell, k = grid_cells(pts, edge, pts.min(axis=0))
+    # Per-voxel centroid, then the member nearest to it: sorted by voxel and
+    # distance, stably, so a tie goes to the lower index.
+    centroids = bincount_rows(cell, pts, k) / np.bincount(cell, minlength=k)[:, None]
+    d2 = np.sum((pts - centroids[cell]) ** 2, axis=1)
+    pick = np.lexsort((d2, cell))
+    reps = pick[np.searchsorted(cell[pick], np.arange(k))]
     return np.sort(reps)
 
 

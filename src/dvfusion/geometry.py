@@ -1,5 +1,5 @@
 """Pure numerical geometry: rigid transforms, Kabsch estimation, point-to-point
-ICP, local covariance features and per-label row sums.
+ICP, local covariance features, grid cells and per-label row sums.
 
 Points are plain float64 ndarrays: a single point has shape (3,), a cloud
 (N, 3). All operations are deterministic and reentrant.
@@ -40,6 +40,20 @@ def bincount_rows(index, values, n):
     return np.ascontiguousarray(bincount_cols(index, values.T, n).T)
 
 
+def grid_cells(points, edge: float, origin):
+    """(cell id of each row of `points` (N, D), number K of occupied cells)
+    on the grid of cubes of side `edge` anchored at `origin`: a row's cell is
+    floor((row - origin) / edge) per axis. Cells are numbered 0..K-1 in
+    lexicographic order of their integer coordinates, packed into one int64
+    key per row (ValueError for a grid of too many cells for one key)."""
+    cell = np.floor((points - origin) / edge)
+    cell -= cell.min(axis=0)
+    dims = cell.max(axis=0).astype(np.int64) + 1
+    key = np.ravel_multi_index(cell.astype(np.int64).T, dims)
+    uniq, ids = np.unique(key, return_inverse=True)
+    return ids, len(uniq)
+
+
 def as_points(a) -> np.ndarray:
     """Coerce to a contiguous (N, 3) float64 array."""
     pts = np.ascontiguousarray(a, dtype=np.float64)
@@ -77,12 +91,6 @@ class RigidTransform:
     def apply(self, pts) -> np.ndarray:
         pts = as_points(pts)
         return pts @ self.rotation.T + self.translation
-
-    def as_matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
 
 
 def kabsch(source, target) -> RigidTransform:

@@ -383,22 +383,33 @@ def write_table(path, header, rows) -> None:
         w.writerows(rows)
 
 
-def _dict_reader(path, required):
-    """Open a CSV, verify the header covers `required`, yield (lineno, row)
-    with the line number of the row in the file; blank lines are skipped."""
-    path = Path(path)
+def _csv_rows(path):
+    """(lineno, cells) of a CSV's header and then of each non-blank row,
+    `lineno` being its line in the file. A ParseError at its line for a row
+    whose cell count is not the header's."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ParseError(str(path), 1, "empty file, expected a CSV header")
-        have = [f.strip() for f in reader.fieldnames]
-        for name in required:
-            if name not in have:
-                raise SchemaError(name, f"missing column in {path}")
-        for row in reader:
-            yield reader.line_num, {
-                k.strip(): (v.strip() if isinstance(v, str) else v)
-                for k, v in row.items() if k is not None}
+        yield reader.line_num, header
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                raise ParseError(str(path), reader.line_num,
+                                 f"expected {len(header)} columns, got {len(row)}")
+            yield reader.line_num, row
+
+
+def _dict_reader(path, required):
+    """Rows of a CSV as (lineno, {column: stripped cell}) after checking
+    that the header covers `required`; see `_csv_rows`."""
+    rows = _csv_rows(path)
+    have = [f.strip() for f in next(rows)[1]]
+    for name in required:
+        if name not in have:
+            raise SchemaError(name, f"missing column in {Path(path)}")
+    for lineno, row in rows:
+        yield lineno, {k: v.strip() for k, v in zip(have, row)}
 
 
 def _row_float(row, key, path, lineno) -> float:
@@ -451,34 +462,24 @@ def load_point_features(path) -> PointFeatureSet:
     """CSV `point_index,f1..fD`, every value finite. Unit descriptors (within
     `UNIT_NORM_TOL`) load exactly as written; the others are normalized."""
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    rows_in = _csv_rows(path)
+    header = next(rows_in)[1]
+    if not header or header[0].strip() != "point_index":
+        raise SchemaError("point_index", f"first column must be point_index in {path}")
+    dim = len(header) - 1
+    if dim < 1:
+        raise SchemaError("f1", f"no feature columns in {path}")
+    indices, rows, lines = [], [], []
+    for lineno, row in rows_in:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(str(path), 1, "empty file, expected a CSV header") from None
-        if not header or header[0].strip() != "point_index":
-            raise SchemaError("point_index", f"first column must be point_index in {path}")
-        dim = len(header) - 1
-        if dim < 1:
-            raise SchemaError("f1", f"no feature columns in {path}")
-        indices, rows, lines = [], [], []
-        for row in reader:
-            lineno = reader.line_num
-            if not row:
-                continue
-            if len(row) != dim + 1:
-                raise ParseError(str(path), lineno,
-                                 f"expected {dim + 1} columns, got {len(row)}")
-            try:
-                indices.append(int(row[0]))
-                vals = [float(v) for v in row[1:]]
-            except ValueError:
-                raise ParseError(str(path), lineno, f"bad row {row!r}") from None
-            if not all(map(math.isfinite, vals)):
-                raise ParseError(str(path), lineno, f"non-finite descriptor in {row!r}")
-            rows.append(vals)
-            lines.append(lineno)
+            indices.append(int(row[0]))
+            vals = [float(v) for v in row[1:]]
+        except ValueError:
+            raise ParseError(str(path), lineno, f"bad row {row!r}") from None
+        if not all(map(math.isfinite, vals)):
+            raise ParseError(str(path), lineno, f"non-finite descriptor in {row!r}")
+        rows.append(vals)
+        lines.append(lineno)
     desc = np.asarray(rows, dtype=np.float64).reshape(len(indices), dim)
     norms = np.linalg.norm(desc, axis=1)
     if len(desc) and norms.min() <= 1e-12:

@@ -1,6 +1,9 @@
 """End-to-end orchestration: tiling -> partitioning -> coarse matching ->
 refinement -> fine matching -> level integration.
 
+Within a tile, both epochs are partitioned and described; then one pass
+per level (1, 2, 3) runs coarse matching, refinement and the fits.
+
 Tiles are processed independently (optionally by a thread pool), and the
 outcomes come back in tile order either way. Each tile's level fields are
 keyed by point ids of the whole cloud (`level_field` is given the tile's
@@ -219,10 +222,13 @@ def _process_tile(pair, source_points, target_points, cfg: PipelineConfig,
                   resolution: float, images: list, imported_features=None,
                   helper=None) -> TileOutcome:
     """One tile pair through every stage; `images` as in `_coarse_2d_table`.
-    With a `helper` executor the target epoch's partition and descriptors
-    run on it, alongside the source epoch's on this thread. A tile that the
-    target epoch does not reach (two epochs that overlap in part) gives no
-    vector."""
+
+    Both epochs are partitioned, then described; with a `helper` executor
+    the target epoch's steps run on it, beside the source epoch's. The image
+    matches are lifted once. Then each level in turn is matched (3D, 2D,
+    merge, gate), refined and fitted into its field; levels share no state.
+    An error names its stage and tile. A tile that the target epoch does
+    not reach (two epochs that overlap in part) gives no vector."""
     timings: dict = {}
     pid = pair.pair_id
     src_ids, tgt_ids = pair.source.point_indices, pair.target.point_indices
@@ -242,10 +248,13 @@ def _process_tile(pair, source_points, target_points, cfg: PipelineConfig,
         "coarse", pid, helper, _tile_features,
         (sub_src, geo_src, src_ids, cfg, resolution, imp_src),
         (sub_tgt, geo_tgt, tgt_ids, cfg, resolution, imp_tgt))
+    gate = cfg.icp_gate_factor * resolution
+    level_fields, reports = [], []
+    stage = "coarse"
     try:
         table = _coarse_2d_table(sub_src, sub_tgt, images, cfg)
-        merged_sets = []
         for level in LEVELS:
+            stage = "coarse"
             src_labels = part_src.labels(level)
             tgt_labels = part_tgt.labels(level)
             m3d = match_patches_3d(
@@ -256,29 +265,19 @@ def _process_tile(pair, source_points, target_points, cfg: PipelineConfig,
                 sub_src, sub_tgt,
                 max_displacement=cfg.max_displacement)
             m2d = match_patches_2d(level, table, src_labels, tgt_labels)
-            merged_sets.append(gate_match_set(
+            gated = gate_match_set(
                 merge_match_sets(m3d, m2d), sub_src, sub_tgt,
-                cfg.max_displacement, min_support=cfg.min_support))
-    except DvfError as exc:
-        raise _fail("coarse", pid, exc) from exc
-    t0 = _tick(timings, "coarse", t0)
+                cfg.max_displacement, min_support=cfg.min_support)
+            t0 = _tick(timings, stage, t0)
 
-    kept_sets, reports = [], []
-    try:
-        for ms in merged_sets:
-            kept, reps = refine(ms, sub_src, sub_tgt, cfg.delta1, cfg.delta2)
-            kept_sets.append(kept)
+            stage = "refine"
+            kept, reps = refine(gated, sub_src, sub_tgt, cfg.delta1, cfg.delta2)
             reports.extend(reps)
-    except DvfError as exc:
-        raise _fail("refine", pid, exc) from exc
-    t0 = _tick(timings, "refine", t0)
+            t0 = _tick(timings, stage, t0)
 
-    gate = cfg.icp_gate_factor * resolution
-    level_fields = []
-    try:
-        for ms in kept_sets:
+            stage = "fine"
             fits = []
-            for m in ms.matches:
+            for m in kept.matches:
                 try:
                     t = estimate_patch_transform(
                         m, sub_src, sub_tgt, gate=gate,
@@ -287,10 +286,10 @@ def _process_tile(pair, source_points, target_points, cfg: PipelineConfig,
                     continue        # unusable support; the patch stays uncovered
                 fits.append((m.source_patch_id, t, m.modality))
             level_fields.append(level_field(
-                ms.level, part_src.patches(ms.level), fits, sub_src, src_ids))
+                level, part_src.patches(level), fits, sub_src, src_ids))
+            t0 = _tick(timings, stage, t0)
     except DvfError as exc:
-        raise _fail("fine", pid, exc) from exc
-    _tick(timings, "fine", t0)
+        raise _fail(stage, pid, exc) from exc
     return TileOutcome(tuple(level_fields), reports, timings)
 
 

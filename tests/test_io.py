@@ -396,3 +396,38 @@ def test_dvf_rejects_duplicate_ids():
         DisplacementVectorField([0, 0], np.zeros((2, 3)), np.zeros((2, 3)),
                                 [1, 1], [0, 1], ["3D", "3D"])
 
+
+
+# ---------------------------------------------------------------------------
+# Row widths
+
+
+def write_observations(path):
+    path.write_text("id,x,y,z,dx,dy,dz\nA,1,2,3,0.1,0,0.2\n")
+
+
+TABLES = {
+    "cameras": (lambda p: write_cameras(p, [make_camera("a")]), load_cameras),
+    "observations": (write_observations, load_external_observations),
+    "dvf": (lambda p: write_dvf(p, make_dvf(n=1)), load_dvf),
+}
+
+
+@pytest.mark.parametrize("table", sorted(TABLES))
+@pytest.mark.parametrize("extra", [1, -1], ids=["wide", "short"])
+def test_a_row_wider_or_shorter_than_the_header_is_a_located_error(
+        tmp_path, table, extra):
+    """A cell too many (say, a decimal comma) or too few must not load as a
+    row with a value dropped or filled in."""
+    write, load = TABLES[table]
+    p = tmp_path / f"{table}.csv"
+    write(p)
+    header, row = p.read_text().splitlines()
+    cells = row.split(",")
+    bad = cells + ["3"] if extra > 0 else cells[:-1]
+    p.write_text("\n".join([header, row, "", ",".join(bad)]) + "\n")
+    width = len(header.split(","))
+    with pytest.raises(ParseError, match=f":4: expected {width} columns, "
+                                         f"got {width + extra}$") as err:
+        load(p)
+    assert err.value.line == 4

@@ -17,13 +17,14 @@ import pytest
 import dvfusion.pipeline
 from dvfusion.cli import main
 from dvfusion.config import PipelineConfig
-from dvfusion.errors import DegenerateInput, PipelineError
+from dvfusion.dvf import DisplacementVectorField
+from dvfusion.errors import DegenerateInput, DegenerateSupport, PipelineError
 from dvfusion.features import RADIUS_FACTOR, pair_histogram_descriptors
 from dvfusion.geometry import (NORMAL_NEIGHBOURS, local_covariance_features,
                                mean_scan_resolution)
 from dvfusion.io import (COORD_FMT, DVF_FIELDS, PointFeatureSet, load_dvf,
                          load_point_cloud, write_point_features)
-from dvfusion.pipeline import run_pipeline
+from dvfusion.pipeline import LEVELS, run_pipeline
 from dvfusion.synth import SynthParams, synth_generate_scene
 
 
@@ -327,6 +328,113 @@ def test_epochs_at_once_under_contention():
         assert_same_field(got.field, want.field)
         for a, b in zip(got.level_fields, want.level_fields):
             assert_same_field(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Located tile errors
+
+
+def two_tile_scene():
+    """Two tiles of 600 source points, run one after the other."""
+    scene = synth_generate_scene(SynthParams(n_points=1200, texture=False),
+                                 seed=0)
+    return (scene.source.points, scene.target.points,
+            PipelineConfig(max_points=1000, n_workers=1))
+
+
+@pytest.mark.parametrize("epoch", ["source", "target"])
+def test_a_partition_error_names_its_epoch(monkeypatch, epoch):
+    src, tgt, cfg = two_tile_scene()
+    cloud = {"source": src, "target": tgt}[epoch]     # no row in both
+    partition = dvfusion.pipeline.hierarchical_partition
+
+    def failing(pts, **kwargs):
+        if (cloud == pts[0]).all(axis=1).any():
+            raise DegenerateInput("no patch")
+        return partition(pts, **kwargs)
+
+    monkeypatch.setattr(dvfusion.pipeline, "hierarchical_partition", failing)
+    with pytest.raises(PipelineError, match=f"^stage 'partition', tile 0, "
+                                            f"{epoch} epoch: no patch$"):
+        run_pipeline(src, tgt, cfg)
+
+
+def test_a_coarse_error_at_level_2_names_the_coarse_stage(monkeypatch):
+    src, tgt, cfg = two_tile_scene()
+    match = dvfusion.pipeline.match_patches_3d
+    levels = []
+
+    def failing(level, *args, **kwargs):
+        levels.append(level)
+        if level == 2:
+            raise DegenerateInput("no level-2 match")
+        return match(level, *args, **kwargs)
+
+    monkeypatch.setattr(dvfusion.pipeline, "match_patches_3d", failing)
+    with pytest.raises(PipelineError,
+                       match="^stage 'coarse', tile 0: no level-2 match$"):
+        run_pipeline(src, tgt, cfg)
+    assert levels == [1, 2]
+
+
+@pytest.mark.parametrize("name, stage", [("refine", "refine"),
+                                         ("estimate_patch_transform", "fine")])
+def test_refine_and_fit_errors_name_their_stage(monkeypatch, name, stage):
+    src, tgt, cfg = two_tile_scene()
+
+    def failing(*args, **kwargs):
+        raise DegenerateInput(f"{name} failed")
+
+    monkeypatch.setattr(dvfusion.pipeline, name, failing)
+    with pytest.raises(PipelineError,
+                       match=f"^stage '{stage}', tile 0: {name} failed$"):
+        run_pipeline(src, tgt, cfg)
+
+
+def test_an_error_in_the_second_tile_names_tile_1(monkeypatch):
+    src, tgt, cfg = two_tile_scene()
+    refine = dvfusion.pipeline.refine
+    tiles = []      # the source points of each tile refined, in order
+
+    def failing_in_tile_1(match_set, sub_src, *args):
+        if not any(t is sub_src for t in tiles):
+            tiles.append(sub_src)
+        if len(tiles) == 2:
+            raise DegenerateInput("refine failed")
+        return refine(match_set, sub_src, *args)
+
+    monkeypatch.setattr(dvfusion.pipeline, "refine", failing_in_tile_1)
+    with pytest.raises(PipelineError,
+                       match="^stage 'refine', tile 1: refine failed$"):
+        run_pipeline(src, tgt, cfg)
+
+
+def test_a_degenerate_fit_leaves_its_patch_without_vectors(monkeypatch):
+    src, tgt, cfg = two_tile_scene()
+    want = run_pipeline(src, tgt, cfg)
+    estimate = dvfusion.pipeline.estimate_patch_transform
+    dropped = []
+
+    def failing_once(match, *args, **kwargs):
+        if match.level == 2 and not dropped:
+            dropped.append(match)
+            raise DegenerateSupport("collinear support")
+        return estimate(match, *args, **kwargs)
+
+    monkeypatch.setattr(dvfusion.pipeline, "estimate_patch_transform",
+                        failing_once)
+    got = run_pipeline(src, tgt, cfg)
+    (match,) = dropped                  # tile 0's first level-2 fit
+    level = want.level_fields[match.level - 1]
+    lost = ((level.patch_ids == match.source_patch_id)
+            & np.isin(level.point_ids, got.tile_pairs[0].source.point_indices))
+    assert lost.any()
+    kept = DisplacementVectorField(
+        level.point_ids[~lost], level.positions[~lost], level.vectors[~lost],
+        level.levels[~lost], level.patch_ids[~lost], level.modalities[~lost])
+    assert_same_field(got.level_fields[match.level - 1], kept)
+    for i in set(range(len(LEVELS))) - {match.level - 1}:
+        assert_same_field(got.level_fields[i], want.level_fields[i])
 
 
 def test_bad_input_shape_is_a_located_error():
