@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from .dvf import MODALITY_2D, MODALITY_3D
 from .errors import InvalidParams
@@ -75,27 +76,30 @@ class CorrTable:
                          self.confidence[sel])
 
 
-# Similarity-matrix entries held at once: 8 MiB of float64 scores. The 20
-# unmasked calls above 2^20 entries on the benchmark scenes give the same
-# pairs for blocks of 2^16, 2^20 and 2^22 entries.
+# Similarity-matrix entries held at once: 8 MiB of float64 scores. The
+# mutual-NN calls of the benchmark scenes give the same pairs for blocks of
+# 2^16, 2^20 and 2^22 entries.
 _MUTUAL_NN_BLOCK = 2 ** 20
 
 
-def _blocked_argmax(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row argmax of a @ b.T: the lowest index among the computed scores
-    that are equal. Rows of `a` go through in blocks of
-    `_MUTUAL_NN_BLOCK // len(b)`, each multiplied into one buffer allocated
-    once, so a single block of scores is alive at a time. Exact duplicate
-    rows of `b` need not score equal: BLAS may round the same dot product
-    differently by its column position or block shape, so a later copy can
-    win (see `mutual_nn`)."""
+def _blocked_argmax(a: np.ndarray, b: np.ndarray, allowed=None):
+    """Per row of a @ b.T: the argmax among the scores `allowed` (shape
+    (len(a), len(b))) keeps, the lowest index among equal computed scores,
+    and whether that score is finite. Rows of `a` go through in blocks of
+    `_MUTUAL_NN_BLOCK // len(b)`, multiplied into one buffer and masked in
+    place, so a single block of scores is alive at a time."""
     rows = max(1, _MUTUAL_NN_BLOCK // max(1, len(b)))
     best = np.empty(len(a), dtype=np.int64)
+    finite = np.empty(len(a), dtype=bool)
     buf = np.empty((min(rows, len(a)), len(b)), dtype=np.result_type(a, b))
     for lo in range(0, len(a), rows):
         hi = min(lo + rows, len(a))
-        best[lo:hi] = np.matmul(a[lo:hi], b.T, out=buf[:hi - lo]).argmax(axis=1)
-    return best
+        s = np.matmul(a[lo:hi], b.T, out=buf[:hi - lo])
+        if allowed is not None:
+            s[~allowed[lo:hi]] = -np.inf
+        best[lo:hi] = s.argmax(axis=1)
+        finite[lo:hi] = np.isfinite(s[np.arange(hi - lo), best[lo:hi]])
+    return best, finite
 
 
 def mutual_nn(a: np.ndarray, b: np.ndarray, allowed: np.ndarray | None = None):
@@ -104,35 +108,15 @@ def mutual_nn(a: np.ndarray, b: np.ndarray, allowed: np.ndarray | None = None):
     (shape (len(a), len(b))); a pair can only form where it is True.
     Returns the paired row indices (into a, into b).
 
-    Each argmax takes the lowest index among the scores that come out
-    equal, as BLAS computes them. BLAS can round the scores of exact
-    duplicate descriptors apart by an ulp, by column position or block
-    shape, so a duplicate need not resolve to its lowest copy.
-
-    Above `_MUTUAL_NN_BLOCK` entries without a mask, the scores are never
-    held whole: the forward argmax runs over blocks of a @ b.T, and the
-    backward argmax only over the target rows some source row chose (`hit`)
-    in blocks of b @ a.T, since `i` pairs only if its choice chooses `i`
-    back. Each score row still comes from the product in its own
-    orientation, and a row's argmax reads only that row. (BLAS may round a
-    row by an ulp differently in another block shape, which decides only a
-    tie within that ulp.) Smaller or masked calls take one product and read
-    the backward argmax down its columns: those bits can differ from
-    b @ a.T, so routing them through the blocks could change a pair."""
-    a = np.atleast_2d(a)
-    b = np.atleast_2d(b)
-    if allowed is None and len(a) * len(b) > _MUTUAL_NN_BLOCK:
-        fwd = _blocked_argmax(a, b)
-        hit, back = np.unique(fwd, return_inverse=True)
-        ia = np.flatnonzero(_blocked_argmax(b[hit], a)[back] == np.arange(len(a)))
-        return ia, fwd[ia]
-    sims = a @ b.T
-    if allowed is not None:
-        sims = np.where(allowed, sims, -np.inf)
-    fwd = sims.argmax(axis=1)
-    bwd = sims.argmax(axis=0)
-    ia = np.flatnonzero(bwd[fwd] == np.arange(len(a)))
-    ia = ia[np.isfinite(sims[ia, fwd[ia]])]
+    The forward argmax runs over blocks of a @ b.T, the backward one over
+    blocks of b[hit] @ a.T for the targets some row chose (`hit`), since `i`
+    pairs only if its choice chooses `i` back. BLAS can round the scores of
+    exact duplicate descriptors apart by an ulp, by column position or block
+    shape, so a duplicate need not resolve to its lowest copy."""
+    fwd, finite = _blocked_argmax(a, b, allowed)
+    hit, back = np.unique(fwd, return_inverse=True)
+    bwd, _ = _blocked_argmax(b[hit], a, None if allowed is None else allowed[:, hit].T)
+    ia = np.flatnonzero((bwd[back] == np.arange(len(a))) & finite)
     return ia, fwd[ia]
 
 
@@ -196,8 +180,7 @@ def match_patches_3d(level, src_patch_feats, tgt_patch_feats,
     ca, ra = _centroids_and_radii(src_labels, src_points)
     cb, rb = _centroids_and_radii(tgt_labels, tgt_points)
     ca, ra, cb, rb = ca[src_ids], ra[src_ids], cb[tgt_ids], rb[tgt_ids]
-    gap = np.linalg.norm(ca[:, None, :] - cb[None, :, :], axis=2)
-    allowed = gap <= max_displacement + ra[:, None] + rb[None, :]
+    allowed = cdist(ca, cb) <= max_displacement + ra[:, None] + rb[None, :]
 
     # positions (into each feature set) of the featured points of every patch
     src_members = patch_members(src_labels[src_point_feats.point_indices])

@@ -220,14 +220,15 @@ def lookup_descriptors(imported: PointFeatureSet, point_ids) -> np.ndarray:
     Raises:
         ImportKeyMismatch: some id has no imported descriptor.
     """
-    lookup = {int(k): i for i, k in enumerate(imported.point_indices)}
-    missing = [int(k) for k in point_ids if int(k) not in lookup]
-    if missing:
+    keys = imported.point_indices
+    ids = np.asarray(point_ids, dtype=np.int64).reshape(-1)
+    missing = ids[~np.isin(ids, keys)]
+    if len(missing):
         raise ImportKeyMismatch(
             f"imported features miss {len(missing)} sampled indices "
             f"(first missing: {missing[0]})")
-    rows = np.array([lookup[int(k)] for k in point_ids], dtype=np.int64)
-    return imported.descriptors[rows]
+    order = np.argsort(keys, kind="stable")
+    return imported.descriptors[order[np.searchsorted(keys, ids, sorter=order)]]
 
 
 # ---------------------------------------------------------------------------

@@ -78,10 +78,10 @@ class RigidTransform:
         self.rotation = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
         self.translation = np.asarray(self.translation, dtype=np.float64).reshape(3)
         err = np.abs(self.rotation.T @ self.rotation - np.eye(3)).max()
-        if err > _ORTHO_TOL:
+        if not err <= _ORTHO_TOL:       # NaN fails
             raise ValueError(f"rotation not orthonormal (max |R'R - I| = {err:.3e})")
         det = np.linalg.det(self.rotation)
-        if abs(det - 1.0) > _ORTHO_TOL:
+        if not abs(det - 1.0) <= _ORTHO_TOL:
             raise ValueError(f"rotation is not proper (det = {det:.12f})")
 
     @classmethod

@@ -99,8 +99,8 @@ class CameraModel:
     pose: RigidTransform
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise SchemaError("fx" if self.fx <= 0 else "fy", "focal length must be positive")
+        if not (self.fx > 0 and self.fy > 0):       # NaN fails
+            raise SchemaError("fy" if self.fx > 0 else "fx", "focal length must be positive")
         if not 0 <= self.cx < self.width:
             raise SchemaError("cx", f"principal point {self.cx} outside [0, {self.width})")
         if not 0 <= self.cy < self.height:
@@ -152,6 +152,8 @@ class PointFeatureSet:
         self.descriptors = np.atleast_2d(np.asarray(self.descriptors, dtype=np.float64))
         if len(self.point_indices) != len(self.descriptors):
             raise ValueError("one descriptor per listed point required")
+        if len(np.unique(self.point_indices)) != len(self.point_indices):
+            raise ValueError("point indices must be unique")
         if not np.isfinite(self.descriptors).all():
             raise ValueError("descriptors must be finite")
         if len(self.descriptors):
@@ -417,9 +419,19 @@ def _row_float(row, key, path, lineno) -> float:
     if val in (None, ""):
         raise ParseError(str(path), lineno, f"missing value for {key!r}")
     try:
-        return float(val)
+        num = float(val)
     except ValueError:
-        raise ParseError(str(path), lineno, f"field {key!r}: not a number: {val!r}") from None
+        num = math.nan
+    if not math.isfinite(num):
+        raise ParseError(str(path), lineno, f"field {key!r}: not a finite number: {val!r}")
+    return num
+
+
+def _row_int(row, key, path, lineno) -> int:
+    num = _row_float(row, key, path, lineno)     # "3" or "3.0", not "3.5"
+    if not num.is_integer():
+        raise ParseError(str(path), lineno, f"field {key!r}: not an integer: {row[key]!r}")
+    return int(num)
 
 
 def load_cameras(path) -> list[CameraModel]:
@@ -433,8 +445,9 @@ def load_cameras(path) -> list[CameraModel]:
             pose = RigidTransform(rot, [g("t1"), g("t2"), g("t3")])
         except ValueError as exc:
             raise SchemaError("rotation", f"{path}:{lineno}: {exc}") from None
-        cams.append(CameraModel(image_id=row["image_id"], width=int(g("width")),
-                                height=int(g("height")), fx=g("fx"), fy=g("fy"),
+        gi = lambda k: _row_int(row, k, path, lineno)  # noqa: E731
+        cams.append(CameraModel(image_id=row["image_id"], width=gi("width"),
+                                height=gi("height"), fx=g("fx"), fy=g("fy"),
                                 cx=g("cx"), cy=g("cy"), pose=pose))
     if not cams:
         raise ParseError(str(Path(path)), 1, "camera file holds no records")
@@ -459,8 +472,9 @@ def load_external_observations(path) -> list[ExternalObservation]:
 
 
 def load_point_features(path) -> PointFeatureSet:
-    """CSV `point_index,f1..fD`, every value finite. Unit descriptors (within
-    `UNIT_NORM_TOL`) load exactly as written; the others are normalized."""
+    """CSV `point_index,f1..fD`, each index once and every value finite. Unit
+    descriptors (within `UNIT_NORM_TOL`) load exactly as written; the others
+    are normalized."""
     path = Path(path)
     rows_in = _csv_rows(path)
     header = next(rows_in)[1]
@@ -469,7 +483,7 @@ def load_point_features(path) -> PointFeatureSet:
     dim = len(header) - 1
     if dim < 1:
         raise SchemaError("f1", f"no feature columns in {path}")
-    indices, rows, lines = [], [], []
+    indices, rows, first = [], [], {}
     for lineno, row in rows_in:
         try:
             indices.append(int(row[0]))
@@ -478,14 +492,13 @@ def load_point_features(path) -> PointFeatureSet:
             raise ParseError(str(path), lineno, f"bad row {row!r}") from None
         if not all(map(math.isfinite, vals)):
             raise ParseError(str(path), lineno, f"non-finite descriptor in {row!r}")
+        if math.hypot(*vals) <= 1e-12:
+            raise ParseError(str(path), lineno, "zero-norm descriptor cannot be normalized")
+        if first.setdefault(indices[-1], lineno) != lineno:
+            raise ParseError(str(path), lineno, f"repeated point_index {indices[-1]}")
         rows.append(vals)
-        lines.append(lineno)
     desc = np.asarray(rows, dtype=np.float64).reshape(len(indices), dim)
     norms = np.linalg.norm(desc, axis=1)
-    if len(desc) and norms.min() <= 1e-12:
-        bad = int(np.argmin(norms))
-        raise ParseError(str(path), lines[bad],
-                         "zero-norm descriptor cannot be normalized")
     off = np.abs(norms - 1.0) > UNIT_NORM_TOL
     desc[off] /= norms[off, None]
     return PointFeatureSet(np.asarray(indices, dtype=np.int64), desc)
@@ -509,19 +522,20 @@ def write_dvf(path, dvf: DisplacementVectorField) -> None:
 
 
 def load_dvf(path) -> DisplacementVectorField:
-    ids, pos, vec, lev, pid, mod = [], [], [], [], [], []
+    """A field as `write_dvf` writes it, each point_id on one row only."""
+    ids, pos, vec, lev, pid, mod, first = [], [], [], [], [], [], {}
     for lineno, row in _dict_reader(path, DVF_FIELDS):
         g = lambda k: _row_float(row, k, path, lineno)  # noqa: E731
-        ids.append(int(g("point_id")))
+        gi = lambda k: _row_int(row, k, path, lineno)  # noqa: E731
+        ids.append(gi("point_id"))
+        if first.setdefault(ids[-1], lineno) != lineno:
+            raise ParseError(str(path), lineno, f"repeated point_id {ids[-1]}")
         pos.append([g("x"), g("y"), g("z")])
         vec.append([g("dx"), g("dy"), g("dz")])
-        lev.append(int(g("level")))
-        pid.append(int(g("patch_id")))
+        lev.append(gi("level"))
+        pid.append(gi("patch_id"))
         mod.append(row["modality"])
-    n = len(pos)
-    return DisplacementVectorField(ids, np.asarray(pos).reshape(n, 3),
-                                   np.asarray(vec).reshape(n, 3), lev, pid,
-                                   np.asarray(mod, dtype="U2"))
+    return DisplacementVectorField(ids, pos, vec, lev, pid, mod)
 
 
 def write_report(path, report: dict) -> None:

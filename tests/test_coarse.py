@@ -53,13 +53,22 @@ def supports_use_points_once(ms):
                == len(np.unique(m.target_indices)) for m in ms.matches)
 
 
-def brute_force_mutual_nn(a, b):
+def brute_force_mutual_nn(a, b, allowed=None):
+    """Mutual NN pairs by one dot product per pair; a pair the mask
+    `allowed` rules out scores -inf, and a row with nothing allowed pairs
+    with nothing."""
+    if allowed is None:
+        allowed = np.ones((len(a), len(b)), dtype=bool)
+
+    def score(i, j):
+        return float(a[i] @ b[j]) if allowed[i, j] else -np.inf
+
     pairs = []
     for i in range(len(a)):
-        sims_i = [float(a[i] @ b[j]) for j in range(len(b))]
-        j = int(np.argmax(sims_i))
-        sims_j = [float(a[k] @ b[j]) for k in range(len(a))]
-        if int(np.argmax(sims_j)) == i:
+        if not allowed[i].any():
+            continue
+        j = int(np.argmax([score(i, j) for j in range(len(b))]))
+        if int(np.argmax([score(k, j) for k in range(len(a))])) == i:
             pairs.append((i, j))
     return pairs
 
@@ -89,7 +98,7 @@ def with_duplicates(rng, rows, n, d):
 
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=30, deadline=None)
-def test_blocked_mutual_nn_matches_brute_force_and_one_product(seed):
+def test_blocked_mutual_nn_matches_brute_force_and_one_block(seed):
     rng = np.random.default_rng(seed)
     a = with_duplicates(rng, [(7, 2), (15, 11), (22, 0)], 23, 6)
     # the later copy of a duplicated target is a row no source picks
@@ -99,10 +108,51 @@ def test_blocked_mutual_nn_matches_brute_force_and_one_product(seed):
         mp.setattr(dvfusion.coarse, "_MUTUAL_NN_BLOCK", 100)
         blocked = mutual_nn(a, b)
         mp.setattr(dvfusion.coarse, "_MUTUAL_NN_BLOCK", 10 ** 12)
-        one_product = mutual_nn(a, b)
+        one_block = mutual_nn(a, b)
     pairs = list(zip(blocked[0].tolist(), blocked[1].tolist()))
     assert pairs == brute_force_mutual_nn(a, b)
-    assert pairs == list(zip(one_product[0].tolist(), one_product[1].tolist()))
+    assert pairs == list(zip(one_block[0].tolist(), one_block[1].tolist()))
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=30, deadline=None)
+def test_masked_mutual_nn_in_blocks_matches_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    a = with_duplicates(rng, [(7, 2), (15, 11), (22, 0)], 23, 6)
+    b = with_duplicates(rng, [(9, 4), (16, 1)], 17, 6)
+    allowed = rng.random((23, 17)) < 0.6
+    allowed[[3, 11, 20]] = False          # source rows with no candidate
+    allowed[:, [5, 9]] = False            # target rows no source may take
+    # a row whose only candidates are the two copies of target 1
+    allowed[15] = False
+    allowed[15, [1, 16]] = True
+    with pytest.MonkeyPatch.context() as mp:
+        # forward blocks of 5 rows (the last of 3), backward blocks of 4
+        mp.setattr(dvfusion.coarse, "_MUTUAL_NN_BLOCK", 100)
+        ia, ib = mutual_nn(a, b, allowed=allowed)
+    pairs = list(zip(ia.tolist(), ib.tolist()))
+    assert pairs == brute_force_mutual_nn(a, b, allowed)
+    assert all(allowed[i, j] for i, j in pairs)
+    assert not {3, 11, 20} & set(ia.tolist())
+
+
+def test_masked_mutual_nn_holds_one_block(monkeypatch):
+    """A masked call holds one block of scores and, in the backward pass, a
+    transposed copy of the mask's chosen columns; never the whole score
+    matrix (16 times the mask, 139 MB here)."""
+    block = 2 ** 18
+    monkeypatch.setattr(dvfusion.coarse, "_MUTUAL_NN_BLOCK", block)
+    rng = np.random.default_rng(6)
+    a, b = unit_rows(rng, 3000, 4), unit_rows(rng, 2900, 4)
+    allowed = rng.random((3000, 2900)) < 0.5
+    tracemalloc.start()
+    try:
+        ia, ib = mutual_nn(a, b, allowed=allowed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * block + allowed.nbytes
+    assert len(ia) > 0 and allowed[ia, ib].all()
 
 
 def test_blocked_mutual_nn_holds_one_block(monkeypatch):
@@ -117,8 +167,8 @@ def test_blocked_mutual_nn_holds_one_block(monkeypatch):
         tracemalloc.stop()
     assert peak < 1.5 * 8 * 2 ** 18       # bytes of one block of float64 scores
     monkeypatch.setattr(dvfusion.coarse, "_MUTUAL_NN_BLOCK", 10 ** 12)
-    one_product = mutual_nn(a, b)
-    assert all(np.array_equal(x, y) for x, y in zip(blocked, one_product))
+    one_block = mutual_nn(a, b)
+    assert all(np.array_equal(x, y) for x, y in zip(blocked, one_block))
 
 
 def test_mutual_nn_is_injective():

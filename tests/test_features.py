@@ -348,6 +348,36 @@ def test_import_key_mismatch():
         lookup_descriptors(table, [0, 5])
 
 
+@pytest.mark.parametrize("ids, first", [
+    ([9, 40, 3, 41], 41),         # past the largest imported id
+    ([-1, 9], -1),                # before the smallest
+    ([9, 10, 12], 10),            # between two
+])
+def test_import_key_mismatch_names_the_first_missing_id(ids, first):
+    table = PointFeatureSet([40, 3, 9, 12], np.eye(4))
+    n = sum(i not in (40, 3, 9, 12) for i in ids)
+    with pytest.raises(ImportKeyMismatch,
+                       match=rf"miss {n} sampled indices \(first missing: {first}\)"):
+        lookup_descriptors(table, ids)
+
+
+def test_lookup_descriptors_takes_unsorted_ids_in_order():
+    rng = np.random.default_rng(4)
+    keys = rng.permutation(1000)[:300]
+    desc = rng.normal(size=(300, 5))
+    desc /= np.linalg.norm(desc, axis=1, keepdims=True)
+    table = PointFeatureSet(keys, desc)
+    pick = rng.integers(0, 300, 120)          # repeats allowed
+    assert np.array_equal(lookup_descriptors(table, keys[pick]), desc[pick])
+    assert lookup_descriptors(table, []).shape == (0, 5)
+
+
+def test_lookup_descriptors_in_an_empty_table_misses_everything():
+    table = PointFeatureSet(np.zeros(0, dtype=np.int64), np.zeros((0, 3)))
+    with pytest.raises(ImportKeyMismatch, match="miss 2 sampled indices"):
+        lookup_descriptors(table, [0, 5])
+
+
 # ---------------------------------------------------------------------------
 # Aggregation
 

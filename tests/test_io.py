@@ -283,8 +283,9 @@ def test_observation_bad_value_after_a_blank_line_reports_its_line(tmp_path):
 def test_observation_rejects_nonfinite(tmp_path):
     p = tmp_path / "obs.csv"
     p.write_text("id,x,y,z,dx,dy,dz\nT1,0,0,0,nan,0,0\n")
-    with pytest.raises(SchemaError):
+    with pytest.raises(ParseError, match=":2: field 'dx': not a finite number") as err:
         load_external_observations(p)
+    assert err.value.line == 2
 
 
 def test_point_features_round_trip(tmp_path):
@@ -431,3 +432,78 @@ def test_a_row_wider_or_shorter_than_the_header_is_a_located_error(
                                          f"got {width + extra}$") as err:
         load(p)
     assert err.value.line == 4
+
+
+# ---------------------------------------------------------------------------
+# Bad numbers
+
+# (table, cells of a second data row that differ from the first, message).
+# The second row takes its own camera or observation id; a DVF case gives
+# it a fresh point_id unless the case is about that cell.
+BAD_CELLS = [
+    ("cameras", {"fx": "nan"}, "field 'fx': not a finite number"),
+    ("cameras", {"r22": "nan"}, "field 'r22': not a finite number"),
+    ("cameras", {"t3": "inf"}, "field 't3': not a finite number"),
+    ("cameras", {"width": "640.5"}, "field 'width': not an integer"),
+    ("cameras", {"height": "nan"}, "field 'height': not a finite number"),
+    ("observations", {"x": "nan"}, "field 'x': not a finite number"),
+    ("observations", {"dz": "-inf"}, "field 'dz': not a finite number"),
+    ("dvf", {"point_id": "11", "y": "inf"}, "field 'y': not a finite number"),
+    ("dvf", {"point_id": "11", "dx": "nan"}, "field 'dx': not a finite number"),
+    ("dvf", {"point_id": "11.7"}, "field 'point_id': not an integer"),
+    ("dvf", {"point_id": "11", "level": "2.5"}, "field 'level': not an integer"),
+    ("dvf", {"point_id": "11", "patch_id": "1.5"},
+     "field 'patch_id': not an integer"),
+    ("dvf", {}, "repeated point_id 3"),
+]
+
+
+@pytest.mark.parametrize("table, cells, message", BAD_CELLS,
+                         ids=[f"{t}-{'-'.join(c) or 'repeat'}"
+                              for t, c, _ in BAD_CELLS])
+def test_a_bad_number_is_a_located_error(tmp_path, table, cells, message):
+    """NaN and infinity, a fraction in an integer column and a repeated DVF
+    point id fail at their row instead of loading, truncating or failing
+    later without a location."""
+    write, load = TABLES[table]
+    p = tmp_path / f"{table}.csv"
+    write(p)
+    header, row = p.read_text().splitlines()
+    names = header.split(",")
+    bad = dict(zip(names, row.split(",")), image_id="b", id="B")
+    bad.update(cells)
+    p.write_text("\n".join([header, row, ",".join(bad[k] for k in names)]) + "\n")
+    with pytest.raises(ParseError, match=f":3: {message}") as err:
+        load(p)
+    assert err.value.line == 3
+
+
+def test_an_integral_float_loads_as_an_integer(tmp_path):
+    p = tmp_path / "dvf.csv"
+    write_dvf(p, make_dvf(n=1))
+    header, row = p.read_text().splitlines()
+    cells = row.split(",")
+    cells[0] = "3.0"
+    p.write_text(f"{header}\n{','.join(cells)}\n")
+    assert load_dvf(p).point_ids.tolist() == [3]
+
+
+def test_a_nan_rotation_is_not_a_rotation():
+    rot = np.eye(3)
+    rot[1, 1] = np.nan
+    with pytest.raises(ValueError, match="not orthonormal"):
+        RigidTransform(rot, np.zeros(3))
+
+
+def test_point_features_repeated_index_reports_its_line(tmp_path):
+    """The later row used to replace the earlier one without a word."""
+    p = tmp_path / "f.csv"
+    p.write_text("point_index,f1,f2\n0,1,0\n4,0,1\n\n0,0,1\n")
+    with pytest.raises(ParseError, match="repeated point_index 0") as err:
+        load_point_features(p)
+    assert err.value.line == 5
+
+
+def test_point_features_require_unique_indices():
+    with pytest.raises(ValueError, match="unique"):
+        PointFeatureSet([2, 0, 2], np.eye(3))

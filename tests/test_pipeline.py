@@ -546,6 +546,18 @@ def test_cli_eval_coverage_matches_the_run(tmp_path):
     assert eval_coverage("--voxel", "1.0") == "0.961340"
 
 
+def test_cli_eval_on_a_repeated_point_id_exits_1(tmp_path, capsys):
+    """It used to end in a ValueError traceback from the field itself."""
+    dvf = tmp_path / "dvf.csv"
+    dvf.write_text("point_id,x,y,z,dx,dy,dz,level,patch_id,modality\n"
+                   "4,0,0,0,1,0,0,3,0,3D\n7,1,0,0,1,0,0,3,0,3D\n"
+                   "4,2,0,0,1,0,0,3,1,3D\n")
+    obs = tmp_path / "obs.csv"
+    obs.write_text("id,x,y,z,dx,dy,dz\nT1,0,0,0,1,0,0\n")
+    assert main(["eval", "--dvf", str(dvf), "--observations", str(obs)]) == 1
+    assert f"{dvf}:4: repeated point_id 4" in capsys.readouterr().err
+
+
 def cloud_text(points, fmt, rng):
     """`points` as plain XYZ, as a PLY whose vertices also carry 16-bit
     colour and an intensity, or as XYZRGB with a colour value beyond 8 bits."""
