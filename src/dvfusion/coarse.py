@@ -146,6 +146,21 @@ def _centroids_and_radii(labels, points):
     return centroids, radii
 
 
+def _plausible_pairs(ca, ra, cb, rb, max_displacement: float) -> np.ndarray:
+    """Mask of the patch pairs whose centroids `ca`, `cb` lie within
+    `max_displacement` plus both radii `ra`, `rb`. The distances and the
+    thresholds are taken `_MUTUAL_NN_BLOCK // len(cb)` source rows at a
+    time and compared into one bool matrix."""
+    allowed = np.empty((len(ca), len(cb)), dtype=bool)
+    rows = max(1, _MUTUAL_NN_BLOCK // max(1, len(cb)))
+    for lo in range(0, len(ca), rows):
+        hi = min(lo + rows, len(ca))
+        np.less_equal(cdist(ca[lo:hi], cb),
+                      max_displacement + ra[lo:hi, None] + rb[None, :],
+                      out=allowed[lo:hi])
+    return allowed
+
+
 def match_patches_3d(level, src_patch_feats, tgt_patch_feats,
                      src_point_feats, tgt_point_feats,
                      src_labels, tgt_labels,
@@ -180,7 +195,7 @@ def match_patches_3d(level, src_patch_feats, tgt_patch_feats,
     ca, ra = _centroids_and_radii(src_labels, src_points)
     cb, rb = _centroids_and_radii(tgt_labels, tgt_points)
     ca, ra, cb, rb = ca[src_ids], ra[src_ids], cb[tgt_ids], rb[tgt_ids]
-    allowed = cdist(ca, cb) <= max_displacement + ra[:, None] + rb[None, :]
+    allowed = _plausible_pairs(ca, ra, cb, rb, max_displacement)
 
     # positions (into each feature set) of the featured points of every patch
     src_members = patch_members(src_labels[src_point_feats.point_indices])

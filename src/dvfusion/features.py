@@ -12,21 +12,21 @@ sensitive to chirality (a folded variant would match mirror images).
 
 The normals come from the tile's k-NN covariance features, the pass the
 partition features are derived from, so a tile epoch computes its
-neighbourhood covariance once. One radius search (`query_pairs`) serves
-both passes: its pairs fill the histograms, and as one sparse matrix of
-1/d weights they pool them. The sum order is that of a per-query loop over
-sorted ball-search neighbours (see `pair_histogram_descriptors`), so the
+neighbourhood covariance once. Both passes search the epoch's KD-tree
+`_SEARCH_BLOCK` points at a time, in the tree's leaf order, so no search
+returns more than one block's radius pairs: the histogram pass counts each
+pair once, from its lower id, evaluating the frames `_PAIR_BLOCK` pairs at
+a time, and the pooling pass weights a block of query rows by 1/d as one
+sparse product. The sum order is that of a per-query loop over sorted
+ball-search neighbours (see `pair_histogram_descriptors`), so the
 descriptors keep their bits.
 
-The pair angles are taken in blocks of `_PAIR_BLOCK` pairs: per block, the
-frames are evaluated, the whole-number bin counts added to the histograms
-and the 1/d weights filled in. Only the pair ids, the weights and the
-histograms are held for the whole cloud. The pooling matrix is gathered
-from the pair ends that are queries alone, and the pair list is freed
-before its entries are sorted. On a 20k-point epoch (564k pairs) the pass's
-peak under `tracemalloc` is 23 MiB, against 44 MiB when both ends of every
-pair were gathered and then masked, and 195 MiB with every pair's angles at
-once.
+Only the n x 33 histograms and the output rows are held for the whole
+epoch. Measured as the rise of a fresh process's peak RSS (`VmHWM`), which
+counts the KD-tree's own buffers, over its RSS before the call, on the
+source epoch of the seed-0 synth scene: 18 MiB at 20k points and 56 MiB at
+100k, against 26 and 140 MiB when one `query_pairs` call held every radius
+pair of the epoch.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ from .io import PointFeatureSet
 RADIUS_FACTOR = 5.0     # descriptor radius = factor x mean scan resolution
 N_ANGLE_BINS = 11
 DESCRIPTOR_DIM = 3 * N_ANGLE_BINS
-_PAIR_BLOCK = 2 ** 15   # radius pairs whose angles are held at once
+_SEARCH_BLOCK = 2 ** 10  # points whose radius pairs one search returns
+_PAIR_BLOCK = 2 ** 14   # radius pairs whose angles are held at once
 
 
 def adaptive_downsample(points, voxel_factor: float,
@@ -122,6 +123,18 @@ def _bin_triplets(alpha, phi, theta):
     return bins(alpha), bins(phi), bins(theta)
 
 
+def _radius_pairs(tree, pts, ids, radius: float):
+    """Yield, per block of `_SEARCH_BLOCK` of the point ids `ids`, the block
+    and its radius pairs as (row in the block, neighbor id), in no order.
+    A point pairs with itself and with every tree point within `radius`,
+    by the `<=` test of a ball query."""
+    for lo in range(0, len(ids), _SEARCH_BLOCK):
+        block = ids[lo:lo + _SEARCH_BLOCK]
+        found = cKDTree(pts[block]).sparse_distance_matrix(
+            tree, radius, output_type="ndarray")
+        yield block, found["i"], found["j"]
+
+
 def pair_histogram_descriptors(points, geo: LocalGeomFeatures, radius: float,
                                query_indices) -> np.ndarray:
     """33-bin descriptors for the query points, rows in `query_indices` order.
@@ -135,12 +148,13 @@ def pair_histogram_descriptors(points, geo: LocalGeomFeatures, radius: float,
     isolated points get a uniform histogram so the norm invariant still
     holds.
 
-    Pooling is one sparse product. Row q of a CSR matrix holds the weights
-    1/d of q's neighbors: the points other than q within `radius`, by the
-    same `<=` test a ball query uses, at sorted column ids. scipy's CSR x
-    dense product adds each weighted neighbor row in turn, in column order,
-    just as summing the rows of a sorted ball query does, so the result
-    has the bits of that per-query loop. Repeated query ids share one row.
+    Pooling is a sparse product per block of query rows. Row q of a CSR
+    matrix holds the weights 1/d of q's neighbors: the points other than q
+    within `radius`, by the same `<=` test a ball query uses, at sorted
+    column ids. scipy's CSR x dense product adds each weighted neighbor row
+    in turn, in column order, just as summing the rows of a sorted ball
+    query does, so the result has the bits of that per-query loop.
+    Repeated query ids share one row.
     """
     pts = as_points(points)
     n = len(pts)
@@ -151,55 +165,57 @@ def pair_histogram_descriptors(points, geo: LocalGeomFeatures, radius: float,
     # so +Z disambiguates the eigenvector sign the same way in both epochs.
     normals[normals[:, 2] < 0.0] *= -1.0
 
-    pairs = cKDTree(pts).query_pairs(radius, output_type="ndarray")
-    i, j = pairs[:, 0], pairs[:, 1]
-    # Histogram counts are whole numbers, exact in float64 in any order, so
-    # adding them a block at a time gives the bits of one bincount. `add.at`
-    # costs what a block holds; a bincount per block would sweep all n x 33
-    # cells each time.
+    # Both passes search the tree a block of points at a time, in its leaf
+    # order, so that each search stays local and only one block's pairs are
+    # held. Histogram counts are whole numbers, exact in float64 in any
+    # order, so adding them a block at a time gives the bits of one
+    # bincount. `add.at` costs what a block holds; a bincount per block
+    # would sweep all n x 33 cells each time.
+    tree = cKDTree(pts)
     spfh = np.zeros(n * DESCRIPTOR_DIM)
-    inv_d = np.empty(len(pairs))
-    for lo in range(0, len(pairs), _PAIR_BLOCK):
-        bi, bj = i[lo:lo + _PAIR_BLOCK], j[lo:lo + _PAIR_BLOCK]
-        p_i, p_j = pts[bi], pts[bj]
-        # evaluate the asymmetric frame once, accumulate into both endpoints
-        alpha, phi, theta, ok = _pair_angles(p_i, normals[bi], p_j, normals[bj])
-        cells = [ends[ok] * DESCRIPTOR_DIM + k * N_ANGLE_BINS + b[ok]
-                 for ends in (bi, bj)
-                 for k, b in enumerate(_bin_triplets(alpha, phi, theta))]
-        np.add.at(spfh, np.concatenate(cells), 1.0)
-        inv_d[lo:lo + _PAIR_BLOCK] = 1.0 / np.maximum(
-            np.linalg.norm(p_j - p_i, axis=1), 1e-9)
+    for block, row, nbr in _radius_pairs(tree, pts, tree.indices, radius):
+        q = block[row]
+        lower = nbr > q                     # each pair once, lower id first
+        i, j = q[lower], nbr[lower]
+        for lo in range(0, len(i), _PAIR_BLOCK):
+            bi, bj = i[lo:lo + _PAIR_BLOCK], j[lo:lo + _PAIR_BLOCK]
+            # evaluate the asymmetric frame once, accumulate into both ends
+            alpha, phi, theta, ok = _pair_angles(pts[bi], normals[bi],
+                                                 pts[bj], normals[bj])
+            cells = [ends[ok] * DESCRIPTOR_DIM + k * N_ANGLE_BINS + b[ok]
+                     for ends in (bi, bj)
+                     for k, b in enumerate(_bin_triplets(alpha, phi, theta))]
+            np.add.at(spfh, np.concatenate(cells), 1.0)
     spfh = spfh.reshape(n, DESCRIPTOR_DIM)
 
     # Distance-weighted pooling of neighbor histograms into the queries, one
-    # row per distinct query: each end of a pair that is a query pools the
-    # other end. Gathering only those ends, and freeing the pairs before the
-    # sort, bounds the pass's memory.
+    # row per distinct query, a block of query rows at a time. The weight's
+    # distance is the norm of a difference, whose bits do not depend on
+    # which end it is taken from. Each row is normalized on its own, so a
+    # block's rows are final once pooled.
     uq, row_of = np.unique(query, return_inverse=True)
-    pos = np.full(n, -1, dtype=np.int64)
-    pos[uq] = np.arange(len(uq))
-    at_i = np.flatnonzero(pos[i] >= 0)      # pairs whose i end is a query
-    at_j = np.flatnonzero(pos[j] >= 0)
-    rows = np.concatenate([pos[i[at_i]], pos[j[at_j]]])
-    nbrs = np.concatenate([j[at_i], i[at_j]])
-    wgt = np.concatenate([inv_d[at_i], inv_d[at_j]])
-    del pairs, i, j, inv_d, at_i, at_j
-    counts = np.bincount(rows, minlength=len(uq))
-    order = np.argsort(rows * n + nbrs)     # by row, then ascending neighbor id
-    del rows
-    pool = csr_matrix((wgt[order], nbrs[order], np.r_[0, np.cumsum(counts)]),
-                      shape=(len(uq), n))
-    del order, nbrs, wgt
-    pooled = pool @ spfh
-    has = counts > 0
-    pooled[has] /= counts[has, None]
-    desc = spfh[query] + pooled[row_of]
-
-    norms = np.linalg.norm(desc, axis=1)
-    flat = norms <= 1e-12
-    desc[flat] = 1.0 / np.sqrt(DESCRIPTOR_DIM)
-    return desc / np.linalg.norm(desc, axis=1)[:, None]
+    is_query = np.zeros(n, dtype=bool)
+    is_query[uq] = True
+    desc = np.empty((len(uq), DESCRIPTOR_DIM))
+    leaf_queries = tree.indices[is_query[tree.indices]]
+    for block, row, nbr in _radius_pairs(tree, pts, leaf_queries, radius):
+        keep = np.flatnonzero(nbr != block[row])
+        keep = keep[np.argsort(row[keep] * n + nbr[keep])]  # by row, then neighbor id
+        row, nbr = row[keep], nbr[keep]
+        wgt = 1.0 / np.maximum(np.linalg.norm(pts[nbr] - pts[block[row]], axis=1),
+                               1e-9)
+        counts = np.bincount(row, minlength=len(block))
+        pool = csr_matrix((wgt, nbr, np.r_[0, np.cumsum(counts)]),
+                          shape=(len(block), n))
+        part = pool @ spfh
+        has = counts > 0
+        part[has] /= counts[has, None]
+        part += spfh[block]
+        flat = np.linalg.norm(part, axis=1) <= 1e-12
+        part[flat] = 1.0 / np.sqrt(DESCRIPTOR_DIM)
+        part /= np.linalg.norm(part, axis=1)[:, None]
+        desc[np.searchsorted(uq, block)] = part
+    return desc[row_of]
 
 
 def extract_point_features(points, geo: LocalGeomFeatures, sample_indices,

@@ -435,8 +435,11 @@ def _row_int(row, key, path, lineno) -> int:
 
 
 def load_cameras(path) -> list[CameraModel]:
-    cams = []
+    """Cameras as `write_cameras` writes them, each image_id on one row only."""
+    cams, first = [], {}
     for lineno, row in _dict_reader(path, CAMERA_FIELDS):
+        if first.setdefault(row["image_id"], lineno) != lineno:
+            raise ParseError(str(path), lineno, f"repeated image_id {row['image_id']}")
         g = lambda k: _row_float(row, k, path, lineno)  # noqa: E731
         rot = np.array([[g("r11"), g("r12"), g("r13")],
                         [g("r21"), g("r22"), g("r23")],

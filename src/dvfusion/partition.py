@@ -81,6 +81,7 @@ _ICM_SWEEPS = 4
 _POLISH_LIMIT = 5000           # vertex-level polish only below this size
 _EXACT_REGIONS = 8             # exhaustive union search up to this many regions
 _MAX_OUTER = 10                # split/merge/polish rounds per solve
+_GRAPH_BLOCK = 2 ** 14         # adjacency k-NN rows, then edges, at a time
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +101,15 @@ def build_adjacency_graph(points, k_adj: int) -> AdjacencyGraph:
 
     Close-range edges get weights near 1, long edges decay smoothly, so cuts
     prefer to run through sparse gaps.
+
+    Each point links to its `k_adj` nearest neighbours other than itself;
+    the point is dropped from its own k + 1 nearest by id, since an exact
+    copy can come first. The k-NN runs `_GRAPH_BLOCK` rows at a time and
+    keeps no distances: each block writes its edge keys min * n + max into
+    one array, which is sorted once, so the edges come out ascending and
+    distinct. The lengths are then taken a block of edges at a time and
+    turned into weights in place. Only the keys, the edges and the weights
+    are held for the whole cloud.
     """
     pts = as_points(points)
     n = len(pts)
@@ -109,16 +119,34 @@ def build_adjacency_graph(points, k_adj: int) -> AdjacencyGraph:
         return AdjacencyGraph(np.zeros((0, 2), dtype=np.int64), np.zeros(0))
     kk = min(k_adj + 1, n)
     tree = cKDTree(pts)
-    dist, idx = tree.query(pts, k=kk)
-    src = np.repeat(np.arange(n), kk - 1)
-    dst = idx[:, 1:].ravel()
-    key = np.sort(np.minimum(src, dst) * n + np.maximum(src, dst))
-    key = key[np.diff(key, prepend=-1) != 0]            # ascending, distinct
-    edges = np.stack([key // n, key % n], axis=1)
-    lengths = np.linalg.norm(np.take(pts, edges[:, 0], axis=0)
-                             - np.take(pts, edges[:, 1], axis=0), axis=1)
-    d_mean = float(lengths.mean()) if len(lengths) else 0.0
-    weights = 1.0 / (1.0 + lengths / d_mean) if d_mean > 0 else np.ones(len(lengths))
+    key = np.empty(n * kk, dtype=np.int64)
+    m = 0
+    for lo in range(0, n, _GRAPH_BLOCK):
+        rows = np.arange(lo, min(lo + _GRAPH_BLOCK, n))
+        dst = tree.query(pts[rows], k=kk)[1].ravel()
+        src = np.repeat(rows, kk)
+        other = dst != src
+        src, dst = src[other], dst[other]
+        key[m:m + len(src)] = np.minimum(src, dst) * n + np.maximum(src, dst)
+        m += len(src)
+    key = key[:m]
+    key.sort()
+    key = key[np.r_[True, key[1:] != key[:-1]]]          # ascending, distinct
+    edges = np.empty((len(key), 2), dtype=np.int64)
+    np.divmod(key, n, out=(edges[:, 0], edges[:, 1]))
+    del key
+    weights = np.empty(len(edges))
+    for lo in range(0, len(edges), _GRAPH_BLOCK):
+        e = edges[lo:lo + _GRAPH_BLOCK]
+        weights[lo:lo + len(e)] = np.linalg.norm(pts[e[:, 0]] - pts[e[:, 1]], axis=1)
+    # the lengths become 1 / (1 + d / d_mean) in place, step by step
+    d_mean = float(weights.mean())
+    if d_mean > 0:
+        weights /= d_mean
+        weights += 1.0
+        np.divide(1.0, weights, out=weights)
+    else:
+        weights[:] = 1.0
     return AdjacencyGraph(edges, weights)
 
 

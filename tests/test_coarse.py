@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 import dvfusion.coarse
 from dvfusion.coarse import (
     CorrTable,
     MatchSet,
     PatchMatch,
+    _plausible_pairs,
     filter_by_max_displacement,
     gate_match_set,
     lift_matches,
@@ -169,6 +171,52 @@ def test_blocked_mutual_nn_holds_one_block(monkeypatch):
     monkeypatch.setattr(dvfusion.coarse, "_MUTUAL_NN_BLOCK", 10 ** 12)
     one_block = mutual_nn(a, b)
     assert all(np.array_equal(x, y) for x, y in zip(blocked, one_block))
+
+
+def one_matrix_plausible_pairs(ca, ra, cb, rb, max_displacement):
+    """The plausibility gate as computed before it ran in row blocks: the
+    whole distance matrix and the whole threshold matrix at once."""
+    return cdist(ca, cb) <= max_displacement + ra[:, None] + rb[None, :]
+
+
+@pytest.mark.parametrize("block", [1, 7, 10 ** 12])
+def test_plausibility_gate_in_row_blocks_gives_the_one_matrix_mask(
+        monkeypatch, block):
+    rng = np.random.default_rng(9)
+    ca = rng.uniform(0, 30, (41, 3))
+    cb = np.vstack([ca[:20] + rng.normal(0, 2, (20, 3)),
+                    rng.uniform(0, 30, (9, 3))])
+    ra, rb = rng.uniform(0, 3, 41), rng.uniform(0, 3, 29)
+    # a pair exactly at its threshold: 5 m apart, 3 m plus radii of 1 m
+    ca[0], cb[0], ra[0], rb[0] = [0.0, 0.0, 0.0], [3.0, 4.0, 0.0], 1.0, 1.0
+    want = one_matrix_plausible_pairs(ca, ra, cb, rb, 3.0)
+    assert want[0, 0] and 0 < want.sum() < want.size
+    # blocks of one row over 29 columns, of 1 and 7 rows over one column,
+    # and one block of every row
+    monkeypatch.setattr(dvfusion.coarse, "_MUTUAL_NN_BLOCK", block)
+    assert np.array_equal(_plausible_pairs(ca, ra, cb, rb, 3.0), want)
+    assert np.array_equal(_plausible_pairs(ca, ra, cb[:1], rb[:1], 3.0),
+                          want[:, :1])
+    assert _plausible_pairs(ca[:0], ra[:0], cb, rb, 3.0).shape == (0, 29)
+
+
+def test_plausibility_gate_holds_one_block_of_distances():
+    """The gate of 3000 x 3000 patches holds its bool mask and one block of
+    distances and thresholds; with both whole matrices it peaked at
+    145.9 MiB."""
+    rng = np.random.default_rng(10)
+    ca = rng.uniform(0, 200, (3000, 3))
+    cb = ca + rng.normal(0, 2, (3000, 3))
+    ra, rb = rng.uniform(0, 5, 3000), rng.uniform(0, 5, 3000)
+    tracemalloc.start()
+    try:
+        allowed = _plausible_pairs(ca, ra, cb, rb, 1.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 24.6 MiB here: the 8.6 MiB mask, 8 MiB of distances, 8 of thresholds
+    assert peak < allowed.nbytes + 2.5 * 8 * dvfusion.coarse._MUTUAL_NN_BLOCK
+    assert np.array_equal(allowed, one_matrix_plausible_pairs(ca, ra, cb, rb, 1.5))
 
 
 def test_mutual_nn_is_injective():

@@ -264,9 +264,10 @@ def test_descriptor_pass_memory_on_a_synth_epoch():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # 23.4 MiB with the pooling gathered from the query ends only; 44.4 MiB
-    # with both ends of every pair gathered, then masked
-    assert peak < 32 * 2 ** 20
+    # 15.5 MiB with the search in blocks, half of it the histograms and the
+    # output rows; 23.4 MiB with every radius pair held, and 44.4 MiB when
+    # both ends of every pair were gathered, then masked
+    assert peak < 20 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -317,20 +318,98 @@ def one_shot_pair_histogram_descriptors(points, geo, radius: float,
     return desc / np.linalg.norm(desc, axis=1)[:, None]
 
 
-@pytest.mark.parametrize("block", [1, 7, 10 ** 9])
-def test_blocked_pair_pass_gives_the_one_shot_bits(monkeypatch, block):
+def blocked_pass_cases():
+    """(points, radius, queries) of each case the blocked pass must keep
+    the one-shot bits on."""
     rng = np.random.default_rng(24)
     base = rng.uniform(0, 4, (150, 3))
     # duplicates form zero-length pairs that `ok` masks out of the counts;
     # the far point has no neighbour and gets the uniform row
-    pts = np.vstack([base, base[:20], [[50.0, 50.0, 50.0]]])
-    geo = covariance(pts)
-    query = np.r_[np.arange(0, len(pts), 3), 150, 3, len(pts) - 1]
-    want = one_shot_pair_histogram_descriptors(pts, geo, 1.2, query)
-    assert np.all(want[-1] == 1.0 / np.sqrt(DESCRIPTOR_DIM))
+    dup = np.vstack([base, base[:20], [[50.0, 50.0, 50.0]]])
+    xs, ys, zs = np.meshgrid(np.arange(8.0), np.arange(8.0), np.arange(3.0))
+    grid = np.stack([xs.ravel(), ys.ravel(), zs.ravel()], axis=1)
+    scatter = rng.uniform(0, 5, (200, 3))
+    return {
+        "duplicates and an isolated point":
+            (dup, 1.2, np.r_[np.arange(0, len(dup), 3), 150, 3, len(dup) - 1]),
+        # pairs exactly at the radius, where every search must make the
+        # same `<=` decision
+        "integer grid, radius 1": (grid, 1.0, np.arange(len(grid))),
+        "integer grid, radius 2": (grid, 2.0, np.arange(len(grid))[::-1]),
+        "repeated and unsorted queries":
+            (scatter, 1.3, np.array([57, 3, 199, 3, 120, 0, 57, 57, 88, 1])),
+        "a radius that forms no pair": (scatter, 1e-6, np.array([4, 2, 4])),
+    }
+
+
+@pytest.mark.parametrize("block", [1, 7, 10 ** 9])
+def test_blocked_pair_pass_gives_the_one_shot_bits(monkeypatch, block):
+    """Searches of 1, 7 and every point, frames of 1, 7 and every pair, on
+    the small cases the pooling tests check against the per-query loop."""
+    cases = blocked_pass_cases()
+    monkeypatch.setattr(dvfusion.features, "_SEARCH_BLOCK", block)
     monkeypatch.setattr(dvfusion.features, "_PAIR_BLOCK", block)
-    got = pair_histogram_descriptors(pts, geo, 1.2, query)
+    got = {}
+    for name, (pts, radius, query) in cases.items():
+        geo = covariance(pts)
+        want = one_shot_pair_histogram_descriptors(pts, geo, radius, query)
+        got[name] = pair_histogram_descriptors(pts, geo, radius, query)
+        assert np.array_equal(got[name], want), name
+    uniform = 1.0 / np.sqrt(DESCRIPTOR_DIM)
+    assert np.all(got["duplicates and an isolated point"][-1] == uniform)
+    assert np.all(got["a radius that forms no pair"] == uniform)
+
+
+@pytest.mark.parametrize("block", [1, 7, 10 ** 9])
+def test_blocked_search_on_a_synth_epoch_gives_the_one_shot_bits(monkeypatch,
+                                                                 block):
+    """Searches of 1, 7 and every point on 20k points and 564k pairs, with
+    the frames at their own block size."""
+    pts, resolution, sample = synth_epoch("target")
+    geo = covariance(pts)
+    want = one_shot_pair_histogram_descriptors(
+        pts, geo, RADIUS_FACTOR * resolution, sample)
+    monkeypatch.setattr(dvfusion.features, "_SEARCH_BLOCK", block)
+    got = pair_histogram_descriptors(pts, geo, RADIUS_FACTOR * resolution, sample)
     assert np.array_equal(got, want)
+
+
+def test_no_search_returns_more_than_one_block_of_pairs(monkeypatch):
+    """`tracemalloc` does not see the KD-tree's own buffers, so the memory
+    test above cannot tell one search of the whole epoch from a search per
+    block: count what each search returns instead."""
+    pts, resolution, sample = synth_epoch("source")
+    radius = RADIUS_FACTOR * resolution
+    geo = covariance(pts)
+    degree = cKDTree(pts).query_ball_point(pts, radius, return_length=True)
+    sizes = []
+
+    class SearchSpy(cKDTree):
+        """Records the points and the pairs of each radius search, and
+        refuses the search that returns every pair of a cloud at once."""
+
+        def sparse_distance_matrix(self, other, max_distance, *args, **kwargs):
+            found = super().sparse_distance_matrix(other, max_distance,
+                                                   *args, **kwargs)
+            sizes.append((self.n, len(found)))
+            return found
+
+        def query_pairs(self, *args, **kwargs):
+            raise AssertionError("query_pairs returns every pair at once")
+
+    monkeypatch.setattr(dvfusion.features, "cKDTree", SearchSpy)
+    pair_histogram_descriptors(pts, geo, radius, sample)
+    block = dvfusion.features._SEARCH_BLOCK
+    queried = [m for m, _ in sizes]
+    # the histogram pass searches from every point, the pooling pass from
+    # every distinct query, each in blocks of at most `block` points
+    assert sum(queried) == len(pts) + len(np.unique(sample))
+    assert max(queried) <= block
+    # no search returns more pairs than the `block` points of highest degree
+    # have: 185,790 at most here, against 1,148,610 pairs on the epoch
+    largest = max(found for _, found in sizes)
+    assert largest <= np.sort(degree)[-block:].sum()
+    assert largest < degree.sum() / 4
 
 
 def test_extract_import_provider():

@@ -438,14 +438,15 @@ def test_a_row_wider_or_shorter_than_the_header_is_a_located_error(
 # Bad numbers
 
 # (table, cells of a second data row that differ from the first, message).
-# The second row takes its own camera or observation id; a DVF case gives
-# it a fresh point_id unless the case is about that cell.
+# The second row takes its own camera or observation id, and a DVF case
+# gives it a fresh point_id, unless the case is about that cell.
 BAD_CELLS = [
     ("cameras", {"fx": "nan"}, "field 'fx': not a finite number"),
     ("cameras", {"r22": "nan"}, "field 'r22': not a finite number"),
     ("cameras", {"t3": "inf"}, "field 't3': not a finite number"),
     ("cameras", {"width": "640.5"}, "field 'width': not an integer"),
     ("cameras", {"height": "nan"}, "field 'height': not a finite number"),
+    ("cameras", {"image_id": "a"}, "repeated image_id a"),
     ("observations", {"x": "nan"}, "field 'x': not a finite number"),
     ("observations", {"dz": "-inf"}, "field 'dz': not a finite number"),
     ("dvf", {"point_id": "11", "y": "inf"}, "field 'y': not a finite number"),
@@ -463,8 +464,9 @@ BAD_CELLS = [
                               for t, c, _ in BAD_CELLS])
 def test_a_bad_number_is_a_located_error(tmp_path, table, cells, message):
     """NaN and infinity, a fraction in an integer column and a repeated DVF
-    point id fail at their row instead of loading, truncating or failing
-    later without a location."""
+    point id or camera image id fail at their row instead of loading,
+    truncating, replacing an earlier row or failing later without a
+    location."""
     write, load = TABLES[table]
     p = tmp_path / f"{table}.csv"
     write(p)

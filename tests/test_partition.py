@@ -2,17 +2,21 @@
 solver against exhaustive enumeration on chains, and hierarchy assembly."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from dvfusion.config import PipelineConfig
 from dvfusion.errors import InvalidParams
 from dvfusion import partition
 from dvfusion.geometry import (NORMAL_NEIGHBOURS, RigidTransform,
                                local_covariance_features)
+from dvfusion.synth import SynthParams, synth_generate_scene
 from dvfusion.partition import (
+    AdjacencyGraph,
     build_adjacency_graph,
     cut_pursuit,
     filter_small_patches,
@@ -121,6 +125,89 @@ def test_edge_weights_formula():
 def test_k_adj_floor():
     with pytest.raises(InvalidParams):
         build_adjacency_graph(np.zeros((5, 3)), k_adj=2)
+
+
+def one_shot_adjacency_graph(pts, k_adj):
+    """The graph as built before the k-NN ran in blocks: every row's k + 1
+    neighbours and distances at once, one key array, the lengths of every
+    edge at once. The point itself is dropped by id, as the blocked build
+    does."""
+    n = len(pts)
+    kk = min(k_adj + 1, n)
+    _, idx = cKDTree(pts).query(pts, k=kk)
+    src = np.repeat(np.arange(n), kk)
+    dst = idx.ravel()
+    other = dst != src
+    src, dst = src[other], dst[other]
+    key = np.sort(np.minimum(src, dst) * n + np.maximum(src, dst))
+    key = key[np.diff(key, prepend=-1) != 0]
+    edges = np.stack([key // n, key % n], axis=1)
+    lengths = np.linalg.norm(np.take(pts, edges[:, 0], axis=0)
+                             - np.take(pts, edges[:, 1], axis=0), axis=1)
+    d_mean = float(lengths.mean())
+    weights = 1.0 / (1.0 + lengths / d_mean) if d_mean > 0 else np.ones(len(lengths))
+    return AdjacencyGraph(edges, weights)
+
+
+def synth_source_epoch():
+    """The source epoch of the 20k-point synth scene of seed 0."""
+    return synth_generate_scene(SynthParams(n_points=20_000, texture=False),
+                                seed=0).source.points
+
+
+def adjacency_cases():
+    rng = np.random.default_rng(11)
+    base = rng.uniform(0, 10, (200, 3))
+    xs, ys = np.meshgrid(np.arange(9.0), np.arange(7.0))
+    grid = np.stack([xs.ravel(), ys.ravel(), np.zeros(63)], axis=1)
+    return {
+        "random": (base, 10),
+        # exact copies, some with more copies than k_adj + 1 neighbours
+        "duplicates": (np.vstack([base, base[:50],
+                                  np.repeat(base[:2], 14, axis=0)]), 10),
+        # an integer grid: many neighbours tie at equal distance
+        "grid": (grid, 4),
+        "fewer points than k_adj": (base[:5], 10),
+        "one point repeated": (np.zeros((6, 3)), 3),
+        "synth epoch": (synth_source_epoch(), 10),
+    }
+
+
+@pytest.mark.parametrize("block", [1, 7, 10 ** 9])
+def test_blocked_adjacency_graph_gives_the_one_shot_bits(monkeypatch, block):
+    cases = adjacency_cases()
+    monkeypatch.setattr(partition, "_GRAPH_BLOCK", block)
+    for name, (pts, k_adj) in cases.items():
+        want = one_shot_adjacency_graph(pts, k_adj)
+        got = build_adjacency_graph(pts, k_adj=k_adj)
+        assert np.array_equal(got.edges, want.edges), name
+        assert np.array_equal(got.weights, want.weights), name
+
+
+def test_duplicate_points_link_to_their_copies_not_themselves():
+    """An exact copy can come first in a point's own k-NN; dropping column 0
+    as the point itself then left a self-loop (i, i) and lost the copy."""
+    rng = np.random.default_rng(0)
+    base = rng.uniform(0, 10, (200, 3))
+    pts = np.vstack([base, base[:50]])
+    g = build_adjacency_graph(pts, k_adj=10)
+    assert np.all(g.edges[:, 0] < g.edges[:, 1])
+    edge_set = set(map(tuple, g.edges.tolist()))
+    assert all((i, 200 + i) in edge_set for i in range(50))
+    assert np.all(np.bincount(g.edges.ravel(), minlength=250) >= 10)
+
+
+def test_adjacency_graph_memory_on_a_synth_epoch():
+    pts = synth_source_epoch()
+    tracemalloc.start()
+    try:
+        build_adjacency_graph(pts, k_adj=PipelineConfig().k_adj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 7.4 MiB in blocks of k-NN rows and edges; 16.2 MiB with every row's
+    # distances and every edge's coordinate differences at once
+    assert peak < 10 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
